@@ -34,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .gaussian import SqueezeSetting, apply_loss, squeeze, vacuum
+from .gaussian import (
+    SqueezeSetting,
+    apply_loss,
+    check_range,
+    quadrature_variance,
+    squeeze,
+    vacuum,
+)
 
 __all__ = [
     "FilterCavityParams",
@@ -46,7 +53,6 @@ __all__ = [
     "standard_quantum_limit",
     "quantum_noise_budget",
     "snr_equivalent_power_gain",
-    "recycling_as_loss",
 ]
 
 
@@ -62,10 +68,8 @@ class FilterCavityParams:
     detuning: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.half_linewidth) or self.half_linewidth <= 0.0:
-            raise ValueError("half_linewidth must be finite and > 0")
-        if not np.isfinite(self.detuning):
-            raise ValueError("detuning must be finite")
+        check_range("half_linewidth", self.half_linewidth, gt=0.0)
+        check_range("detuning", self.detuning)
 
 
 @dataclass(frozen=True)
@@ -91,19 +95,11 @@ class IfoConfig:
     sql_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("arm_power", "mirror_mass", "arm_length", "wavelength"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0")
-        if (
-            not np.isfinite(self.detection_efficiency)
-            or not 0.0 < self.detection_efficiency <= 1.0
-        ):
-            raise ValueError("detection_efficiency must lie in (0, 1]")
-        if not np.isfinite(self.injection_loss) or not 0.0 <= self.injection_loss < 1.0:
-            raise ValueError("injection_loss must lie in [0, 1)")
-        if not np.isfinite(self.sql_scale) or self.sql_scale <= 0.0:
-            raise ValueError("sql_scale must be finite and > 0")
+        positive = ("arm_power", "mirror_mass", "arm_length", "wavelength", "sql_scale")
+        for name in positive:
+            check_range(name, getattr(self, name), gt=0.0)
+        check_range("detection_efficiency", self.detection_efficiency, gt=0.0, le=1.0)
+        check_range("injection_loss", self.injection_loss, ge=0.0, lt=1.0)
         if self.matched_rotation and self.filter_cavity is not None:
             raise ValueError(
                 "choose either a filter cavity or matched_rotation, not both"
@@ -130,8 +126,7 @@ class BudgetCurve:
         if n == 0 or any(a.shape != (n,) for a in arrays.values()):
             raise ValueError("budget arrays must be matching non-empty 1-D arrays")
         for name, arr in arrays.items():
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
+            check_range(name, arr, gt=0.0)
             object.__setattr__(self, name, arr)
 
 
@@ -142,9 +137,7 @@ def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
     proportional to arm power over mirror mass and falling as 1 / f^2.
     Scaling power and mass together leaves it unchanged.
     """
-    f = np.asarray(frequency, dtype=float)
-    if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-        raise ValueError("frequency must be finite and > 0")
+    f = check_range("frequency", frequency, gt=0.0)
     omega0 = 2.0 * np.pi * constants.c / config.wavelength
     out = (
         8.0
@@ -152,7 +145,7 @@ def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
         * omega0
         / (config.mirror_mass * constants.c**2 * (2.0 * np.pi * f) ** 2)
     )
-    return out if out.ndim else float(out)
+    return out if np.ndim(out) else float(out)
 
 
 def crossover_frequency(config: IfoConfig) -> float:
@@ -166,16 +159,14 @@ def crossover_frequency(config: IfoConfig) -> float:
 
 def standard_quantum_limit(config: IfoConfig, frequency) -> np.ndarray | float:
     """Free-mass strain-PSD envelope, scaled by ``sql_scale``."""
-    f = np.asarray(frequency, dtype=float)
-    if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-        raise ValueError("frequency must be finite and > 0")
+    f = check_range("frequency", frequency, gt=0.0)
     out = (
         config.sql_scale
         * 8.0
         * constants.hbar
         / (config.mirror_mass * (2.0 * np.pi * f) ** 2 * config.arm_length**2)
     )
-    return out if out.ndim else float(out)
+    return out if np.ndim(out) else float(out)
 
 
 def filter_cavity_angle(cavity: FilterCavityParams, frequency) -> np.ndarray | float:
@@ -186,21 +177,13 @@ def filter_cavity_angle(cavity: FilterCavityParams, frequency) -> np.ndarray | f
     frequencies far below the linewidth and falling to zero far above it,
     monotonically for positive detuning.
     """
-    f = np.asarray(frequency, dtype=float)
-    if np.any(~np.isfinite(f)) or np.any(f < 0.0):
-        raise ValueError("frequency must be finite and >= 0")
+    f = check_range("frequency", frequency, ge=0.0)
     gamma = cavity.half_linewidth
     out = 0.5 * (
         np.arctan((cavity.detuning + f) / gamma)
         + np.arctan((cavity.detuning - f) / gamma)
     )
-    return out if out.ndim else float(out)
-
-
-def _variance_profile(cov: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Quadrature variance of a covariance matrix at an array of angles."""
-    c, s = np.cos(angle), np.sin(angle)
-    return c * c * cov[0, 0] + 2.0 * c * s * cov[0, 1] + s * s * cov[1, 1]
+    return out if np.ndim(out) else float(out)
 
 
 def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
@@ -220,21 +203,18 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
         phase- and amplitude-quadrature projections of the same state.
     """
     f = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if f.size == 0:
-        raise ValueError("need at least one frequency")
-    if np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-        raise ValueError("frequencies must be finite and > 0")
+    check_range("number of frequencies", f.size, ge=1)
+    check_range("frequencies", f, gt=0.0)
 
     state = squeeze(vacuum(), config.injected_squeeze)
     state = apply_loss(state, config.injection_loss)
-    cov = state.cov
 
     k = kappa(config, f)
     readout_angle = 0.5 * np.pi + np.arctan(k)
     if config.matched_rotation:
         # Idealized frequency-dependent injection: the minor axis of the
         # noise ellipse tracks the effective readout quadrature exactly.
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        eigvals, eigvecs = np.linalg.eigh(state.cov)
         minor = eigvecs[:, int(np.argmin(eigvals))]
         rotation = readout_angle - np.arctan2(minor[1], minor[0])
     elif config.filter_cavity is not None:
@@ -246,7 +226,7 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
     vac = 1.0 - eta
 
     def detected_variance(angle):
-        return eta * _variance_profile(cov, angle - rotation) + vac
+        return eta * quadrature_variance(state, angle - rotation) + vac
 
     e_total = detected_variance(readout_angle)
     e_shot = detected_variance(0.5 * np.pi)
@@ -269,22 +249,6 @@ def snr_equivalent_power_gain(improvement_db: float) -> float:
     A squeezing improvement of x dB raises a shot-noise-limited SNR exactly
     like multiplying the carrier power by ``10**(x / 10)``.
     """
-    if not np.isfinite(improvement_db):
-        raise ValueError("improvement_db must be finite")
+    check_range("improvement_db", improvement_db)
     return 10.0 ** (improvement_db / 10.0)
 
-
-def recycling_as_loss(mirror_transmission: float, internal_loss: float) -> float:
-    """Effective efficiency of a recycling cavity, lumped.
-
-    The cavity is modeled as the single lumped efficiency
-    ``1 - internal_loss``; build-up scaling with the mirror transmission is
-    out of scope, the transmission is validated but does not enter.  The
-    returned efficiency composes multiplicatively with injection and
-    detection efficiencies.
-    """
-    if not np.isfinite(mirror_transmission) or not 0.0 <= mirror_transmission <= 1.0:
-        raise ValueError("mirror_transmission must lie in [0, 1]")
-    if not np.isfinite(internal_loss) or not 0.0 <= internal_loss <= 1.0:
-        raise ValueError("internal_loss must lie in [0, 1]")
-    return 1.0 - internal_loss

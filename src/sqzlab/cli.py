@@ -54,7 +54,7 @@ from .detection import (
     sample_photon_record,
     welch_psd,
 )
-from .gaussian import SqueezeSetting, db_from_variance, squeeze, vacuum
+from .gaussian import SqueezeSetting, check_range, db_from_variance, squeeze, vacuum
 from .io import write_csv, write_json
 from .opo import OpoParams, opo_spectrum, parametric_gain, pump_ratio_from_gain
 
@@ -100,25 +100,20 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
-def _state_from_db(squeeze_db: float, angle: float):
-    """Squeezed vacuum with the given positive dB magnitude at ``angle``."""
-    if not np.isfinite(squeeze_db) or squeeze_db < 0.0:
-        raise ValueError("squeeze_db must be finite and >= 0 (0 means coherent)")
-    r = squeeze_db * np.log(10.0) / 20.0
-    return squeeze(vacuum(), SqueezeSetting(r, angle))
-
-
 def _frequency_grid(params: Mapping[str, Any]) -> np.ndarray:
     start = params["frequency_start_hz"]
     stop = params["frequency_stop_hz"]
     points = params["frequency_points"]
-    if points < 2:
-        raise ValueError("frequency_points must be at least 2")
-    if not 0.0 < start < stop:
-        raise ValueError("need 0 < frequency_start_hz < frequency_stop_hz")
+    check_range("frequency_points", points, ge=2)
+    check_range("frequency_start_hz", start, gt=0.0, lt=stop)
     if params["log_spacing"]:
         return np.geomspace(start, stop, points)
     return np.linspace(start, stop, points)
+
+
+def _rows(*columns: np.ndarray) -> list[list[float]]:
+    """Table rows from equal-length float columns."""
+    return np.column_stack(columns).tolist()
 
 
 def _child_seeds(seed: int, count: int) -> list[int]:
@@ -140,18 +135,9 @@ def _run_opo_spectrum(params: dict, seed: int | None) -> ExperimentOutcome:
     else:
         raise ValueError("set either gain or pump_ratio")
     cavity = OpoParams(pump, params["escape_efficiency"], params["half_linewidth_hz"])
-    rows = []
-    for f in _frequency_grid(params):
-        point = opo_spectrum(cavity, float(f))
-        rows.append(
-            (
-                point.frequency,
-                point.v_squeeze,
-                point.v_antisqueeze,
-                db_from_variance(point.v_squeeze),
-                db_from_variance(point.v_antisqueeze),
-            )
-        )
+    point = opo_spectrum(cavity, _frequency_grid(params))
+    f, v_s, v_a = point.frequency, point.v_squeeze, point.v_antisqueeze
+    rows = _rows(f, v_s, v_a, db_from_variance(v_s), db_from_variance(v_a))
     metadata = {
         "pump_ratio": pump,
         "parametric_gain": parametric_gain(pump),
@@ -170,19 +156,18 @@ def _run_opo_spectrum(params: dict, seed: int | None) -> ExperimentOutcome:
 
 def _run_decohere(params: dict, seed: int | None) -> ExperimentOutcome:
     noise = PhaseNoise.from_degrees(params["phase_noise_deg"])
-    rows = []
-    for added in params["added_losses"]:
-        if isinstance(added, bool) or not isinstance(added, (int, float)):
-            raise ValueError("added_losses must contain numbers")
-        s_db, a_db = forward_model(
-            params["gain"],
-            params["intrinsic_loss"],
-            float(added),
-            noise,
-            params["frequency_hz"],
-            params["half_linewidth_hz"],
-        )
-        rows.append((float(added), s_db, a_db))
+    added = params["added_losses"]
+    if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in added):
+        raise ValueError("added_losses must contain numbers")
+    s_db, a_db = forward_model(
+        params["gain"],
+        params["intrinsic_loss"],
+        added,
+        noise,
+        params["frequency_hz"],
+        params["half_linewidth_hz"],
+    )
+    rows = _rows(added, s_db, a_db)
     metadata = {
         "gain": params["gain"],
         "intrinsic_loss": params["intrinsic_loss"],
@@ -252,7 +237,7 @@ def _run_fit_loss(params: dict, seed: int | None) -> ExperimentOutcome:
 
 
 def _run_photon_record(params: dict, seed: int | None) -> ExperimentOutcome:
-    state = _state_from_db(params["noise_squeeze_db"], 0.0)
+    state = squeeze(vacuum(), SqueezeSetting.from_db(params["noise_squeeze_db"]))
     source = LightSource(
         params["wavelength_m"], params["power_w"], params["coherence_time_s"]
     )
@@ -272,9 +257,10 @@ def _run_photon_record(params: dict, seed: int | None) -> ExperimentOutcome:
 
 
 def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
-    state = _state_from_db(
+    setting = SqueezeSetting.from_db(
         params["squeeze_db"], np.deg2rad(params["squeeze_angle_deg"])
     )
+    state = squeeze(vacuum(), setting)
     detector = DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
         dark_noise_variance=params["dark_noise_variance"],
@@ -292,10 +278,7 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
         params["lo_noise_variance"],
     )
     spectrum = welch_psd(series, params["resolution_bandwidth_hz"])
-    rows = [
-        (f, p, db_from_variance(p))
-        for f, p in zip(spectrum.frequencies.tolist(), spectrum.psd.tolist())
-    ]
+    rows = _rows(spectrum.frequencies, spectrum.psd, db_from_variance(spectrum.psd))
     metadata = {
         "series_variance": float(series.samples.var()),
         "resolution_bandwidth_hz": spectrum.resolution_bandwidth,
@@ -326,7 +309,7 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         quantum_efficiency=params["quantum_efficiency"],
         visibility=params["visibility"],
     )
-    squeezed = _state_from_db(params["squeeze_db"], 0.0)
+    squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
     depth = params["modulation_depth"]
     seeds = _child_seeds(seed, 3)
     cases = [
@@ -385,24 +368,15 @@ def _run_noise_budget(params: dict, seed: int | None) -> ExperimentOutcome:
         wavelength=params["wavelength_m"],
         detection_efficiency=params["detection_efficiency"],
         injection_loss=params["injection_loss"],
-        injected_squeeze=SqueezeSetting(
-            params["squeeze_db"] * np.log(10.0) / 20.0,
-            float(np.deg2rad(params["squeeze_angle_deg"])),
+        injected_squeeze=SqueezeSetting.from_db(
+            params["squeeze_db"], float(np.deg2rad(params["squeeze_angle_deg"]))
         ),
         filter_cavity=cavity,
         matched_rotation=params["matched_rotation"],
         sql_scale=params["sql_scale"],
     )
     curve = quantum_noise_budget(config, _frequency_grid(params))
-    rows = list(
-        zip(
-            curve.frequencies.tolist(),
-            curve.shot.tolist(),
-            curve.rpn.tolist(),
-            curve.total.tolist(),
-            curve.sql.tolist(),
-        )
-    )
+    rows = _rows(curve.frequencies, curve.shot, curve.rpn, curve.total, curve.sql)
     metadata = {"crossover_frequency_hz": crossover_frequency(config)}
     columns = ["frequency_hz", "shot", "rpn", "total", "sql"]
     return ExperimentOutcome(metadata, columns, rows)

@@ -4,7 +4,8 @@ The forward model chains three stages that are kept separately testable:
 a pure squeezed state from the cavity model, a lumped loss channel, and a
 Gaussian phase-jitter average.  The same chain runs in reverse as a
 deterministic least-squares fit that infers intrinsic loss and jitter from a
-sweep of deliberately added loss.
+sweep of deliberately added loss.  :func:`forward_model` broadcasts over the
+added loss.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from .opo import OpoParams, opo_spectrum, pump_ratio_from_gain
+from .gaussian import check_range
+from .opo import OpoParams, SqueezeSpectrumPoint, opo_spectrum, pump_ratio_from_gain
 
 __all__ = [
     "LossBudget",
@@ -50,8 +52,7 @@ class PhaseNoise:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.sigma) or self.sigma < 0.0:
-            raise ValueError("phase-noise sigma must be finite and >= 0")
+        check_range("phase-noise sigma", self.sigma, ge=0.0)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "PhaseNoise":
@@ -71,10 +72,7 @@ class LossBudget:
     def __post_init__(self) -> None:
         normalized = []
         for label, efficiency in self.entries:
-            if not np.isfinite(efficiency) or not 0.0 <= efficiency <= 1.0:
-                raise ValueError(
-                    f"efficiency for {label!r} must lie in [0, 1]"
-                )
+            check_range(f"efficiency for {label!r}", efficiency, ge=0.0, le=1.0)
             normalized.append((str(label), float(efficiency)))
         object.__setattr__(self, "entries", tuple(normalized))
 
@@ -88,12 +86,9 @@ class SqueezeMeasurement:
     antisqueeze_db: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.added_loss) or not 0.0 <= self.added_loss <= 1.0:
-            raise ValueError("added_loss must lie in [0, 1]")
-        if not np.isfinite(self.squeeze_db) or self.squeeze_db > 0.0:
-            raise ValueError("squeeze_db must be finite and <= 0")
-        if not np.isfinite(self.antisqueeze_db) or self.antisqueeze_db < 0.0:
-            raise ValueError("antisqueeze_db must be finite and >= 0")
+        check_range("added_loss", self.added_loss, ge=0.0, le=1.0)
+        check_range("squeeze_db", self.squeeze_db, le=0.0)
+        check_range("antisqueeze_db", self.antisqueeze_db, ge=0.0)
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,7 @@ def visibility_efficiency(visibility: float) -> float:
     A fringe visibility V between signal and reference beam acts on the
     measured variance exactly like a power efficiency of V**2.
     """
-    if not np.isfinite(visibility) or not 0.0 < visibility <= 1.0:
-        raise ValueError("visibility must lie in (0, 1]")
+    check_range("visibility", visibility, gt=0.0, le=1.0)
     return visibility * visibility
 
 
@@ -139,63 +133,50 @@ def apply_phase_noise(
     ``w = (1 + exp(-2 sigma^2)) / 2``, the exact Gaussian expectation of
     cos^2 of the jitter angle.  The sum of the two variances is conserved.
     """
-    if not np.isfinite(v_squeeze) or v_squeeze <= 0.0:
-        raise ValueError("v_squeeze must be finite and > 0")
-    if not np.isfinite(v_antisqueeze) or v_antisqueeze <= 0.0:
-        raise ValueError("v_antisqueeze must be finite and > 0")
-    weight = 0.5 * (1.0 + np.exp(-2.0 * noise.sigma**2))
+    check_range("v_squeeze", v_squeeze, gt=0.0)
+    check_range("v_antisqueeze", v_antisqueeze, gt=0.0)
+    return _jitter(v_squeeze, v_antisqueeze, noise.sigma)
+
+
+def _jitter(v_squeeze, v_antisqueeze, sigma):
+    """Gaussian jitter average of :func:`apply_phase_noise`, unchecked; broadcasts."""
+    weight = 0.5 * (1.0 + np.exp(-2.0 * sigma**2))
     return (
         weight * v_squeeze + (1.0 - weight) * v_antisqueeze,
         weight * v_antisqueeze + (1.0 - weight) * v_squeeze,
     )
 
 
+def _sweep_db(pure: SqueezeSpectrumPoint, loss0, added, sigma):
+    """dB readings of :func:`forward_model`, unchecked; the arguments broadcast."""
+    combined = 1.0 - (1.0 - loss0) * (1.0 - added)
+    v_s = (1.0 - combined) * pure.v_squeeze + combined
+    v_a = (1.0 - combined) * pure.v_antisqueeze + combined
+    v_s, v_a = _jitter(v_s, v_a, sigma)
+    return 10.0 * np.log10(v_s), 10.0 * np.log10(v_a)
+
+
 def forward_model(
     gain: float,
     intrinsic_loss: float,
-    added_loss: float,
+    added_loss,
     phase_noise: PhaseNoise,
     frequency: float = 0.0,
     half_linewidth: float = 1.0,
-) -> tuple[float, float]:
+):
     """Predicted (squeeze_db, antisqueeze_db) for a loss-sweep point.
 
     A pure cavity output at the given parametric gain passes through the
     combined loss ``1 - (1 - intrinsic_loss) * (1 - added_loss)`` and the
     phase-jitter average.  With ``added_loss = 1`` both values are 0 dB.
+    Broadcasts over ``added_loss``: an array gives two arrays of its shape,
+    a scalar two floats.
     """
-    if not np.isfinite(intrinsic_loss) or not 0.0 <= intrinsic_loss <= 1.0:
-        raise ValueError("intrinsic_loss must lie in [0, 1]")
-    if not np.isfinite(added_loss) or not 0.0 <= added_loss <= 1.0:
-        raise ValueError("added_loss must lie in [0, 1]")
+    check_range("intrinsic_loss", intrinsic_loss, ge=0.0, le=1.0)
+    added_loss = check_range("added_loss", added_loss, ge=0.0, le=1.0)
     pump = pump_ratio_from_gain(gain)
     point = opo_spectrum(OpoParams(pump, 1.0, half_linewidth), frequency)
-    combined = 1.0 - (1.0 - intrinsic_loss) * (1.0 - added_loss)
-    v_s = (1.0 - combined) * point.v_squeeze + combined
-    v_a = (1.0 - combined) * point.v_antisqueeze + combined
-    v_s, v_a = apply_phase_noise(v_s, v_a, phase_noise)
-    return 10.0 * np.log10(v_s), 10.0 * np.log10(v_a)
-
-
-def _sweep_model_db(
-    v_squeeze_pure: float,
-    v_antisqueeze_pure: float,
-    added: np.ndarray,
-    loss0,
-    sigma,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized forward model over a loss sweep; leading axes broadcast."""
-    loss0 = np.asarray(loss0, dtype=float)[..., np.newaxis]
-    sigma = np.asarray(sigma, dtype=float)[..., np.newaxis]
-    combined = 1.0 - (1.0 - loss0) * (1.0 - added)
-    v_s = (1.0 - combined) * v_squeeze_pure + combined
-    v_a = (1.0 - combined) * v_antisqueeze_pure + combined
-    weight = 0.5 * (1.0 + np.exp(-2.0 * sigma**2))
-    v_s, v_a = (
-        weight * v_s + (1.0 - weight) * v_a,
-        weight * v_a + (1.0 - weight) * v_s,
-    )
-    return 10.0 * np.log10(v_s), 10.0 * np.log10(v_a)
+    return _sweep_db(point, intrinsic_loss, added_loss, phase_noise.sigma)
 
 
 def fit_loss_phase(
@@ -219,8 +200,7 @@ def fit_loss_phase(
     ValueError
         If fewer than two measurements are supplied (under-determined).
     """
-    if len(measurements) < 2:
-        raise ValueError("need at least two measurements to fit")
+    check_range("number of measurements", len(measurements), ge=2)
     pump = pump_ratio_from_gain(gain)
     point = opo_spectrum(OpoParams(pump, 1.0, half_linewidth), frequency)
     added = np.array([m.added_loss for m in measurements])
@@ -228,8 +208,12 @@ def fit_loss_phase(
     data_a = np.array([m.antisqueeze_db for m in measurements])
 
     def cost(loss0, sigma):
-        model_s, model_a = _sweep_model_db(
-            point.v_squeeze, point.v_antisqueeze, added, loss0, sigma
+        # Leading axes of loss0 and sigma broadcast against the sweep axis.
+        model_s, model_a = _sweep_db(
+            point,
+            np.asarray(loss0, dtype=float)[..., np.newaxis],
+            added,
+            np.asarray(sigma, dtype=float)[..., np.newaxis],
         )
         return ((model_s - data_s) ** 2 + (model_a - data_a) ** 2).sum(axis=-1)
 
@@ -282,10 +266,8 @@ def effective_improvement(injected_db: float, loss: float) -> float:
     ``-10 log10((1 - loss) * 10**(-injected_db / 10) + loss)``.  Total loss
     returns 0 dB.
     """
-    if not np.isfinite(injected_db) or injected_db < 0.0:
-        raise ValueError("injected_db must be finite and >= 0")
-    if not np.isfinite(loss) or not 0.0 <= loss <= 1.0:
-        raise ValueError("loss must lie in [0, 1]")
+    check_range("injected_db", injected_db, ge=0.0)
+    check_range("loss", loss, ge=0.0, le=1.0)
     variance = (1.0 - loss) * 10.0 ** (-injected_db / 10.0) + loss
     return -10.0 * np.log10(variance)
 
@@ -295,9 +277,7 @@ def loss_for_improvement(injected_db: float, effective_db: float) -> float:
 
     Closed-form inverse of :func:`effective_improvement`.
     """
-    if not np.isfinite(injected_db) or injected_db <= 0.0:
-        raise ValueError("injected_db must be finite and > 0")
-    if not np.isfinite(effective_db) or not 0.0 <= effective_db <= injected_db:
-        raise ValueError("effective_db must lie in [0, injected_db]")
+    check_range("injected_db", injected_db, gt=0.0)
+    check_range("effective_db", effective_db, ge=0.0, le=injected_db)
     floor = 10.0 ** (-injected_db / 10.0)
     return (10.0 ** (-effective_db / 10.0) - floor) / (1.0 - floor)

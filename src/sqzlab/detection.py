@@ -17,7 +17,7 @@ import numpy as np
 from scipy import constants
 
 from .decoherence import visibility_efficiency
-from .gaussian import GaussianState, apply_loss, quadrature_variance
+from .gaussian import GaussianState, apply_loss, check_range, quadrature_variance
 
 __all__ = [
     "LightSource",
@@ -69,12 +69,9 @@ class LightSource:
     coherence_time: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.wavelength) or self.wavelength <= 0.0:
-            raise ValueError("wavelength must be finite and > 0")
-        if not np.isfinite(self.power) or self.power < 0.0:
-            raise ValueError("power must be finite and >= 0")
-        if not np.isfinite(self.coherence_time) or self.coherence_time <= 0.0:
-            raise ValueError("coherence_time must be finite and > 0")
+        check_range("wavelength", self.wavelength, gt=0.0)
+        check_range("power", self.power, ge=0.0)
+        check_range("coherence_time", self.coherence_time, gt=0.0)
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,7 @@ class MeasurementWindowing:
     n_windows: int = 1
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.duration) or self.duration <= 0.0:
-            raise ValueError("window duration must be finite and > 0")
+        check_range("window duration", self.duration, gt=0.0)
         if self.shape not in WINDOW_SHAPES:
             raise ValueError(f"window shape must be one of {WINDOW_SHAPES}")
         if not isinstance(self.n_windows, (int, np.integer)) or self.n_windows < 1:
@@ -108,8 +104,7 @@ class PhotonRecord:
         counts.setflags(write=False)
         if counts.ndim != 1 or counts.size != self.windowing.n_windows:
             raise ValueError("counts length must equal n_windows")
-        if counts.min(initial=0) < 0:
-            raise ValueError("counts must be non-negative")
+        check_range("counts", counts, ge=0)
         if abs(float(counts.mean()) - self.mean) > 1e-9 * max(1.0, abs(self.mean)):
             raise ValueError("stored mean inconsistent with counts")
         object.__setattr__(self, "counts", counts)
@@ -132,24 +127,12 @@ class DetectorParams:
     balance_asymmetry: float = 0.0
 
     def __post_init__(self) -> None:
-        if (
-            not np.isfinite(self.quantum_efficiency)
-            or not 0.0 < self.quantum_efficiency <= 1.0
-        ):
-            raise ValueError("quantum_efficiency must lie in (0, 1]")
-        if (
-            not np.isfinite(self.dark_noise_variance)
-            or self.dark_noise_variance < 0.0
-        ):
-            raise ValueError("dark_noise_variance must be finite and >= 0")
+        check_range("quantum_efficiency", self.quantum_efficiency, gt=0.0, le=1.0)
+        check_range("dark_noise_variance", self.dark_noise_variance, ge=0.0)
         # Visibility 0 would null the signal entirely; reject it here so
         # downstream variance formulas never divide by zero.
         visibility_efficiency(self.visibility)
-        if (
-            not np.isfinite(self.balance_asymmetry)
-            or not 0.0 <= self.balance_asymmetry <= 0.5
-        ):
-            raise ValueError("balance_asymmetry must lie in [0, 0.5]")
+        check_range("balance_asymmetry", self.balance_asymmetry, ge=0.0, le=0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,16 +144,13 @@ class TimeSeries:
     lo_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.sample_rate) or self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be finite and > 0")
+        check_range("sample_rate", self.sample_rate, gt=0.0)
         samples = np.array(self.samples, dtype=float, copy=True)
         samples.setflags(write=False)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if not np.isfinite(self.lo_phase):
-            raise ValueError("lo_phase must be finite")
+        check_range("samples", samples)
+        check_range("lo_phase", self.lo_phase)
         object.__setattr__(self, "samples", samples)
 
 
@@ -191,10 +171,8 @@ class NoiseSpectrum:
             raise ValueError("frequencies and psd must be matching 1-D arrays")
         if np.any(np.diff(freqs) <= 0.0) or freqs[0] <= 0.0:
             raise ValueError("frequencies must be positive and increasing")
-        if np.any(psd < 0.0) or not np.all(np.isfinite(psd)):
-            raise ValueError("psd values must be finite and >= 0")
-        if not np.isfinite(self.resolution_bandwidth) or self.resolution_bandwidth <= 0.0:
-            raise ValueError("resolution_bandwidth must be finite and > 0")
+        check_range("psd", psd, ge=0.0)
+        check_range("resolution_bandwidth", self.resolution_bandwidth, gt=0.0)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "psd", psd)
 
@@ -215,8 +193,7 @@ def power_for_mean_photons(
     mean_photons: float, wavelength: float, window_duration: float
 ) -> float:
     """Optical power that puts ``mean_photons`` into one counting window."""
-    if not np.isfinite(mean_photons) or mean_photons < 0.0:
-        raise ValueError("mean_photons must be finite and >= 0")
+    check_range("mean_photons", mean_photons, ge=0.0)
     return mean_photons * constants.h * constants.c / (wavelength * window_duration)
 
 
@@ -240,21 +217,22 @@ def sample_photon_record(
         If the window is not much shorter than the coherence time, or if a
         non-Poissonian state is sampled with too few photons per window.
     """
-    if windowing.duration >= _MAX_WINDOW_TO_COHERENCE * source.coherence_time:
-        raise ValueError(
-            "window duration must be below a tenth of the coherence time"
-        )
+    check_range(
+        "window duration",
+        windowing.duration,
+        lt=_MAX_WINDOW_TO_COHERENCE * source.coherence_time,
+    )
     n_bar = mean_photons_per_window(source, windowing)
     v_amp = quadrature_variance(state, 0.0)
     rng = np.random.default_rng(seed)
     if abs(v_amp - 1.0) <= _POISSON_VARIANCE_TOL:
         counts = rng.poisson(n_bar, size=windowing.n_windows).astype(np.int64)
     else:
-        if n_bar < _GAUSSIAN_REGIME_MIN_COUNT:
-            raise ValueError(
-                "non-Poissonian sampling needs at least "
-                f"{_GAUSSIAN_REGIME_MIN_COUNT:.0f} photons per window"
-            )
+        check_range(
+            "photons per window of non-Poissonian light",
+            n_bar,
+            ge=_GAUSSIAN_REGIME_MIN_COUNT,
+        )
         draws = rng.normal(n_bar, np.sqrt(v_amp * n_bar), size=windowing.n_windows)
         counts = np.rint(np.clip(draws, 0.0, None)).astype(np.int64)
     return PhotonRecord(windowing, counts, float(counts.mean()), seed)
@@ -285,13 +263,12 @@ def single_pd_series(
     detection; dark noise adds on top.  The mean is removed, only
     fluctuations are returned.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if photon_flux(source) / sample_rate < _BRIGHT_CARRIER_MIN_PHOTONS:
-        raise ValueError(
-            "single-diode readout needs a bright carrier "
-            f"(>= {_BRIGHT_CARRIER_MIN_PHOTONS:.0f} photons per sample)"
-        )
+    check_range("n_samples", n_samples, ge=1)
+    check_range(
+        "carrier photons per sample",
+        photon_flux(source) / sample_rate,
+        ge=_BRIGHT_CARRIER_MIN_PHOTONS,
+    )
     detected = apply_loss(state, 1.0 - detector.quantum_efficiency)
     variance = quadrature_variance(detected, 0.0) + detector.dark_noise_variance
     rng = np.random.default_rng(seed)
@@ -323,20 +300,15 @@ def bhd_series(
         If the signal beam is not much weaker than the local oscillator
         (power ratio >= 0.01).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if not np.isfinite(lo_phase):
-        raise ValueError("lo_phase must be finite")
-    if (
-        not np.isfinite(signal_to_lo_power_ratio)
-        or not 0.0 <= signal_to_lo_power_ratio < _MAX_SIGNAL_TO_LO_RATIO
-    ):
-        raise ValueError(
-            "signal beam must stay below "
-            f"{_MAX_SIGNAL_TO_LO_RATIO:.0%} of the local-oscillator power"
-        )
-    if not np.isfinite(lo_noise_variance) or lo_noise_variance < 0.0:
-        raise ValueError("lo_noise_variance must be finite and >= 0")
+    check_range("n_samples", n_samples, ge=1)
+    check_range("lo_phase", lo_phase)
+    check_range(
+        "signal_to_lo_power_ratio",
+        signal_to_lo_power_ratio,
+        ge=0.0,
+        lt=_MAX_SIGNAL_TO_LO_RATIO,
+    )
+    check_range("lo_noise_variance", lo_noise_variance, ge=0.0)
     efficiency = detector.quantum_efficiency * visibility_efficiency(
         detector.visibility
     )
@@ -358,10 +330,8 @@ def add_signal_modulation(
     ``depth`` is the modulation amplitude in the same shot-noise-relative
     units as the samples.  The frequency must sit below Nyquist.
     """
-    if not np.isfinite(depth):
-        raise ValueError("modulation depth must be finite")
-    if not np.isfinite(frequency) or not 0.0 < frequency < series.sample_rate / 2.0:
-        raise ValueError("modulation frequency must lie below Nyquist")
+    check_range("modulation depth", depth)
+    check_range("modulation frequency", frequency, gt=0.0, lt=series.sample_rate / 2.0)
     t = np.arange(series.samples.size) / series.sample_rate
     samples = series.samples + depth * np.sin(2.0 * np.pi * frequency * t)
     return TimeSeries(series.sample_rate, samples, lo_phase=series.lo_phase)
@@ -384,15 +354,14 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
         If the requested resolution is finer than the series length allows,
         or so coarse that segments have fewer than 8 samples.
     """
-    if not np.isfinite(resolution_bandwidth) or resolution_bandwidth <= 0.0:
-        raise ValueError("resolution_bandwidth must be finite and > 0")
+    check_range("resolution_bandwidth", resolution_bandwidth, gt=0.0)
     n_segment = int(round(series.sample_rate / resolution_bandwidth))
-    if n_segment < _MIN_PSD_SEGMENT:
-        raise ValueError("resolution bandwidth too coarse: segments too short")
-    if n_segment > series.samples.size:
-        raise ValueError(
-            "resolution bandwidth finer than the series length supports"
-        )
+    check_range(
+        "samples per PSD segment (sample_rate / resolution_bandwidth)",
+        n_segment,
+        ge=_MIN_PSD_SEGMENT,
+        le=series.samples.size,
+    )
     n_runs = series.samples.size // n_segment
     segments = series.samples[: n_runs * n_segment].reshape(n_runs, n_segment)
     spectra = np.abs(np.fft.rfft(segments, axis=1)) ** 2 / n_segment

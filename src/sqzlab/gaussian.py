@@ -17,6 +17,7 @@ never touches its input, which makes them safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "mean_photon_number",
     "db_from_variance",
     "variance_from_db",
+    "check_range",
 ]
 
 # Construction-time tolerances: symmetry slack is relative to the largest
@@ -40,6 +42,39 @@ __all__ = [
 # absolute allowance for round-off accumulated by chained operations.
 _SYMMETRY_TOL = 1e-9
 _HEISENBERG_TOL = 1e-9
+
+
+def check_range(name: str, value, *, ge=None, gt=None, le=None, lt=None):
+    """Return ``value`` if it is finite and within the given bounds.
+
+    ``ge`` and ``gt`` bound it from below (closed and open), ``le`` and ``lt``
+    from above.  A Python int or float is returned as it is; anything else is
+    returned as a float array, which passes only when every entry does.  The
+    ValueError names the parameter: ``loss must be finite and >= 0 and <= 1``.
+    """
+    if isinstance(value, (int, float)):
+        low = high = value
+    else:
+        value = np.asarray(value, dtype=float)
+        if value.size == 0:
+            return value
+        # min and max propagate NaN, so a NaN entry fails the finiteness test.
+        low, high = value.min(), value.max()
+    if (
+        math.isfinite(low)
+        and math.isfinite(high)
+        and (ge is None or low >= ge)
+        and (gt is None or low > gt)
+        and (le is None or high <= le)
+        and (lt is None or high < lt)
+    ):
+        return value
+    bounds = [
+        f"{op} {bound:g}"
+        for op, bound in ((">=", ge), (">", gt), ("<=", le), ("<", lt))
+        if bound is not None
+    ]
+    raise ValueError(" and ".join([f"{name} must be finite", *bounds]))
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -80,8 +115,8 @@ class GaussianState:
     def __post_init__(self) -> None:
         mean = _frozen_array(self.mean, (2,))
         cov = _frozen_array(self.cov, (2, 2))
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("state entries must be finite")
+        check_range("state mean", mean)
+        check_range("state covariance", cov)
         scale = max(1.0, float(np.abs(cov).max()))
         if abs(cov[0, 1] - cov[1, 0]) > _SYMMETRY_TOL * scale:
             raise ValueError("covariance matrix must be symmetric")
@@ -109,12 +144,16 @@ class SqueezeSetting:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.r) or self.r < 0.0:
-            raise ValueError("squeeze parameter r must be finite and >= 0")
-        if not np.isfinite(self.theta):
-            raise ValueError("squeeze angle must be finite")
+        check_range("squeeze parameter r", self.r, ge=0.0)
+        check_range("squeeze angle", self.theta)
         object.__setattr__(self, "theta", float(self.theta) % np.pi)
         object.__setattr__(self, "r", float(self.r))
+
+    @classmethod
+    def from_db(cls, squeeze_db: float, theta: float = 0.0) -> "SqueezeSetting":
+        """Setting that squeezes shot noise by ``squeeze_db`` dB (>= 0) at ``theta``."""
+        check_range("squeeze_db", squeeze_db, ge=0.0)
+        return cls(squeeze_db * np.log(10.0) / 20.0, theta)
 
 
 def vacuum() -> GaussianState:
@@ -144,8 +183,7 @@ def squeeze(state: GaussianState, setting: SqueezeSetting) -> GaussianState:
 
 def rotate(state: GaussianState, angle: float) -> GaussianState:
     """Rotate the quadrature plane by ``angle`` (radians, counterclockwise)."""
-    if not np.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
+    check_range("rotation angle", angle)
     rot = _rotation(angle)
     return GaussianState(rot @ state.mean, rot @ state.cov @ rot.T)
 
@@ -162,20 +200,25 @@ def apply_loss(state: GaussianState, loss: float) -> GaussianState:
         ``sqrt(1 - loss)``.  Loss channels compose: applying ``a`` then ``b``
         equals one channel of ``1 - (1 - a) * (1 - b)``.
     """
-    if not np.isfinite(loss) or not 0.0 <= loss <= 1.0:
-        raise ValueError("loss must lie in [0, 1]")
+    check_range("loss", loss, ge=0.0, le=1.0)
     kept = 1.0 - loss
     return GaussianState(
         np.sqrt(kept) * state.mean, kept * state.cov + loss * np.eye(2)
     )
 
 
-def quadrature_variance(state: GaussianState, angle: float) -> float:
-    """Variance of the quadrature at ``angle`` from the amplitude axis."""
-    if not np.isfinite(angle):
-        raise ValueError("quadrature angle must be finite")
-    direction = np.array([np.cos(angle), np.sin(angle)])
-    return float(direction @ state.cov @ direction)
+def quadrature_variance(state: GaussianState, angle):
+    """Variance of the quadrature at ``angle`` from the amplitude axis.
+
+    ``cos^2 C00 + 2 cos sin C01 + sin^2 C11`` for covariance ``C``.  Broadcasts
+    over ``angle``: an array of angles gives an array of variances, a scalar
+    angle a float.
+    """
+    check_range("quadrature angle", angle)
+    c, s = np.cos(angle), np.sin(angle)
+    cov = state.cov
+    variance = c * c * cov[0, 0] + 2.0 * c * s * cov[0, 1] + s * s * cov[1, 1]
+    return variance if np.ndim(variance) else float(variance)
 
 
 def mean_photon_number(state: GaussianState) -> float:
@@ -188,15 +231,16 @@ def mean_photon_number(state: GaussianState) -> float:
     return displacement + (float(np.trace(state.cov)) - 2.0) / 4.0
 
 
-def db_from_variance(variance: float) -> float:
-    """Express a shot-noise-relative variance in dB (squeezing is negative)."""
-    if not np.isfinite(variance) or variance <= 0.0:
-        raise ValueError("variance must be finite and > 0")
+def db_from_variance(variance):
+    """Express a shot-noise-relative variance in dB (squeezing is negative).
+
+    Broadcasts: an array of variances gives an array of dB values.
+    """
+    check_range("variance", variance, gt=0.0)
     return 10.0 * np.log10(variance)
 
 
 def variance_from_db(db: float) -> float:
     """Inverse of :func:`db_from_variance`."""
-    if not np.isfinite(db):
-        raise ValueError("dB value must be finite")
+    check_range("dB value", db)
     return 10.0 ** (db / 10.0)

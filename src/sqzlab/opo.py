@@ -7,7 +7,8 @@ the cavity half linewidth in Hz.  Sideband variances follow the standard
 Lorentzian input-output result: at zero sideband frequency and unit escape
 efficiency the squeezed and anti-squeezed variances are
 ``((1 - x) / (1 + x))**2`` and its inverse, and both relax to shot noise far
-outside the linewidth.
+outside the linewidth.  :func:`opo_spectrum` broadcasts over the sideband
+frequency.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, check_range, rotate
 
 __all__ = [
     "OpoParams",
@@ -50,34 +51,29 @@ class OpoParams:
     half_linewidth: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.pump_ratio) or not 0.0 <= self.pump_ratio < 1.0:
-            raise ValueError("pump_ratio must lie in [0, 1)")
-        if (
-            not np.isfinite(self.escape_efficiency)
-            or not 0.0 <= self.escape_efficiency <= 1.0
-        ):
-            raise ValueError("escape_efficiency must lie in [0, 1]")
-        if not np.isfinite(self.half_linewidth) or self.half_linewidth <= 0.0:
-            raise ValueError("half_linewidth must be finite and > 0")
+        check_range("pump_ratio", self.pump_ratio, ge=0.0, lt=1.0)
+        check_range("escape_efficiency", self.escape_efficiency, ge=0.0, le=1.0)
+        check_range("half_linewidth", self.half_linewidth, gt=0.0)
 
 
 @dataclass(frozen=True)
 class SqueezeSpectrumPoint:
-    """Squeezed and anti-squeezed variances at one sideband frequency."""
+    """Squeezed and anti-squeezed variances at a sideband frequency.
+
+    The fields are floats for one frequency, or equal-shape arrays for an
+    array of frequencies.
+    """
 
     frequency: float
     v_squeeze: float
     v_antisqueeze: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.frequency) or self.frequency < 0.0:
-            raise ValueError("sideband frequency must be finite and >= 0")
-        if not 0.0 < self.v_squeeze <= 1.0 + _PRODUCT_TOL:
-            raise ValueError("squeezed variance must lie in (0, 1]")
-        if self.v_antisqueeze < 1.0 - _PRODUCT_TOL:
-            raise ValueError("anti-squeezed variance must be >= 1")
-        if self.v_squeeze * self.v_antisqueeze < 1.0 - _PRODUCT_TOL:
-            raise ValueError("variance product violates the uncertainty bound")
+        v_s, v_a = self.v_squeeze, self.v_antisqueeze
+        check_range("sideband frequency", self.frequency, ge=0.0)
+        check_range("squeezed variance", v_s, gt=0.0, le=1.0 + _PRODUCT_TOL)
+        check_range("anti-squeezed variance", v_a, ge=1.0 - _PRODUCT_TOL)
+        check_range("variance product v_s * v_a", v_s * v_a, ge=1.0 - _PRODUCT_TOL)
 
 
 def parametric_gain(pump_ratio: float) -> float:
@@ -85,26 +81,25 @@ def parametric_gain(pump_ratio: float) -> float:
 
     Diverges as the pump approaches threshold: ``g = 1 / (1 - x)**2``.
     """
-    if not np.isfinite(pump_ratio) or not 0.0 <= pump_ratio < 1.0:
-        raise ValueError("pump_ratio must lie in [0, 1)")
+    check_range("pump_ratio", pump_ratio, ge=0.0, lt=1.0)
     return 1.0 / (1.0 - pump_ratio) ** 2
 
 
 def pump_ratio_from_gain(gain: float) -> float:
     """Invert :func:`parametric_gain`; a gain of 1 means no pump."""
-    if not np.isfinite(gain) or gain < 1.0:
-        raise ValueError("parametric gain must be finite and >= 1")
+    check_range("parametric gain", gain, ge=1.0)
     return 1.0 - 1.0 / np.sqrt(gain)
 
 
-def opo_spectrum(params: OpoParams, frequency: float) -> SqueezeSpectrumPoint:
-    """Sideband variances of the cavity output at one sideband frequency.
+def opo_spectrum(params: OpoParams, frequency) -> SqueezeSpectrumPoint:
+    """Sideband variances of the cavity output.
 
     Parameters
     ----------
     params : OpoParams
-    frequency : float
-        Sideband frequency in Hz, >= 0.
+    frequency : float or array_like
+        Sideband frequency in Hz, >= 0.  An array gives a point whose
+        fields are arrays of the same shape; a scalar gives one of floats.
 
     Returns
     -------
@@ -113,11 +108,12 @@ def opo_spectrum(params: OpoParams, frequency: float) -> SqueezeSpectrumPoint:
         (pure squeezed state); any escape deficit pulls both toward shot
         noise and makes the product exceed 1.
     """
-    if not np.isfinite(frequency) or frequency < 0.0:
-        raise ValueError("sideband frequency must be finite and >= 0")
+    frequency = check_range("sideband frequency", frequency, ge=0.0)
     x = params.pump_ratio
     eta = params.escape_efficiency
-    detuning = (frequency / params.half_linewidth) ** 2
+    # A product, not ** 2, so scalar and array calls round alike.
+    ratio = frequency / params.half_linewidth
+    detuning = ratio * ratio
     v_squeeze = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + detuning)
     v_antisqueeze = 1.0 + eta * 4.0 * x / ((1.0 - x) ** 2 + detuning)
     return SqueezeSpectrumPoint(frequency, v_squeeze, v_antisqueeze)
@@ -128,9 +124,5 @@ def spectrum_to_state(point: SqueezeSpectrumPoint, angle: float) -> GaussianStat
 
     The squeezed axis sits at ``angle`` from the amplitude quadrature.
     """
-    if not np.isfinite(angle):
-        raise ValueError("orientation angle must be finite")
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    cov = rot @ np.diag([point.v_squeeze, point.v_antisqueeze]) @ rot.T
-    return GaussianState(np.zeros(2), cov)
+    axes = GaussianState(np.zeros(2), np.diag([point.v_squeeze, point.v_antisqueeze]))
+    return rotate(axes, angle)

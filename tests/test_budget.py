@@ -11,7 +11,6 @@ from sqzlab.budget import (
     filter_cavity_angle,
     kappa,
     quantum_noise_budget,
-    recycling_as_loss,
     snr_equivalent_power_gain,
     standard_quantum_limit,
 )
@@ -201,10 +200,3 @@ def test_snr_equivalent_power_gain_frozen():
     assert snr_equivalent_power_gain(10.0) == pytest.approx(10.0, rel=1e-12)
     assert snr_equivalent_power_gain(0.0) == 1.0
 
-
-def test_recycling_as_loss_lumped():
-    assert recycling_as_loss(0.01, 0.02) == pytest.approx(0.98)
-    with pytest.raises(ValueError):
-        recycling_as_loss(1.5, 0.02)
-    with pytest.raises(ValueError):
-        recycling_as_loss(0.01, -0.1)

@@ -57,6 +57,23 @@ def test_phase_noise_degree_round_trip():
         PhaseNoise(-0.1)
 
 
+def test_forward_model_scalar_and_array_agree():
+    noise = PhaseNoise.from_degrees(2.0)
+    added = np.linspace(0.0, 1.0, 11)
+    s_db, a_db = forward_model(63.0, 0.086, added, noise, 3.0e5, 1.0e6)
+    pairs = [forward_model(63.0, 0.086, float(a), noise, 3.0e5, 1.0e6) for a in added]
+    assert s_db.shape == added.shape
+    assert np.array_equal(s_db, [s for s, _ in pairs])
+    assert np.array_equal(a_db, [a for _, a in pairs])
+    for pair in pairs:
+        assert all(isinstance(value, float) for value in pair)
+
+
+def test_forward_model_array_rejects_one_bad_loss():
+    with pytest.raises(ValueError):
+        forward_model(63.0, 0.086, [0.1, 1.2], PhaseNoise(0.0))
+
+
 def test_apply_phase_noise_frozen():
     jittered, _ = apply_phase_noise(
         0.09013105506864583, 202.30939962024374, PhaseNoise.from_degrees(1.2)

@@ -9,6 +9,7 @@ from sqzlab.gaussian import (
     GaussianState,
     SqueezeSetting,
     apply_loss,
+    check_range,
     coherent,
     db_from_variance,
     mean_photon_number,
@@ -185,3 +186,75 @@ def test_operations_do_not_mutate_input():
     before = state.cov.copy()
     apply_loss(rotate(state, 0.7), 0.3)
     np.testing.assert_array_equal(state.cov, before)
+
+
+def test_quadrature_variance_scalar_and_array_agree():
+    state = apply_loss(squeeze(vacuum(), SqueezeSetting(1.2, 0.4)), 0.1)
+    angles = np.linspace(-np.pi, np.pi, 73)
+    array = quadrature_variance(state, angles)
+    scalars = [quadrature_variance(state, float(a)) for a in angles]
+    assert array.shape == angles.shape
+    assert np.array_equal(array, scalars)
+    assert all(type(value) is float for value in scalars)
+
+
+def test_quadrature_variance_at_zero_angle_is_the_covariance_entry():
+    state = squeeze(vacuum(), SqueezeSetting(1.3, 0.7))
+    assert quadrature_variance(state, 0.0) == state.cov[0, 0]
+
+
+def test_db_from_variance_scalar_and_array_agree():
+    variances = np.geomspace(1e-3, 1e3, 41)
+    array = db_from_variance(variances)
+    scalars = [db_from_variance(float(v)) for v in variances]
+    assert array.shape == variances.shape
+    assert np.array_equal(array, scalars)
+    assert all(isinstance(value, float) for value in scalars)
+    with pytest.raises(ValueError):
+        db_from_variance([0.5, 0.0])
+
+
+def test_squeeze_setting_from_db():
+    assert SqueezeSetting.from_db(10.0).r == pytest.approx(R_10DB, rel=1e-15)
+    assert SqueezeSetting.from_db(3.0, 0.2).theta == 0.2
+    with pytest.raises(ValueError):
+        SqueezeSetting.from_db(-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_range_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        check_range("x", bad)
+    with pytest.raises(ValueError):
+        check_range("x", [0.0, bad, 1.0])
+
+
+def test_check_range_honours_each_end():
+    assert check_range("x", 0.0, ge=0.0) == 0.0
+    assert check_range("x", 1.0, le=1.0) == 1.0
+    for bounds in ({"gt": 0.0}, {"lt": 0.0}, {"ge": 0.1}, {"le": -0.1}):
+        with pytest.raises(ValueError):
+            check_range("x", 0.0, **bounds)
+    assert check_range("x", 0.5, gt=0.0, lt=1.0) == 0.5
+
+
+def test_check_range_array_path():
+    values = np.array([0.0, 0.5, 1.0])
+    checked = check_range("x", [0.0, 0.5, 1.0], ge=0.0, le=1.0)
+    assert checked.dtype == float
+    assert np.array_equal(checked, values)
+    assert check_range("x", np.array([]), gt=0.0).size == 0
+    for bad in ([0.5, -0.1], [1.1, 0.5], [[0.5, 0.5], [0.5, 2.0]]):
+        with pytest.raises(ValueError):
+            check_range("x", bad, ge=0.0, le=1.0)
+    with pytest.raises(ValueError):
+        check_range("x", values, gt=0.0)
+    with pytest.raises(ValueError):
+        check_range("x", values, lt=1.0)
+
+
+def test_check_range_message_names_the_parameter():
+    with pytest.raises(ValueError, match=r"^loss must be finite and >= 0 and <= 1$"):
+        check_range("loss", 1.5, ge=0.0, le=1.0)
+    with pytest.raises(ValueError, match="^phase_deg must be finite$"):
+        check_range("phase_deg", [0.0, np.nan])

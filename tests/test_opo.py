@@ -114,3 +114,23 @@ def test_params_reject_threshold_and_bad_escape():
         OpoParams(0.5, 1.1, 1e6)
     with pytest.raises(ValueError):
         OpoParams(0.5, 0.9, 0.0)
+
+
+def test_spectrum_scalar_and_array_agree():
+    params = OpoParams(0.874, 0.914, 1.0e7)
+    freqs = np.concatenate([[0.0], np.geomspace(1.0e3, 1.0e9, 61)])
+    array = opo_spectrum(params, freqs)
+    points = [opo_spectrum(params, float(f)) for f in freqs]
+    assert array.v_squeeze.shape == freqs.shape
+    assert np.array_equal(array.frequency, freqs)
+    assert np.array_equal(array.v_squeeze, [p.v_squeeze for p in points])
+    assert np.array_equal(array.v_antisqueeze, [p.v_antisqueeze for p in points])
+    for point in points:
+        assert type(point.v_squeeze) is float
+        assert type(point.v_antisqueeze) is float
+
+
+def test_spectrum_array_rejects_one_bad_frequency():
+    params = OpoParams(0.874, 0.914, 1.0e7)
+    with pytest.raises(ValueError):
+        opo_spectrum(params, [1.0e3, -1.0, 1.0e5])

@@ -4,124 +4,23 @@ Single-mode Gaussian states in shot-noise units, cavity squeezing
 spectra, loss and phase-jitter decoherence with parameter fitting,
 photon-counting and homodyne detection with seeded sampling, and
 interferometer quantum noise budgets.
+
+The package exports the ``__all__`` names of its model modules.
 """
 
-from .budget import (
-    BudgetCurve,
-    FilterCavityParams,
-    IfoConfig,
-    crossover_frequency,
-    filter_cavity_angle,
-    kappa,
-    quantum_noise_budget,
-    snr_equivalent_power_gain,
-    standard_quantum_limit,
-)
-from .decoherence import (
-    FitResult,
-    LossBudget,
-    PhaseNoise,
-    SqueezeMeasurement,
-    apply_phase_noise,
-    effective_improvement,
-    fit_loss_phase,
-    forward_model,
-    loss_for_improvement,
-    total_efficiency,
-    visibility_efficiency,
-)
-from .detection import (
-    DetectorParams,
-    LightSource,
-    MeasurementWindowing,
-    NoiseSpectrum,
-    PhotonRecord,
-    TimeSeries,
-    add_signal_modulation,
-    bhd_series,
-    fano_factor,
-    mean_photons_per_window,
-    photon_flux,
-    power_for_mean_photons,
-    sample_photon_record,
-    single_pd_series,
-    welch_psd,
-)
-from .gaussian import (
-    GaussianState,
-    SqueezeSetting,
-    apply_loss,
-    coherent,
-    db_from_variance,
-    mean_photon_number,
-    quadrature_variance,
-    rotate,
-    squeeze,
-    vacuum,
-    variance_from_db,
-)
-from .opo import (
-    OpoParams,
-    SqueezeSpectrumPoint,
-    opo_spectrum,
-    parametric_gain,
-    pump_ratio_from_gain,
-    spectrum_to_state,
-)
+from . import budget, decoherence, detection, gaussian, opo
+from .budget import *
+from .decoherence import *
+from .detection import *
+from .gaussian import *
+from .opo import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetCurve",
-    "DetectorParams",
-    "FilterCavityParams",
-    "FitResult",
-    "GaussianState",
-    "IfoConfig",
-    "LightSource",
-    "LossBudget",
-    "MeasurementWindowing",
-    "NoiseSpectrum",
-    "OpoParams",
-    "PhaseNoise",
-    "PhotonRecord",
-    "SqueezeMeasurement",
-    "SqueezeSetting",
-    "SqueezeSpectrumPoint",
-    "TimeSeries",
-    "add_signal_modulation",
-    "apply_loss",
-    "apply_phase_noise",
-    "bhd_series",
-    "coherent",
-    "crossover_frequency",
-    "db_from_variance",
-    "effective_improvement",
-    "fano_factor",
-    "filter_cavity_angle",
-    "fit_loss_phase",
-    "forward_model",
-    "kappa",
-    "loss_for_improvement",
-    "mean_photon_number",
-    "mean_photons_per_window",
-    "opo_spectrum",
-    "parametric_gain",
-    "photon_flux",
-    "power_for_mean_photons",
-    "pump_ratio_from_gain",
-    "quadrature_variance",
-    "quantum_noise_budget",
-    "rotate",
-    "sample_photon_record",
-    "single_pd_series",
-    "snr_equivalent_power_gain",
-    "spectrum_to_state",
-    "squeeze",
-    "standard_quantum_limit",
-    "total_efficiency",
-    "variance_from_db",
-    "vacuum",
-    "visibility_efficiency",
-    "welch_psd",
+    *budget.__all__,
+    *decoherence.__all__,
+    *detection.__all__,
+    *gaussian.__all__,
+    *opo.__all__,
 ]

@@ -32,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .gaussian import (
+    HBAR,
+    LIGHT_SPEED,
     SqueezeSetting,
+    _frozen_array,
     apply_loss,
     check_range,
     quadrature_variance,
@@ -117,17 +119,13 @@ class BudgetCurve:
     sql: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = {}
-        for name in ("frequencies", "shot", "rpn", "total", "sql"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            arrays[name] = arr
+        names = ("frequencies", "shot", "rpn", "total", "sql")
+        arrays = {name: _frozen_array(self, name) for name in names}
         n = arrays["frequencies"].size
         if n == 0 or any(a.shape != (n,) for a in arrays.values()):
             raise ValueError("budget arrays must be matching non-empty 1-D arrays")
         for name, arr in arrays.items():
             check_range(name, arr, gt=0.0)
-            object.__setattr__(self, name, arr)
 
 
 def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
@@ -138,21 +136,21 @@ def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
     Scaling power and mass together leaves it unchanged.
     """
     f = check_range("frequency", frequency, gt=0.0)
-    omega0 = 2.0 * np.pi * constants.c / config.wavelength
+    omega0 = 2.0 * np.pi * LIGHT_SPEED / config.wavelength
     out = (
         8.0
         * config.arm_power
         * omega0
-        / (config.mirror_mass * constants.c**2 * (2.0 * np.pi * f) ** 2)
+        / (config.mirror_mass * LIGHT_SPEED**2 * (2.0 * np.pi * f) ** 2)
     )
     return out if np.ndim(out) else float(out)
 
 
 def crossover_frequency(config: IfoConfig) -> float:
     """Frequency where ``kappa = 1``: the shot / radiation-pressure crossing."""
-    omega0 = 2.0 * np.pi * constants.c / config.wavelength
+    omega0 = 2.0 * np.pi * LIGHT_SPEED / config.wavelength
     return float(
-        np.sqrt(8.0 * config.arm_power * omega0 / (config.mirror_mass * constants.c**2))
+        np.sqrt(8.0 * config.arm_power * omega0 / (config.mirror_mass * LIGHT_SPEED**2))
         / (2.0 * np.pi)
     )
 
@@ -163,7 +161,7 @@ def standard_quantum_limit(config: IfoConfig, frequency) -> np.ndarray | float:
     out = (
         config.sql_scale
         * 8.0
-        * constants.hbar
+        * HBAR
         / (config.mirror_mass * (2.0 * np.pi * f) ** 2 * config.arm_length**2)
     )
     return out if np.ndim(out) else float(out)

@@ -66,6 +66,16 @@ EXIT_RUNTIME = 4
 _TOP_LEVEL_KEYS = {"experiment", "parameters", "seed", "output_path", "output_format"}
 _REQUIRED = object()
 _BUNDLED_DATASET = "data/synthetic_loss_sweep.json"
+# Parameter kind -> (accepted JSON value types, wording of the type error).
+# A kind ending in "?" also accepts null.
+_KINDS = {
+    "float": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+    "list": (list, "a list"),
+    "list|str": ((list, str), "a list or a string"),
+}
 
 
 class ConfigError(Exception):
@@ -184,25 +194,26 @@ def _load_bundled_measurements() -> dict:
 
 
 def _run_fit_loss(params: dict, seed: int | None) -> ExperimentOutcome:
-    source = params["measurements"]
-    if isinstance(source, str):
-        if source != "bundled":
+    triples = params["measurements"]
+    origin = "config"
+    if isinstance(triples, str):
+        if triples != "bundled":
             raise ValueError(
                 "measurements must be a list of [added_loss, squeeze_db, "
                 "antisqueeze_db] triples or the string 'bundled'"
             )
         payload = _load_bundled_measurements()
-        gain = payload["gain"]
-        frequency = payload["frequency_hz"]
-        half_linewidth = payload["half_linewidth_hz"]
+        # The bundled sweep was taken at fixed conditions; a fit under others
+        # would silently disagree with the parameters the manifest records.
+        for key in ("gain", "frequency_hz", "half_linewidth_hz"):
+            if params[key] != payload[key]:
+                raise ValueError(
+                    f"{key} must be {payload[key]!r}, the bundled sweep's value, "
+                    f"got {params[key]!r}"
+                )
         triples = payload["measurements"]
         origin = "bundled"
-    else:
-        gain = params["gain"]
-        frequency = params["frequency_hz"]
-        half_linewidth = params["half_linewidth_hz"]
-        triples = source
-        origin = "config"
+    gain = params["gain"]
     measurements = []
     for triple in triples:
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
@@ -215,8 +226,8 @@ def _run_fit_loss(params: dict, seed: int | None) -> ExperimentOutcome:
     fit = fit_loss_phase(
         measurements,
         gain,
-        frequency,
-        half_linewidth,
+        params["frequency_hz"],
+        params["half_linewidth_hz"],
         fixed_phase_noise=fixed_noise,
     )
     result = {
@@ -579,43 +590,17 @@ def _apply_override(config: dict, assignment: str) -> None:
 
 
 def _coerce(experiment: str, name: str, param: Param, value: Any) -> Any:
-    def fail(expected: str):
+    kind = param.kind.removesuffix("?")
+    if value is None and kind != param.kind:
+        return None
+    types, expected = _KINDS[kind]
+    # bool is an int subclass, so only the bool kind accepts it.
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
         raise ConfigError(
             f"{experiment}: parameter {name!r} must be {expected}, "
             f"got {value!r}"
         )
-
-    kind = param.kind
-    optional = kind.endswith("?")
-    if optional:
-        if value is None:
-            return None
-        kind = kind[:-1]
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail("a number")
-        return float(value)
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail("an integer")
-        return int(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            fail("a boolean")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            fail("a string")
-        return value
-    if kind == "list":
-        if not isinstance(value, list):
-            fail("a list")
-        return value
-    if kind == "list|str":
-        if not isinstance(value, (list, str)):
-            fail("a list or a string")
-        return value
-    raise AssertionError(f"unhandled parameter kind {param.kind!r}")
+    return float(value) if kind == "float" else value
 
 
 def _validate_config(config: dict) -> tuple[str, dict, int | None, str, str]:

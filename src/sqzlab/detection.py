@@ -14,10 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .decoherence import visibility_efficiency
-from .gaussian import GaussianState, apply_loss, check_range, quadrature_variance
+from .gaussian import (
+    LIGHT_SPEED,
+    PLANCK,
+    GaussianState,
+    _frozen_array,
+    apply_loss,
+    check_range,
+    quadrature_variance,
+)
 
 __all__ = [
     "LightSource",
@@ -100,14 +107,12 @@ class PhotonRecord:
     seed: int
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
-        counts.setflags(write=False)
+        counts = _frozen_array(self, "counts", dtype=np.int64)
         if counts.ndim != 1 or counts.size != self.windowing.n_windows:
             raise ValueError("counts length must equal n_windows")
         check_range("counts", counts, ge=0)
         if abs(float(counts.mean()) - self.mean) > 1e-9 * max(1.0, abs(self.mean)):
             raise ValueError("stored mean inconsistent with counts")
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "mean", float(self.mean))
 
 
@@ -145,13 +150,11 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         check_range("sample_rate", self.sample_rate, gt=0.0)
-        samples = np.array(self.samples, dtype=float, copy=True)
-        samples.setflags(write=False)
+        samples = _frozen_array(self, "samples")
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         check_range("samples", samples)
         check_range("lo_phase", self.lo_phase)
-        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,23 +166,19 @@ class NoiseSpectrum:
     resolution_bandwidth: float
 
     def __post_init__(self) -> None:
-        freqs = np.array(self.frequencies, dtype=float, copy=True)
-        psd = np.array(self.psd, dtype=float, copy=True)
-        freqs.setflags(write=False)
-        psd.setflags(write=False)
+        freqs = _frozen_array(self, "frequencies")
+        psd = _frozen_array(self, "psd")
         if freqs.ndim != 1 or freqs.size == 0 or freqs.shape != psd.shape:
             raise ValueError("frequencies and psd must be matching 1-D arrays")
         if np.any(np.diff(freqs) <= 0.0) or freqs[0] <= 0.0:
             raise ValueError("frequencies must be positive and increasing")
         check_range("psd", psd, ge=0.0)
         check_range("resolution_bandwidth", self.resolution_bandwidth, gt=0.0)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "psd", psd)
 
 
 def photon_flux(source: LightSource) -> float:
     """Photons per second carried by the source power."""
-    return source.power * source.wavelength / (constants.h * constants.c)
+    return source.power * source.wavelength / (PLANCK * LIGHT_SPEED)
 
 
 def mean_photons_per_window(
@@ -194,7 +193,7 @@ def power_for_mean_photons(
 ) -> float:
     """Optical power that puts ``mean_photons`` into one counting window."""
     check_range("mean_photons", mean_photons, ge=0.0)
-    return mean_photons * constants.h * constants.c / (wavelength * window_duration)
+    return mean_photons * PLANCK * LIGHT_SPEED / (wavelength * window_duration)
 
 
 def sample_photon_record(

@@ -34,8 +34,13 @@ __all__ = [
     "mean_photon_number",
     "db_from_variance",
     "variance_from_db",
-    "check_range",
 ]
+
+# Exact SI-2019 defining constants: Planck's constant h in J s, the speed of
+# light in m/s, and the reduced Planck constant h / (2 pi).
+PLANCK = 6.62607015e-34
+LIGHT_SPEED = 299792458.0
+HBAR = PLANCK / (2 * math.pi)
 
 # Construction-time tolerances: symmetry slack is relative to the largest
 # covariance entry, and the Heisenberg bound det(cov) >= 1 gets a small
@@ -83,9 +88,13 @@ def _rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _frozen_array(values, shape) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True).reshape(shape)
+def _frozen_array(obj, field: str, dtype=float, shape=None) -> np.ndarray:
+    """Replace ``obj.field`` of a frozen dataclass by a read-only array copy."""
+    out = np.array(getattr(obj, field), dtype=dtype, copy=True)
+    if shape is not None:
+        out = out.reshape(shape)
     out.setflags(write=False)
+    object.__setattr__(obj, field, out)
     return out
 
 
@@ -113,8 +122,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = _frozen_array(self.mean, (2,))
-        cov = _frozen_array(self.cov, (2, 2))
+        mean = _frozen_array(self, "mean", shape=(2,))
+        cov = _frozen_array(self, "cov", shape=(2, 2))
         check_range("state mean", mean)
         check_range("state covariance", cov)
         scale = max(1.0, float(np.abs(cov).max()))
@@ -126,8 +135,6 @@ class GaussianState:
             raise ValueError(
                 "covariance determinant below the Heisenberg bound det >= 1"
             )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["format_value", "write_csv", "write_json", "jsonable"]
+__all__ = ["format_value", "write_csv", "write_json"]
 
 
 def format_value(value: Any) -> str:
@@ -40,24 +40,10 @@ def write_csv(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert numpy scalars and arrays for json.dumps."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 def write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    path.write_text(
-        json.dumps(jsonable(payload), indent=2) + "\n", encoding="utf-8"
-    )
+    """Write ``payload``, which must hold Python values, as indented JSON.
+
+    ``np.float64`` passes as a ``float`` subclass; other numpy scalars and
+    arrays raise TypeError.
+    """
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

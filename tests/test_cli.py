@@ -257,3 +257,21 @@ def test_snr_equivalence_rejects_off_bin_signal(tmp_path, capsys):
     )
     assert code == 3
     assert "bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    ["gain=100", "frequency_hz=100000.0", "half_linewidth_hz=2000000.0"],
+)
+def test_fit_loss_bundled_rejects_other_sweep_conditions(tmp_path, capsys, assignment):
+    out_dir = tmp_path / "out"
+    code = _run(
+        tmp_path,
+        {"experiment": "fit-loss", "output_path": str(out_dir)},
+        "--set",
+        f"parameters.{assignment}",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"validation error: {assignment.split('=')[0]} must be" in err
+    assert not (out_dir / "manifest.json").exists()

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from sqzlab.gaussian import (
+    HBAR,
+    LIGHT_SPEED,
+    PLANCK,
     GaussianState,
     SqueezeSetting,
     apply_loss,
@@ -258,3 +261,11 @@ def test_check_range_message_names_the_parameter():
         check_range("loss", 1.5, ge=0.0, le=1.0)
     with pytest.raises(ValueError, match="^phase_deg must be finite$"):
         check_range("phase_deg", [0.0, np.nan])
+
+
+def test_si_constants_equal_scipy_bit_for_bit():
+    from scipy import constants
+
+    assert PLANCK == constants.h
+    assert LIGHT_SPEED == constants.c
+    assert HBAR == constants.hbar

@@ -126,6 +126,12 @@ def _rows(*columns: np.ndarray) -> list[list[float]]:
     return np.column_stack(columns).tolist()
 
 
+def _check_numbers(name: str, values: list) -> None:
+    """Reject entries that are not JSON numbers; bool is an int subclass."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ValueError(f"{name} must contain numbers")
+
+
 def _child_seeds(seed: int, count: int) -> list[int]:
     """Independent substream seeds derived from the master seed."""
     children = np.random.SeedSequence(seed).spawn(count)
@@ -167,8 +173,7 @@ def _run_opo_spectrum(params: dict, seed: int | None) -> ExperimentOutcome:
 def _run_decohere(params: dict, seed: int | None) -> ExperimentOutcome:
     noise = PhaseNoise.from_degrees(params["phase_noise_deg"])
     added = params["added_losses"]
-    if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in added):
-        raise ValueError("added_losses must contain numbers")
+    _check_numbers("added_losses", added)
     s_db, a_db = forward_model(
         params["gain"],
         params["intrinsic_loss"],
@@ -214,13 +219,10 @@ def _run_fit_loss(params: dict, seed: int | None) -> ExperimentOutcome:
         triples = payload["measurements"]
         origin = "bundled"
     gain = params["gain"]
-    measurements = []
-    for triple in triples:
-        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-            raise ValueError("each measurement must be a 3-item list")
-        measurements.append(
-            SqueezeMeasurement(float(triple[0]), float(triple[1]), float(triple[2]))
-        )
+    if any(not isinstance(t, (list, tuple)) or len(t) != 3 for t in triples):
+        raise ValueError("each measurement must be a 3-item list")
+    _check_numbers("measurements", [value for triple in triples for value in triple])
+    measurements = [SqueezeMeasurement(*map(float, triple)) for triple in triples]
     fixed = params["fixed_phase_noise_deg"]
     fixed_noise = None if fixed is None else PhaseNoise.from_degrees(fixed)
     fit = fit_loss_phase(
@@ -661,9 +663,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         output_path = args.out
     out_dir = Path(output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     outcome = EXPERIMENTS[name].run(params, seed)
+    # Only a run that passed validation leaves a directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
     data_name = f"{name}.{output_format}"
     if output_format == "csv":
         metadata = {

@@ -4,7 +4,8 @@ The forward model chains three stages that are kept separately testable:
 a pure squeezed state from the cavity model, a lumped loss channel, and a
 Gaussian phase-jitter average.  The same chain runs in reverse as a
 deterministic least-squares fit that infers intrinsic loss and jitter from a
-sweep of deliberately added loss.  :func:`forward_model` broadcasts over the
+sweep of deliberately added loss: a coarse grid, then a Levenberg-Marquardt
+step in (loss, jitter variance).  :func:`forward_model` broadcasts over the
 added loss.
 """
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .gaussian import check_range
 from .opo import OpoParams, SqueezeSpectrumPoint, opo_spectrum, pump_ratio_from_gain
@@ -33,9 +33,9 @@ __all__ = [
     "loss_for_improvement",
 ]
 
-# Fit search ranges: intrinsic loss in [0, _LOSS_BOUND], jitter in
+# Coarse fit grid: intrinsic loss in [0, _LOSS_BOUND], jitter in
 # [0, _PHASE_BOUND_DEG] degrees.  Grid resolution only needs to land the
-# local refinement in the right basin.
+# local refinement in the right basin, which may reach loss 0.999.
 _LOSS_BOUND = 0.5
 _PHASE_BOUND_DEG = 5.0
 _GRID_LOSS_POINTS = 41
@@ -135,24 +135,24 @@ def apply_phase_noise(
     """
     check_range("v_squeeze", v_squeeze, gt=0.0)
     check_range("v_antisqueeze", v_antisqueeze, gt=0.0)
-    return _jitter(v_squeeze, v_antisqueeze, noise.sigma)
+    return _jitter(v_squeeze, v_antisqueeze, noise.sigma**2)
 
 
-def _jitter(v_squeeze, v_antisqueeze, sigma):
-    """Gaussian jitter average of :func:`apply_phase_noise`, unchecked; broadcasts."""
-    weight = 0.5 * (1.0 + np.exp(-2.0 * sigma**2))
+def _jitter(v_squeeze, v_antisqueeze, variance):
+    """Unchecked, broadcasting :func:`apply_phase_noise` at variance sigma**2."""
+    weight = 0.5 * (1.0 + np.exp(-2.0 * variance))
     return (
         weight * v_squeeze + (1.0 - weight) * v_antisqueeze,
         weight * v_antisqueeze + (1.0 - weight) * v_squeeze,
     )
 
 
-def _sweep_db(pure: SqueezeSpectrumPoint, loss0, added, sigma):
-    """dB readings of :func:`forward_model`, unchecked; the arguments broadcast."""
+def _sweep_db(pure: SqueezeSpectrumPoint, loss0, added, variance):
+    """Unchecked, broadcasting dB readings of :func:`forward_model`, given sigma**2."""
     combined = 1.0 - (1.0 - loss0) * (1.0 - added)
     v_s = (1.0 - combined) * pure.v_squeeze + combined
     v_a = (1.0 - combined) * pure.v_antisqueeze + combined
-    v_s, v_a = _jitter(v_s, v_a, sigma)
+    v_s, v_a = _jitter(v_s, v_a, variance)
     return 10.0 * np.log10(v_s), 10.0 * np.log10(v_a)
 
 
@@ -176,7 +176,7 @@ def forward_model(
     added_loss = check_range("added_loss", added_loss, ge=0.0, le=1.0)
     pump = pump_ratio_from_gain(gain)
     point = opo_spectrum(OpoParams(pump, 1.0, half_linewidth), frequency)
-    return _sweep_db(point, intrinsic_loss, added_loss, phase_noise.sigma)
+    return _sweep_db(point, intrinsic_loss, added_loss, phase_noise.sigma**2)
 
 
 def fit_loss_phase(
@@ -189,11 +189,11 @@ def fit_loss_phase(
 ) -> FitResult:
     """Infer intrinsic loss (and optionally jitter) from a loss sweep.
 
-    Runs a deterministic coarse grid search over loss in [0, 0.5] and jitter
-    in [0, 5 degrees], then refines the best cell with a derivative-free
-    local optimizer.  Residuals are summed squared dB errors over both the
+    Fits in (loss, sigma**2): a deterministic coarse grid over loss in [0, 0.5]
+    and jitter in [0, 5 degrees], then a Levenberg-Marquardt step inside loss
+    in [0, 0.999] and sigma**2 >= 0.  Residuals are the dB errors of both the
     squeezed and anti-squeezed readings.  With ``fixed_phase_noise`` given,
-    only the loss is fitted.
+    sigma**2 is pinned, only the loss is fitted, and the result carries it.
 
     Raises
     ------
@@ -204,58 +204,60 @@ def fit_loss_phase(
     pump = pump_ratio_from_gain(gain)
     point = opo_spectrum(OpoParams(pump, 1.0, half_linewidth), frequency)
     added = np.array([m.added_loss for m in measurements])
-    data_s = np.array([m.squeeze_db for m in measurements])
-    data_a = np.array([m.antisqueeze_db for m in measurements])
+    data = np.array([[m.squeeze_db, m.antisqueeze_db] for m in measurements]).T.ravel()
 
-    def cost(loss0, sigma):
-        # Leading axes of loss0 and sigma broadcast against the sweep axis.
-        model_s, model_a = _sweep_db(
-            point,
-            np.asarray(loss0, dtype=float)[..., np.newaxis],
-            added,
-            np.asarray(sigma, dtype=float)[..., np.newaxis],
-        )
-        return ((model_s - data_s) ** 2 + (model_a - data_a) ** 2).sum(axis=-1)
+    def residuals(params):
+        # Rows of (loss, sigma**2) broadcast against the sweep axis.
+        return np.hstack(_sweep_db(point, params[:, :1], added, params[:, 1:])) - data
 
+    if fixed_phase_noise is None:
+        sigmas = np.deg2rad(np.linspace(0.0, _PHASE_BOUND_DEG, _GRID_PHASE_POINTS))
+        lower, upper = np.array([0.0, 0.0]), np.array([0.999, np.inf])
+    else:
+        sigmas = np.array([fixed_phase_noise.sigma])
+        lower = np.array([0.0, fixed_phase_noise.sigma**2])
+        upper = np.array([0.999, fixed_phase_noise.sigma**2])
     loss_grid = np.linspace(0.0, _LOSS_BOUND, _GRID_LOSS_POINTS)
-    if fixed_phase_noise is not None:
-        sigma = fixed_phase_noise.sigma
-        start = loss_grid[np.argmin(cost(loss_grid, sigma))]
-        bracket = (max(start - 0.05, 0.0), min(start + 0.05, 0.999))
-        res = optimize.minimize_scalar(
-            lambda l: float(cost(l, sigma)),
-            bounds=bracket,
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return FitResult(
-            float(res.x), fixed_phase_noise, float(res.fun), bool(res.success)
-        )
+    grid = np.stack(np.meshgrid(loss_grid, sigmas**2, indexing="ij"), -1).reshape(-1, 2)
+    start = grid[np.argmin((residuals(grid) ** 2).sum(axis=1))]
+    params, cost, converged = _least_squares(residuals, start, lower, upper)
+    noise = fixed_phase_noise or PhaseNoise(float(np.sqrt(params[1])))
+    return FitResult(float(params[0]), noise, cost, converged)
 
-    sigma_grid = np.deg2rad(np.linspace(0.0, _PHASE_BOUND_DEG, _GRID_PHASE_POINTS))
-    loss_mesh, sigma_mesh = np.meshgrid(loss_grid, sigma_grid, indexing="ij")
-    grid_cost = cost(loss_mesh.ravel(), sigma_mesh.ravel())
-    best = int(np.argmin(grid_cost))
-    start = np.array([loss_mesh.ravel()[best], sigma_mesh.ravel()[best]])
 
-    def objective(params: np.ndarray) -> float:
-        loss0, sigma = params
-        if not -1e-9 <= loss0 <= 0.999:
-            return 1e15 * (1.0 + abs(loss0))
-        # The cost is even in sigma, so the jitter axis is left unconstrained
-        # and folded back at the end.
-        return float(cost(np.clip(loss0, 0.0, 0.999), abs(sigma)))
+def _least_squares(residuals, start, lower, upper):
+    """Levenberg-Marquardt (More 1978) minimum of ``sum(residuals(p)**2)`` in a box.
 
-    res = optimize.minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-11, "fatol": 1e-22, "maxiter": 4000, "maxfev": 8000},
-    )
-    loss0 = float(np.clip(res.x[0], 0.0, 1.0))
-    return FitResult(
-        loss0, PhaseNoise(abs(float(res.x[1]))), float(res.fun), bool(res.success)
-    )
+    ``residuals`` maps stacked parameter rows to stacked residual rows.  Steps
+    use Marquardt's diagonal damping and are clipped to ``lower <= p <= upper``;
+    a coordinate on a bound whose gradient points outward is frozen.  Returns
+    the parameters, the cost and whether it converged within 100 iterations.
+    """
+    params, damping = np.clip(start, lower, upper), 1e-3
+    for _ in range(100):
+        # The jitter term curves on the scale v_s / v_a ~ 1e-4 in sigma**2,
+        # so a unit-scale step of sqrt(eps) would bias the gradient.
+        h = 1e-8 * np.maximum(np.abs(params), 1e-2)
+        stack = residuals(params + np.vstack([0.0 * h, np.diag(h)]))
+        r, jac = stack[0], (stack[1:] - stack[0]) / h[:, np.newaxis]
+        grad, cost, trial_cost, moved = jac @ r, r @ r, np.inf, True
+        frozen = (params <= lower) & (grad >= 0) | (params >= upper) & (grad <= 0)
+        hess = jac @ jac.T * np.outer(~frozen, ~frozen)
+        while not trial_cost < cost and moved and grad[~frozen].any():
+            system = hess + damping * np.diag(np.diag(hess)) + np.diag(frozen)
+            delta = np.linalg.lstsq(system, -grad * ~frozen, rcond=None)[0]
+            trial = np.clip(params + delta, lower, upper)
+            trial_cost = np.sum(residuals(trial[np.newaxis]) ** 2)
+            moved = np.abs(trial - params).max() > 1e-16
+            damping *= 10.0
+        # Both coordinates enter the model as 1 - O(x), which resolves no
+        # step below ~1e-16: the search ends there or when the cost stalls.
+        done = not trial_cost < (1.0 - 1e-14) * cost or not moved
+        if trial_cost < cost:
+            params, cost, damping = trial, trial_cost, damping / 100.0
+        if done:
+            return params, float(cost), True
+    return params, float(cost), False
 
 
 def effective_improvement(injected_db: float, loss: float) -> float:

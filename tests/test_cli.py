@@ -1,9 +1,14 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqzlab
 from sqzlab.cli import EXPERIMENTS, main
 
 
@@ -275,3 +280,66 @@ def test_fit_loss_bundled_rejects_other_sweep_conditions(tmp_path, capsys, assig
     err = capsys.readouterr().err
     assert f"validation error: {assignment.split('=')[0]} must be" in err
     assert not (out_dir / "manifest.json").exists()
+
+
+def test_failed_validation_leaves_no_output_directory(tmp_path, capsys):
+    out_dir = tmp_path / "made-anyway"
+    code = _run(
+        tmp_path,
+        {"experiment": "opo-spectrum", "parameters": {"gain": 0.5}},
+        "--out",
+        str(out_dir),
+    )
+    assert code == 3
+    assert "validation error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "measurements",
+    [
+        [["0.0", "-10.4", "23"], [True, "-7.4", "22.6"]],
+        [[0.0, -10.4, 23.0], [True, -7.4, 22.6]],
+        [[0.0, -10.4, 23.0], [0.1, "-7.4", 22.6]],
+        [[0.0, -10.4, None], [0.1, -7.4, 22.6]],
+        [[0.0, -10.4, [23.0]], [0.1, -7.4, 22.6]],
+    ],
+)
+def test_fit_loss_rejects_measurements_that_are_not_numbers(
+    tmp_path, capsys, measurements
+):
+    out_dir = tmp_path / "out"
+    code = _run(
+        tmp_path,
+        {
+            "experiment": "fit-loss",
+            "parameters": {"measurements": measurements},
+            "output_path": str(out_dir),
+        },
+    )
+    assert code == 3
+    assert "validation error: measurements must contain numbers" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
+def test_fit_loss_runs_without_scipy(tmp_path):
+    config = _write_config(tmp_path / "config.json", {"experiment": "fit-loss"})
+    out_dir = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from sqzlab.cli import main\n"
+        f"sys.exit(main(['run', '--config', {config!r}, '--out', {str(out_dir)!r}]))\n"
+    )
+    src = str(Path(sqzlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (out_dir / "fit-loss.csv").stat().st_size > 0

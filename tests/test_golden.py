@@ -95,11 +95,11 @@ GOLDEN = {
         "0c34bb2f2533cb4bf176ff5f3c1f8bb0c01fd23dbaeeccc2ebfe073e122bff64",
     ),
     ("fit-loss", "csv"): (
-        "0eee95960fe6fb4ffbf75bc657d2e533fa438443b81f5455968295bc2dfbafa5",
+        "f84b2fc5371544c9ec7adba59957ca5cfd7075b81d976cfcff43bedd583ab71b",
         "9a95ce4c24f0ee529e4e8c8304f9932af7513ee8767bac09b55654c07a9c228a",
     ),
     ("fit-loss", "json"): (
-        "ae0b828777be57d88d329f338a52b70fb6cbcac19079f7221be24534658fcace",
+        "460fd4caa8eb9802e9ad86aa81c6d9b48c22a1c5d284af298e04bbdcfbd42dfd",
         "d10957640a03bc95e2781dcd85eab76351739aa1393f3848f060d25f71fe4f3a",
     ),
     ("photon-record", "csv"): (
@@ -159,11 +159,11 @@ GOLDEN = {
         "f635457f8f0279bf2509d2ee59325f6419830e09b90cbc941e66b0f8cacd49c4",
     ),
     ("fit-loss-fixed-jitter", "csv"): (
-        "a0b1f29fb162549804f50ae97f49aef37ffeccbbace6b5e0ddc5ba494e912880",
+        "1e547b57e367436f6a80c7bfb35bc4d7b984d73492a84cfa7f6e72cdbca157bd",
         "f9468038227763b9940e25468dbb7acb64751ee05ea20d8ef0a60754fddafdf8",
     ),
     ("fit-loss-fixed-jitter", "json"): (
-        "69e9b1ba7579a755c0b6935b9f54c109b69302a001b49e2f38e5f72bd9ad7d00",
+        "dc499159e77fe62664dcdeebf12db6b75e513ba2c224c69789c26a6e832c6f3b",
         "5b58adb59e2b40d969386107dc2b058f163855eb9d816a1fece6a7fc2da70d08",
     ),
     ("noise-budget-tilted", "csv"): (

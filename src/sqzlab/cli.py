@@ -47,7 +47,8 @@ from .detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
-    add_signal_modulation,
+    _modulate,
+    _tone,
     bhd_series,
     fano_factor,
     mean_photons_per_window,
@@ -66,6 +67,9 @@ EXIT_RUNTIME = 4
 _TOP_LEVEL_KEYS = {"experiment", "parameters", "seed", "output_path", "output_format"}
 _REQUIRED = object()
 _BUNDLED_DATASET = "data/synthetic_loss_sweep.json"
+# A run whose size parameter asks for more estimated memory than this fails
+# at config time, before anything is allocated.
+MAX_RUN_BYTES = 2**31
 # Parameter kind -> (accepted JSON value types, wording of the type error).
 # A kind ending in "?" also accepts null.
 _KINDS = {
@@ -87,13 +91,16 @@ class Param:
     kind: str
     default: Any = _REQUIRED
     help: str = ""
+    # For a size parameter: the run's peak memory per unit of its value, an
+    # upper bound of what tracemalloc sees for CSV and JSON output alike.
+    bytes_each: int = 0
 
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
     metadata: dict
     columns: list
-    rows: list
+    rows: np.ndarray | list
     result: dict | None = None
 
 
@@ -121,9 +128,9 @@ def _frequency_grid(params: Mapping[str, Any]) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _rows(*columns: np.ndarray) -> list[list[float]]:
-    """Table rows from equal-length float columns."""
-    return np.column_stack(columns).tolist()
+def _rows(*columns: np.ndarray) -> np.ndarray:
+    """Table rows, as one 2-D array, from equal-length columns."""
+    return np.column_stack(columns)
 
 
 def _check_numbers(name: str, values: list) -> None:
@@ -264,7 +271,7 @@ def _run_photon_record(params: dict, seed: int | None) -> ExperimentOutcome:
         "fano_factor": fano_factor(record),
         "window_shape": windowing.shape,
     }
-    rows = list(enumerate(record.counts.tolist()))
+    rows = _rows(np.arange(record.counts.size), record.counts)
     result = {"mean_count": record.mean, "fano_factor": metadata["fano_factor"]}
     return ExperimentOutcome(metadata, ["window_index", "count"], rows, result)
 
@@ -332,6 +339,8 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         # depth by sqrt(2) while the noise floor stays at shot noise.
         ("coherent_double_power", vacuum(), depth * np.sqrt(2.0), seeds[2]),
     ]
+    # The three series share length and sample rate, hence one sine.
+    tone = _tone(params["n_samples"], fs, f_signal)
     snr = {}
     for label, state, case_depth, case_seed in cases:
         series = bhd_series(
@@ -343,7 +352,7 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
             case_seed,
             fs,
         )
-        series = add_signal_modulation(series, f_signal, case_depth)
+        series = _modulate(series, tone, case_depth)
         snr[label] = _peak_snr(welch_psd(series, rbw), f_signal)
     result = {
         "snr_squeezed": snr["squeezed"],
@@ -415,7 +424,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             "half_linewidth_hz": Param("float", 1.0e7, "cavity half linewidth"),
             "frequency_start_hz": Param("float", 1.0e4, "first sideband frequency"),
             "frequency_stop_hz": Param("float", 1.0e8, "last sideband frequency"),
-            "frequency_points": Param("int", 200, "number of grid points"),
+            "frequency_points": Param(
+                "int", 200, "number of grid points", bytes_each=1024
+            ),
             "log_spacing": Param("bool", True, "log-spaced grid if true"),
         },
         _run_opo_spectrum,
@@ -470,7 +481,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             "window_shape": Param(
                 "str", "rectangular", "rectangular or gaussian (metadata only)"
             ),
-            "n_windows": Param("int", 100000, "number of counting windows"),
+            "n_windows": Param(
+                "int", 100000, "number of counting windows", bytes_each=512
+            ),
         },
         _run_photon_record,
     ),
@@ -491,7 +504,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ),
             "signal_to_lo_power_ratio": Param("float", 0.005, "must stay below 0.01"),
             "sample_rate_hz": Param("float", 262144.0, "photocurrent sample rate"),
-            "n_samples": Param("int", 2097152, "number of samples"),
+            "n_samples": Param("int", 2097152, "number of samples", bytes_each=32),
             "resolution_bandwidth_hz": Param("float", 2048.0, "PSD bin width"),
         },
         _run_bhd_psd,
@@ -507,7 +520,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "modulation_depth": Param("float", 0.5, "signal amplitude over shot noise"),
             "signal_frequency_hz": Param("float", 8192.0, "must sit on a PSD bin"),
             "sample_rate_hz": Param("float", 65536.0, "photocurrent sample rate"),
-            "n_samples": Param("int", 1048576, "samples per case"),
+            "n_samples": Param("int", 1048576, "samples per case", bytes_each=40),
             "resolution_bandwidth_hz": Param("float", 16.0, "PSD bin width"),
             "quantum_efficiency": Param("float", 1.0, "photodiode efficiency"),
             "visibility": Param("float", 1.0, "signal/LO fringe visibility"),
@@ -540,7 +553,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             "sql_scale": Param("float", 1.0, "overall envelope scale"),
             "frequency_start_hz": Param("float", 1.0, "first sideband frequency"),
             "frequency_stop_hz": Param("float", 1000.0, "last sideband frequency"),
-            "frequency_points": Param("int", 120, "number of grid points"),
+            "frequency_points": Param(
+                "int", 120, "number of grid points", bytes_each=1024
+            ),
             "log_spacing": Param("bool", True, "log-spaced grid if true"),
         },
         _run_noise_budget,
@@ -636,6 +651,13 @@ def _validate_config(config: dict) -> tuple[str, dict, int | None, str, str]:
             raise ConfigError(f"{name}: missing required parameter {pname!r}")
         else:
             params[pname] = param.default
+    for pname, param in experiment.params.items():
+        need = param.bytes_each and param.bytes_each * params[pname]
+        if need > MAX_RUN_BYTES:
+            raise ConfigError(
+                f"{name}: parameter {pname!r} = {params[pname]} needs about "
+                f"{need / 2**30:.1f} GiB, over the {MAX_RUN_BYTES / 2**30:g} GiB limit"
+            )
     seed = config.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         raise ConfigError("seed must be a non-negative integer")
@@ -668,6 +690,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Only a run that passed validation leaves a directory behind.
     out_dir.mkdir(parents=True, exist_ok=True)
     data_name = f"{name}.{output_format}"
+    rows = outcome.rows
     if output_format == "csv":
         metadata = {
             "experiment": name,
@@ -675,7 +698,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "version": __version__,
             **outcome.metadata,
         }
-        write_csv(out_dir / data_name, metadata, outcome.columns, outcome.rows)
+        write_csv(out_dir / data_name, metadata, outcome.columns, rows)
     else:
         write_json(
             out_dir / data_name,
@@ -686,7 +709,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "parameters": params,
                 "metadata": outcome.metadata,
                 "columns": outcome.columns,
-                "rows": outcome.rows,
+                "rows": rows.tolist() if isinstance(rows, np.ndarray) else rows,
                 "result": outcome.result,
             },
         )

@@ -225,7 +225,9 @@ def sample_photon_record(
     v_amp = quadrature_variance(state, 0.0)
     rng = np.random.default_rng(seed)
     if abs(v_amp - 1.0) <= _POISSON_VARIANCE_TOL:
-        counts = rng.poisson(n_bar, size=windowing.n_windows).astype(np.int64)
+        counts = rng.poisson(n_bar, size=windowing.n_windows).astype(
+            np.int64, copy=False
+        )
     else:
         check_range(
             "photons per window of non-Poissonian light",
@@ -329,10 +331,29 @@ def add_signal_modulation(
     ``depth`` is the modulation amplitude in the same shot-noise-relative
     units as the samples.  The frequency must sit below Nyquist.
     """
+    tone = _tone(series.samples.size, series.sample_rate, frequency)
+    return _modulate(series, tone, depth)
+
+
+def _tone(n_samples: int, sample_rate: float, frequency: float) -> np.ndarray:
+    """Unit sine at ``frequency`` on the times of ``n_samples`` samples.
+
+    Series of one length and sample rate share it, so a caller modulating
+    several of them computes it once and passes it to :func:`_modulate`.
+    """
+    check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
+    # In place: each 2^20-sample temporary costs 8 MiB of peak memory.
+    phase = np.arange(n_samples) / sample_rate
+    phase *= 2.0 * np.pi * frequency
+    return np.sin(phase, out=phase)
+
+
+def _modulate(series: TimeSeries, tone: np.ndarray, depth: float) -> TimeSeries:
+    """``series`` plus ``depth`` times a :func:`_tone` of its own length."""
     check_range("modulation depth", depth)
-    check_range("modulation frequency", frequency, gt=0.0, lt=series.sample_rate / 2.0)
-    t = np.arange(series.samples.size) / series.sample_rate
-    samples = series.samples + depth * np.sin(2.0 * np.pi * frequency * t)
+    # samples + depth * tone, bit for bit (addition commutes), in place.
+    samples = depth * tone
+    samples += series.samples
     return TimeSeries(series.sample_rate, samples, lo_phase=series.lo_phase)
 
 

@@ -273,3 +273,16 @@ def test_series_samples_read_only():
     series = TimeSeries(1.0, np.zeros(8))
     with pytest.raises(ValueError):
         series.samples[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "frequency, depth", [(8192.0, 0.5), (8192.0, 0.5 * np.sqrt(2.0)), (1234.5, -3.0)]
+)
+def test_add_signal_modulation_is_the_written_sine_bit_for_bit(frequency, depth):
+    fs = 65536.0
+    series = TimeSeries(fs, np.random.default_rng(5).normal(size=4096), lo_phase=0.3)
+    modulated = add_signal_modulation(series, frequency, depth)
+    t = np.arange(series.samples.size) / fs
+    expected = series.samples + depth * np.sin(2.0 * np.pi * frequency * t)
+    assert modulated.samples.tobytes() == expected.tobytes()
+    assert (modulated.sample_rate, modulated.lo_phase) == (fs, 0.3)

@@ -20,6 +20,7 @@ precondition, 4 unexpected runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -690,7 +691,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Only a run that passed validation leaves a directory behind.
     out_dir.mkdir(parents=True, exist_ok=True)
     data_name = f"{name}.{output_format}"
-    rows = outcome.rows
     if output_format == "csv":
         metadata = {
             "experiment": name,
@@ -698,7 +698,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "version": __version__,
             **outcome.metadata,
         }
-        write_csv(out_dir / data_name, metadata, outcome.columns, rows)
+        write_csv(out_dir / data_name, metadata, outcome.columns, outcome.rows)
     else:
         write_json(
             out_dir / data_name,
@@ -709,7 +709,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "parameters": params,
                 "metadata": outcome.metadata,
                 "columns": outcome.columns,
-                "rows": rows.tolist() if isinstance(rows, np.ndarray) else rows,
+                "rows": outcome.rows,
                 "result": outcome.result,
             },
         )
@@ -738,7 +738,9 @@ def _cmd_list() -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="sqzlab",
         description="Reproducible squeezed-light simulation experiments.",

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sqzlab
-from sqzlab.cli import EXPERIMENTS, main
+from sqzlab.cli import EXPERIMENTS, build_parser, main
 
 
 def _write_config(path, payload):
@@ -125,6 +125,38 @@ def test_set_overrides_nested_keys(tmp_path):
         if not line.startswith("#") and line
     ]
     assert len(rows) == 3  # header plus two sweep points
+
+
+def _help_text(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_runs_in_one_process_share_a_parser_but_not_its_arguments(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    help_before = _help_text(capsys)
+    assert main(["list"]) == 0
+    list_before = capsys.readouterr().out
+    config = _write_config(
+        tmp_path / "config.json",
+        {"experiment": "decohere", "output_path": str(tmp_path / "b")},
+    )
+    override = ["--set", "parameters.gain=100", "--out", str(tmp_path / "a")]
+    assert main(["run", "--config", config, *override]) == 0
+    assert main(["run", "--config", config]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["a", "b", "config.json"]
+    first = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    second = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert first["parameters"]["gain"] == 100
+    default_gain = EXPERIMENTS["decohere"].params["gain"].default
+    assert second["parameters"]["gain"] == default_gain != 100
+    capsys.readouterr()
+    assert _help_text(capsys) == help_before
+    assert help_before == build_parser.__wrapped__().format_help()
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == list_before
 
 
 def test_set_accepts_bare_strings(tmp_path):

@@ -1,5 +1,5 @@
-"""The CSV and JSON writers: bytes equal to the per-cell reference, and
-atomic replacement of the target file."""
+"""The CSV and JSON writers: bytes equal to the per-cell reference and to
+``json.dumps``, and atomic replacement of the target file."""
 
 import errno
 import json
@@ -102,6 +102,107 @@ def test_rows_of_unequal_length_are_rejected(tmp_path):
         write_csv(tmp_path / "t.csv", {}, ["a", "b"], [(1, 2), (3,)])
 
 
+PAYLOAD = {
+    "experiment": "table",
+    "seed": 7,
+    "parameters": {"gain": 10.0, "labels": ["a", "b"], "empty": {}},
+    "rows": None,
+    "result": None,
+}
+UINT64 = st.integers(0, 2**64 - 1)
+FLOAT32 = st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+def _json_shapes():
+    return st.tuples(st.integers(0, 12), st.integers(0, 5))
+
+
+def _check_json(directory, payload, rows):
+    """``write_json`` with array rows writes what ``json.dumps`` writes for
+    the same rows as lists."""
+    path = directory / "table.json"
+    write_json(path, {**payload, "rows": rows})
+    reference = json.dumps({**payload, "rows": rows.tolist()}, indent=2) + "\n"
+    assert path.read_bytes() == reference.encode("utf-8")
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    array=st.one_of(
+        hnp.arrays(np.int64, _json_shapes(), elements=INT64),
+        hnp.arrays(np.uint64, _json_shapes(), elements=UINT64),
+        hnp.arrays(np.float32, _json_shapes(), elements=FLOAT32),
+        hnp.arrays(np.float64, _json_shapes(), elements=FLOATS),
+        hnp.arrays(np.float64, _json_shapes(), elements=FLOATS.filter(np.isfinite)),
+        hnp.arrays(np.bool_, _json_shapes()),
+    ),
+    position=st.integers(0, len(PAYLOAD) - 1),
+)
+def test_json_array_rows_match_json_dumps(tmp_path_factory, array, position):
+    keys = [key for key in PAYLOAD if key != "rows"]
+    keys.insert(position, "rows")
+    payload = {key: PAYLOAD[key] for key in keys}
+    _check_json(tmp_path_factory.getbasetemp(), payload, array)
+
+
+def test_json_edge_values_and_shapes_match_json_dumps(tmp_path):
+    finite = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+    for rows in (
+        np.array([[2**63 - 1, -(2**63)], [-1, 0]], dtype=np.int64),
+        np.array([[2**64 - 1, 0]], dtype=np.uint64),
+        np.array([[0.0, -0.0, 1e-45, -1.1754944e-38, 3.4028235e38, 0.1]], np.float32),
+        np.array([finite, finite[::-1]]),
+        np.array([[1.5, np.nan]]),
+        np.array([[np.inf], [-np.inf]]),
+        np.array([[True, False]]),
+        np.array([[7]]),
+        np.empty((0, 3)),
+        np.empty((4, 0)),
+        np.empty((0, 0), dtype=np.int64),
+        np.arange(6),
+    ):
+        _check_json(tmp_path, PAYLOAD, rows)
+
+
+def test_tall_json_tables_match_json_dumps(tmp_path):
+    rng = np.random.default_rng(5)
+    scale = 10.0 ** rng.integers(-300, 300, (4000, 1))
+    _check_json(tmp_path, PAYLOAD, rng.standard_normal((4000, 3)) * scale)
+    _check_json(tmp_path, PAYLOAD, rng.standard_normal((4000, 2)).astype(np.float32))
+    ints = rng.integers(-(2**63), 2**63 - 1, (5000, 2), endpoint=True)
+    _check_json(tmp_path, PAYLOAD, np.column_stack((np.arange(5000), ints)))
+
+
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+def test_matrix_rows_are_written_like_their_array(tmp_path):
+    matrix = np.matrix([[1.5, 2.0], [3.0, -0.0]])
+    _check_json(tmp_path, PAYLOAD, matrix)
+    write_csv(tmp_path / "matrix.csv", METADATA, ["c0", "c1"], matrix)
+    _check(tmp_path, np.asarray(matrix), 2)
+    matrix_csv = (tmp_path / "matrix.csv").read_bytes()
+    assert matrix_csv == (tmp_path / "table.csv").read_bytes()
+
+
+ROWS_LINE = '\n  "rows": null'
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"parameters": {"a": ROWS_LINE, "b": "null"}, "rows": None},
+        {"rows": None, "metadata": {"rows": None}, "result": {"rows": [[1]]}},
+        {"metadata": {"rows": None, "note": '"rows": null'}, "rows": None},
+        {"result": None, "rows": None, ROWS_LINE: ROWS_LINE},
+        {"rows": None, "parameters": [ROWS_LINE, {"rows": None}]},
+        {"rows": None},
+    ],
+    ids=["string", "nested-key", "nested-note", "key", "list", "alone"],
+)
+def test_the_rows_splice_skips_lookalike_text(tmp_path, payload):
+    _check_json(tmp_path, payload, np.array([[1.5, 2.0], [3.0, -0.0]]))
+    _check_json(tmp_path, payload, np.arange(12).reshape(4, 3))
+
+
 class _FullDisk:
     """A file handle that writes half of its text, then fails."""
 
@@ -142,6 +243,19 @@ def test_a_write_failing_midway_leaves_no_partial_file(
     else:
         assert os.listdir(tmp_path) == [path.name]
         assert path.read_text() == previous
+
+
+@pytest.mark.parametrize("previous", [None, "previous contents\n"])
+def test_a_json_array_write_failing_midway_leaves_no_partial_file(
+    tmp_path, monkeypatch, previous
+):
+    def write(path):
+        write_json(path, {"rows": np.full((1000, 2), 1.5)})
+
+    monkeypatch.setitem(WRITERS, "json", write)
+    test_a_write_failing_midway_leaves_no_partial_file(
+        tmp_path, monkeypatch, "json", previous
+    )
 
 
 @pytest.mark.parametrize("fmt", sorted(WRITERS))

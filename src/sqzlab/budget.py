@@ -212,23 +212,17 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
     if config.matched_rotation:
         # Idealized frequency-dependent injection: the minor axis of the
         # noise ellipse tracks the effective readout quadrature exactly.
-        eigvals, eigvecs = np.linalg.eigh(state.cov)
-        minor = eigvecs[:, int(np.argmin(eigvals))]
-        rotation = readout_angle - np.arctan2(minor[1], minor[0])
+        rotation = readout_angle - state.axes[2]
     elif config.filter_cavity is not None:
         rotation = filter_cavity_angle(config.filter_cavity, f)
     else:
         rotation = np.zeros_like(f)
 
-    eta = config.detection_efficiency
-    vac = 1.0 - eta
-
-    def detected_variance(angle):
-        return eta * quadrature_variance(state, angle - rotation) + vac
-
-    e_total = detected_variance(readout_angle)
-    e_shot = detected_variance(0.5 * np.pi)
-    e_rpn = detected_variance(0.0)
+    detected = apply_loss(state, 1.0 - config.detection_efficiency)
+    e_total, e_shot, e_rpn = (
+        quadrature_variance(detected, angle - rotation)
+        for angle in (readout_angle, 0.5 * np.pi, 0.0)
+    )
 
     half_sql = 0.5 * standard_quantum_limit(config, f)
     curve = BudgetCurve(

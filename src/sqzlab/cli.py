@@ -129,11 +129,6 @@ def _frequency_grid(params: Mapping[str, Any]) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _rows(*columns: np.ndarray) -> np.ndarray:
-    """Table rows, as one 2-D array, from equal-length columns."""
-    return np.column_stack(columns)
-
-
 def _check_numbers(name: str, values: list) -> None:
     """Reject entries that are not JSON numbers; bool is an int subclass."""
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
@@ -161,7 +156,7 @@ def _run_opo_spectrum(params: dict, seed: int | None) -> ExperimentOutcome:
     cavity = OpoParams(pump, params["escape_efficiency"], params["half_linewidth_hz"])
     point = opo_spectrum(cavity, _frequency_grid(params))
     f, v_s, v_a = point.frequency, point.v_squeeze, point.v_antisqueeze
-    rows = _rows(f, v_s, v_a, db_from_variance(v_s), db_from_variance(v_a))
+    rows = np.column_stack([f, v_s, v_a, db_from_variance(v_s), db_from_variance(v_a)])
     metadata = {
         "pump_ratio": pump,
         "parametric_gain": parametric_gain(pump),
@@ -190,7 +185,7 @@ def _run_decohere(params: dict, seed: int | None) -> ExperimentOutcome:
         params["frequency_hz"],
         params["half_linewidth_hz"],
     )
-    rows = _rows(added, s_db, a_db)
+    rows = np.column_stack([added, s_db, a_db])
     metadata = {
         "gain": params["gain"],
         "intrinsic_loss": params["intrinsic_loss"],
@@ -272,7 +267,7 @@ def _run_photon_record(params: dict, seed: int | None) -> ExperimentOutcome:
         "fano_factor": fano_factor(record),
         "window_shape": windowing.shape,
     }
-    rows = _rows(np.arange(record.counts.size), record.counts)
+    rows = np.column_stack([np.arange(record.counts.size), record.counts])
     result = {"mean_count": record.mean, "fano_factor": metadata["fano_factor"]}
     return ExperimentOutcome(metadata, ["window_index", "count"], rows, result)
 
@@ -299,7 +294,9 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
         params["lo_noise_variance"],
     )
     spectrum = welch_psd(series, params["resolution_bandwidth_hz"])
-    rows = _rows(spectrum.frequencies, spectrum.psd, db_from_variance(spectrum.psd))
+    rows = np.column_stack(
+        [spectrum.frequencies, spectrum.psd, db_from_variance(spectrum.psd)]
+    )
     metadata = {
         "series_variance": float(series.samples.var()),
         "resolution_bandwidth_hz": spectrum.resolution_bandwidth,
@@ -399,7 +396,9 @@ def _run_noise_budget(params: dict, seed: int | None) -> ExperimentOutcome:
         sql_scale=params["sql_scale"],
     )
     curve = quantum_noise_budget(config, _frequency_grid(params))
-    rows = _rows(curve.frequencies, curve.shot, curve.rpn, curve.total, curve.sql)
+    rows = np.column_stack(
+        [curve.frequencies, curve.shot, curve.rpn, curve.total, curve.sql]
+    )
     metadata = {"crossover_frequency_hz": crossover_frequency(config)}
     columns = ["frequency_hz", "shot", "rpn", "total", "sql"]
     return ExperimentOutcome(metadata, columns, rows)

@@ -11,8 +11,11 @@ average photon number of exactly ``|alpha|^2``.
 Decibel values are ``10 * log10(variance)``.  Squeezing is therefore negative
 in dB, anti-squeezing positive, and the vacuum sits at 0 dB.
 
-States are immutable value objects.  Every operation returns a new state and
-never touches its input, which makes them safe to share across threads.
+States are immutable value objects, stored as principal axes: the least and
+greatest quadrature variance and the angle of the least one.  Every operation
+maps the axes in closed form, exact to a few ulp at any representable squeeze
+and angle, returns a new state and never touches its input, which makes
+states safe to share across threads.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ PLANCK = 6.62607015e-34
 LIGHT_SPEED = 299792458.0
 HBAR = PLANCK / (2 * math.pi)
 
-# Construction-time tolerances: symmetry slack is relative to the largest
-# covariance entry, and the Heisenberg bound det(cov) >= 1 gets a small
-# absolute allowance for round-off accumulated by chained operations.
+# Tolerances for a covariance matrix passed to GaussianState: symmetry slack
+# is relative to the largest entry, and the Heisenberg bound det(cov) >= 1
+# gets a small absolute allowance for round-off in the caller's matrix.
 _SYMMETRY_TOL = 1e-9
 _HEISENBERG_TOL = 1e-9
 
@@ -98,9 +101,9 @@ def _frozen_array(obj, field: str, dtype=float, shape=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GaussianState:
-    """Mean vector and covariance matrix of one optical mode.
+    """Mean vector and principal noise axes of one optical mode.
 
     Parameters
     ----------
@@ -108,7 +111,10 @@ class GaussianState:
         Quadrature expectation values, equal to twice the complex
         displacement, ``(2 Re alpha, 2 Im alpha)``.
     cov : array_like, shape (2, 2)
-        Quadrature covariance matrix in shot-noise units.
+        Quadrature covariance matrix in shot-noise units, decomposed once into
+        ``axes = (minor, major, theta)``, the least and greatest variance and
+        the angle of the least one in [0, pi), 0 when both are equal.
+        ``state.cov`` is derived from the axes and read-only.
 
     Raises
     ------
@@ -119,22 +125,53 @@ class GaussianState:
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    axes: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
-        mean = _frozen_array(self, "mean", shape=(2,))
-        cov = _frozen_array(self, "cov", shape=(2, 2))
-        check_range("state mean", mean)
+    def __init__(self, mean, cov) -> None:
+        cov = np.array(cov, dtype=float).reshape(2, 2)
         check_range("state covariance", cov)
         scale = max(1.0, float(np.abs(cov).max()))
         if abs(cov[0, 1] - cov[1, 0]) > _SYMMETRY_TOL * scale:
             raise ValueError("covariance matrix must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0.0:
+        p, u, q = float(cov[0, 0]), float(cov[1, 1]), float(cov[0, 1])
+        det = p * u - q * q
+        if p <= 0.0 or det <= 0.0:
             raise ValueError("covariance matrix must be positive-definite")
-        if np.linalg.det(cov) < 1.0 - _HEISENBERG_TOL:
+        if det < 1.0 - _HEISENBERG_TOL:
             raise ValueError(
                 "covariance determinant below the Heisenberg bound det >= 1"
             )
+        vars(self).update(vars(_from_axes(mean, *_principal_axes(p, u, q, det))))
+
+    @property
+    def cov(self) -> np.ndarray:
+        minor, major, theta = self.axes
+        off = 0.5 * np.sin(2.0 * theta) * (minor - major)
+        v00, v11 = (quadrature_variance(self, a) for a in (0.0, 0.5 * np.pi))
+        cov = np.array([[v00, off], [off, v11]])
+        cov.setflags(write=False)
+        return cov
+
+
+def _from_axes(mean, minor, major, theta) -> GaussianState:
+    """State with variance ``minor`` at ``theta``, checked only to be finite, > 0."""
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "mean", mean)
+    check_range("state mean", _frozen_array(state, "mean", shape=(2,)))
+    check_range("state covariance", (minor, major), gt=0.0)
+    if minor > major:
+        minor, major, theta = major, minor, theta + 0.5 * np.pi
+    theta = float(theta) % np.pi if minor < major else 0.0
+    object.__setattr__(state, "axes", (float(minor), float(major), theta))
+    return state
+
+
+def _principal_axes(p: float, u: float, q: float, det: float):
+    """Axes ``(minor, major, angle)`` of ``[[p, q], [q, u]]``, determinant ``det``."""
+    if q == 0.0:
+        return p, u, 0.0
+    major = 0.5 * (p + u) + math.hypot(0.5 * (p - u), q)
+    return det / major, major, 0.5 * math.atan2(-2.0 * q, u - p)
 
 
 @dataclass(frozen=True)
@@ -165,7 +202,7 @@ class SqueezeSetting:
 
 def vacuum() -> GaussianState:
     """Vacuum state: zero mean, identity covariance."""
-    return GaussianState(np.zeros(2), np.eye(2))
+    return _from_axes(np.zeros(2), 1.0, 1.0, 0.0)
 
 
 def coherent(alpha_x: float, alpha_y: float) -> GaussianState:
@@ -174,7 +211,7 @@ def coherent(alpha_x: float, alpha_y: float) -> GaussianState:
     The returned state has vacuum noise in every quadrature and an average
     photon number of ``alpha_x**2 + alpha_y**2``.
     """
-    return GaussianState(2.0 * np.array([alpha_x, alpha_y], dtype=float), np.eye(2))
+    return _from_axes(2.0 * np.array([alpha_x, alpha_y], dtype=float), 1.0, 1.0, 0.0)
 
 
 def squeeze(state: GaussianState, setting: SqueezeSetting) -> GaussianState:
@@ -183,16 +220,26 @@ def squeeze(state: GaussianState, setting: SqueezeSetting) -> GaussianState:
     The variance along ``setting.theta`` shrinks by ``exp(-2 r)`` while the
     orthogonal quadrature grows by ``exp(+2 r)``, preserving det(cov).
     """
+    minor, major, theta = state.axes
+    a, b = float(np.exp(-setting.r)), float(np.exp(setting.r))
+    # The squeezed state in the squeeze frame; an isotropic one is aligned.
+    offset = theta - setting.theta if minor < major else 0.0
+    c, s = math.cos(offset), math.sin(offset)
+    p = (c * c * minor + s * s * major) * a * a
+    u = (s * s * minor + c * c * major) * b * b
+    axes = _principal_axes(p, u, c * s * (minor - major), minor * major)
     rot = _rotation(setting.theta)
-    mat = rot @ np.diag([np.exp(-setting.r), np.exp(setting.r)]) @ rot.T
-    return GaussianState(mat @ state.mean, mat @ state.cov @ mat.T)
+    mean = rot @ np.diag([a, b]) @ rot.T @ state.mean
+    return _from_axes(mean, axes[0], axes[1], setting.theta + axes[2])
 
 
 def rotate(state: GaussianState, angle: float) -> GaussianState:
     """Rotate the quadrature plane by ``angle`` (radians, counterclockwise)."""
     check_range("rotation angle", angle)
-    rot = _rotation(angle)
-    return GaussianState(rot @ state.mean, rot @ state.cov @ rot.T)
+    minor, major, theta = state.axes
+    # Reducing the angle first makes a half turn leave theta exactly as is.
+    theta = theta + angle % np.pi
+    return _from_axes(_rotation(angle) @ state.mean, minor, major, theta)
 
 
 def apply_loss(state: GaussianState, loss: float) -> GaussianState:
@@ -202,40 +249,41 @@ def apply_loss(state: GaussianState, loss: float) -> GaussianState:
     ----------
     state : GaussianState
     loss : float
-        Fractional power loss in [0, 1].  The covariance becomes
-        ``(1 - loss) * cov + loss * I`` and the mean scales by
-        ``sqrt(1 - loss)``.  Loss channels compose: applying ``a`` then ``b``
-        equals one channel of ``1 - (1 - a) * (1 - b)``.
+        Fractional power loss in [0, 1].  Each principal variance ``v``
+        becomes ``(1 - loss) * v + loss``, the axis angle is kept, and the
+        mean scales by ``sqrt(1 - loss)``.  Loss channels compose: applying
+        ``a`` then ``b`` equals one channel of ``1 - (1 - a) * (1 - b)``.
     """
     check_range("loss", loss, ge=0.0, le=1.0)
     kept = 1.0 - loss
-    return GaussianState(
-        np.sqrt(kept) * state.mean, kept * state.cov + loss * np.eye(2)
+    minor, major, theta = state.axes
+    return _from_axes(
+        np.sqrt(kept) * state.mean, kept * minor + loss, kept * major + loss, theta
     )
 
 
 def quadrature_variance(state: GaussianState, angle):
     """Variance of the quadrature at ``angle`` from the amplitude axis.
 
-    ``cos^2 C00 + 2 cos sin C01 + sin^2 C11`` for covariance ``C``.  Broadcasts
-    over ``angle``: an array of angles gives an array of variances, a scalar
-    angle a float.
+    ``minor cos^2(angle - theta) + major sin^2(angle - theta)``, which has
+    no cancellation.  Broadcasts over ``angle``: an array of angles gives an
+    array of variances, a scalar angle a float.
     """
-    check_range("quadrature angle", angle)
-    c, s = np.cos(angle), np.sin(angle)
-    cov = state.cov
-    variance = c * c * cov[0, 0] + 2.0 * c * s * cov[0, 1] + s * s * cov[1, 1]
+    angle = check_range("quadrature angle", angle)
+    minor, major, theta = state.axes
+    c, s = np.cos(angle - theta), np.sin(angle - theta)
+    variance = c * c * minor + s * s * major
     return variance if np.ndim(variance) else float(variance)
 
 
 def mean_photon_number(state: GaussianState) -> float:
     """Average photon number: displacement part plus fluctuation part.
 
-    Equals ``|alpha|^2 + (trace(cov) - 2) / 4``; the vacuum gives 0 and a
+    Equals ``|alpha|^2 + (minor + major - 2) / 4``; the vacuum gives 0 and a
     10 dB squeezed vacuum gives 2.025.
     """
     displacement = float(state.mean @ state.mean) / 4.0
-    return displacement + (float(np.trace(state.cov)) - 2.0) / 4.0
+    return displacement + (state.axes[0] + state.axes[1] - 2.0) / 4.0
 
 
 def db_from_variance(variance):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, check_range, rotate
+from .gaussian import GaussianState, _from_axes, check_range
 
 __all__ = [
     "OpoParams",
@@ -124,5 +124,5 @@ def spectrum_to_state(point: SqueezeSpectrumPoint, angle: float) -> GaussianStat
 
     The squeezed axis sits at ``angle`` from the amplitude quadrature.
     """
-    axes = GaussianState(np.zeros(2), np.diag([point.v_squeeze, point.v_antisqueeze]))
-    return rotate(axes, angle)
+    check_range("angle", angle)
+    return _from_axes(np.zeros(2), point.v_squeeze, point.v_antisqueeze, angle)

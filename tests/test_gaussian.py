@@ -1,9 +1,13 @@
 """Unit tests for the single-mode Gaussian state layer."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzlab.gaussian import (
     HBAR,
@@ -24,6 +28,12 @@ from sqzlab.gaussian import (
 )
 
 R_10DB = np.log(10.0) / 2.0
+R_100DB = 100.0 * math.log(10.0) / 20.0
+EPS = 2.0**-52
+
+ANGLES = st.floats(-10.0, 10.0)
+LOSSES = st.floats(0.0, 1.0)
+SQUEEZES = st.builds(SqueezeSetting, st.floats(0.0, R_100DB), ANGLES)
 
 
 def test_vacuum_is_identity():
@@ -269,3 +279,174 @@ def test_si_constants_equal_scipy_bit_for_bit():
     assert PLANCK == constants.h
     assert LIGHT_SPEED == constants.c
     assert HBAR == constants.hbar
+
+
+def _ulps(actual: float, expected: float) -> float:
+    """Distance of ``actual`` from ``expected`` in units of the latter's ulp."""
+    return abs(actual - expected) / math.ulp(expected)
+
+
+def _product_error(state) -> float:
+    """Exact ``minor * major - 1`` of the stored floats, in units of eps."""
+    minor, major, _ = state.axes
+    return float(abs(Fraction(minor) * Fraction(major) - 1) / Fraction(EPS))
+
+
+@pytest.mark.parametrize(
+    "db, theta",
+    [(60.0, 0.3), (80.0, 0.3), (100.0, 0.3), (160.0, 0.3), (160.0, 0.7), (160.0, 1.2)],
+)
+def test_strong_tilted_squeezing_is_exact(db, theta):
+    # A Cartesian covariance rounded these states to sub-Heisenberg or
+    # indefinite matrices, and 160 dB at 0.3 rad to one reading -6.02 dB.
+    setting = SqueezeSetting.from_db(db, theta)
+    state = squeeze(vacuum(), setting)
+    variance = quadrature_variance(state, theta)
+    assert _ulps(variance, math.exp(-2.0 * setting.r)) <= 2
+    # r = db ln(10) / 20 carries about 2 ulp of its own rounding, which
+    # exp(-2 r) turns into about 4 r ulp of relative error.
+    target = 10.0 ** (-db / 10.0)
+    assert abs(variance / target - 1.0) <= (4.0 * setting.r + 4.0) * EPS
+    assert _product_error(state) <= 4
+
+
+def test_strong_squeezing_survives_rotation_and_loss():
+    state = squeeze(vacuum(), SqueezeSetting.from_db(60.0, 0.7))
+    lossy = apply_loss(rotate(state, 0.4), 0.1)
+    minor, major, theta = state.axes
+    assert _product_error(state) <= 4
+    assert lossy.axes == (0.9 * minor + 0.1, 0.9 * major + 0.1, 0.7 + 0.4)
+    assert _ulps(quadrature_variance(lossy, 0.7 + 0.4), 0.9e-6 + 0.1) <= 2
+
+
+def test_squeeze_overflow_still_raises():
+    with pytest.raises(ValueError, match="finite"):
+        squeeze(vacuum(), SqueezeSetting(400.0))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_largest_representable_squeeze_builds(theta):
+    # r = 300, about 2,606 dB: exp(-600) and exp(600) are still finite.
+    state = squeeze(vacuum(), SqueezeSetting(300.0, theta))
+    assert state.axes == (
+        np.exp(-300.0) * np.exp(-300.0),
+        np.exp(300.0) * np.exp(300.0),
+        theta,
+    )
+    assert quadrature_variance(state, theta) == state.axes[0]
+
+
+@pytest.mark.parametrize(
+    "cov, message",
+    [
+        ([[1.0, 2.0], [2.0, 1.0]], "positive-definite"),
+        ([[-1.0, 0.0], [0.0, -2.0]], "positive-definite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+    ],
+)
+def test_constructor_rejects_indefinite_and_non_finite_cov(cov, message):
+    with pytest.raises(ValueError, match=message):
+        GaussianState(np.zeros(2), cov)
+
+
+def test_constructor_decomposes_the_covariance():
+    assert GaussianState(np.zeros(2), np.diag([2.0, 0.5])).axes == (
+        0.5,
+        2.0,
+        0.5 * np.pi,
+    )
+    state = squeeze(vacuum(), SqueezeSetting(1.0, 2.5))
+    rebuilt = GaussianState(state.mean, state.cov)
+    # det(cov) of the Cartesian entries cancels by about trace(cov)**2 / det.
+    np.testing.assert_allclose(rebuilt.axes, state.axes, rtol=64 * EPS)
+
+
+def test_isotropic_states_store_zero_angle():
+    squeezed = squeeze(vacuum(), SqueezeSetting(1.0, 0.4))
+    assert rotate(vacuum(), 0.3).axes == (1.0, 1.0, 0.0)
+    assert apply_loss(squeezed, 1.0).axes == (1.0, 1.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=SQUEEZES, second=SQUEEZES, angle=ANGLES)
+def test_pure_states_keep_unit_determinant(first, second, angle):
+    # The second squeeze meets a tilted state: one closed-form eigen step.
+    state = squeeze(rotate(squeeze(vacuum(), first), angle), second)
+    assert _product_error(state) <= 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(setting=SQUEEZES, angle=ANGLES)
+def test_minor_variance_is_exp_minus_2r(setting, angle):
+    state = rotate(squeeze(vacuum(), setting), angle)
+    assert _ulps(state.axes[0], math.exp(-2.0 * setting.r)) <= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.0, R_100DB), second=SQUEEZES, loss=LOSSES)
+def test_tilted_squeeze_matches_high_precision_eigenvalues(r, second, loss):
+    import mpmath
+
+    # The first state lies on the amplitude axis, so the squeeze-frame
+    # offset is exactly -second.theta and the oracle sees the same input.
+    state = apply_loss(squeeze(vacuum(), SqueezeSetting(r)), loss)
+    minor, major, _ = squeeze(state, second).axes
+    with mpmath.workdps(60):
+        c, s = mpmath.cos(second.theta), mpmath.sin(second.theta)
+        rot = mpmath.matrix([[c, -s], [s, c]])
+        mat = rot * mpmath.diag([mpmath.exp(-second.r), mpmath.exp(second.r)]) * rot.T
+        cov = mat * mpmath.diag(state.axes[:2]) * mat.T
+        half_trace = (cov[0, 0] + cov[1, 1]) / 2
+        radius = mpmath.sqrt(((cov[0, 0] - cov[1, 1]) / 2) ** 2 + cov[0, 1] ** 2)
+        exact_major = half_trace + radius
+        # A squeeze keeps the determinant, which avoids the cancellation in
+        # half_trace - radius.
+        exact_minor = mpmath.mpf(state.axes[0]) * state.axes[1] / exact_major
+        assert abs(minor / exact_minor - 1) <= 4 * EPS
+        assert abs(major / exact_major - 1) <= 4 * EPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(setting=SQUEEZES, angle=ANGLES, first=LOSSES, second=LOSSES)
+def test_loss_composes_on_the_axes(setting, angle, first, second):
+    state = rotate(squeeze(vacuum(), setting), angle)
+    once = apply_loss(state, 1.0 - (1.0 - first) * (1.0 - second))
+    twice = apply_loss(apply_loss(state, first), second)
+    # 1 - loss and the loss itself each round by up to an ulp of 1, an
+    # absolute error that the variance v it multiplies scales up.
+    for a, b, v in zip(once.axes[:2], twice.axes[:2], state.axes[:2]):
+        assert abs(a - b) <= 4 * EPS * (v + 1.0)
+    if once.axes[0] < once.axes[1] and twice.axes[0] < twice.axes[1]:
+        assert once.axes[2] == twice.axes[2] == state.axes[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    setting=SQUEEZES,
+    angle=ANGLES,
+    alpha=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_half_turn_keeps_axes_and_negates_mean(setting, angle, alpha):
+    state = rotate(squeeze(coherent(*alpha), setting), angle)
+    turned = rotate(state, np.pi)
+    assert turned.axes == state.axes
+    # sin(pi) is 1.2e-16, not 0, so each component picks up that much of
+    # the other.
+    slack = 2 * EPS * np.abs(state.mean).max()
+    np.testing.assert_allclose(turned.mean, -state.mean, rtol=0, atol=slack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=ANGLES)
+def test_15_db_is_exact_at_every_angle(theta):
+    # Vahlbruch et al., PRL 117, 110801 (2016).
+    setting = SqueezeSetting.from_db(15.0, theta)
+    state = squeeze(vacuum(), setting)
+    for angle, sign in ((theta, -1.0), (theta + 0.5 * np.pi, 1.0)):
+        variance = quadrature_variance(state, angle)
+        assert _ulps(variance, math.exp(sign * 2.0 * setting.r)) <= 2
+        # The rounding of r itself, as in test_strong_tilted_squeezing_is_exact.
+        target = 10.0 ** (sign * 1.5)
+        assert abs(variance / target - 1.0) <= (4.0 * setting.r + 4.0) * EPS
+    assert _product_error(state) <= 4

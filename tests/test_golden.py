@@ -167,27 +167,27 @@ GOLDEN = {
         "5b58adb59e2b40d969386107dc2b058f163855eb9d816a1fece6a7fc2da70d08",
     ),
     ("noise-budget-tilted", "csv"): (
-        "571c8178ac890ab4a892371c25417e07eba31f6c017a3df1b369caae138ff5da",
+        "964e035ec91405f2d8a4915c179d7b72e4873bea14adc27eca5827409a440c4c",
         "d5e6af3d23f88e8aab2cc32273522faaa6c2f63cf7ecb01edff1e6960fee9530",
     ),
     ("noise-budget-tilted", "json"): (
-        "3ce2ec162cf713b522c220987fcdff8ba822a8f6dccc564e8307ba2ae1e7048b",
+        "eaddeb199b0796173d1711366eb009379a7359bd276c30194da4e123aedd12b6",
         "0d0ecc2eff063c28f49ff91ce3239c75f46edbdfeab61bb9b4dd0d73c3b49fd2",
     ),
     ("noise-budget-filter-cavity", "csv"): (
-        "7a2e476376f17a8234433c0ef095b7278748091e5bbeee7b227afdb5f0073f54",
+        "de87ea12f4d9e938e1f8dc135212cd2496b5815b725115cbc68d5238aa4957b0",
         "0ec59a91af2bd880eadcdc5a00c4a655fc71a2f43f6f06ce45c843306ec19e1c",
     ),
     ("noise-budget-filter-cavity", "json"): (
-        "7a538b60ce6d335b28c8efc3525f4b1aa024c980e88c0c0b3d654386f0d33b74",
+        "8075a190bb769bd376869cd2aee592a8716369bd649e463b6a3c1ff69205030a",
         "a98211589dd475ca999b2ecfe2917e02ca46775bf5fa6e7d270de2e7ab5e8830",
     ),
     ("noise-budget-matched", "csv"): (
-        "c93f5ad899006ce3176f89f79e3fde9feadee212fc53e65ef0304374b87cdfff",
+        "860ee3b7e7716cb0b4cf13d90d1c7bfc14dcd7d0cf437f97d28da731231c3e0f",
         "d01631b42c800c9e1b355cf29948083fa28889125f24d5430ec444108bb76bb0",
     ),
     ("noise-budget-matched", "json"): (
-        "bb3d995e75637a5c1487b45b70be3dca376b83654fdcbefb46c7793ba4686c52",
+        "5219d3556a7fde5bcf9448cee73515a88ba51581e444e0dc1a72591562bef069",
         "ce0b933a6d339e18d28bc0d2a423247f864d78adc4459633c432347955c78d2e",
     ),
 }

@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -49,7 +50,7 @@ from .detection import (
     LightSource,
     MeasurementWindowing,
     _modulate,
-    _tone,
+    _tone_phase,
     bhd_series,
     fano_factor,
     mean_photons_per_window,
@@ -307,6 +308,29 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
     return ExperimentOutcome(metadata, columns, rows)
 
 
+class _Background:
+    """``fn(*args)`` run on a second thread while the caller goes on."""
+
+    def __init__(self, fn: Callable, *args: Any) -> None:
+        self._outcome: tuple = (None, None)
+        self._thread = threading.Thread(target=self._run, args=(fn, args))
+        self._thread.start()
+
+    def _run(self, fn: Callable, args: tuple) -> None:
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as exc:  # raised again by the joining thread
+            self._outcome = (None, exc)
+
+    def result(self) -> Any:
+        """Join the thread; return what ``fn`` returned or raise what it raised."""
+        self._thread.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+
 def _peak_snr(spectrum, signal_frequency: float) -> float:
     """Signal-bin PSD over the mean off-signal floor."""
     idx = int(np.argmin(np.abs(spectrum.frequencies - signal_frequency)))
@@ -337,21 +361,35 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         # depth by sqrt(2) while the noise floor stays at shot noise.
         ("coherent_double_power", vacuum(), depth * np.sqrt(2.0), seeds[2]),
     ]
-    # The three series share length and sample rate, hence one sine.
-    tone = _tone(params["n_samples"], fs, f_signal)
-    snr = {}
-    for label, state, case_depth, case_seed in cases:
-        series = bhd_series(
-            state,
-            0.0,
-            params["signal_to_lo_power_ratio"],
-            detector,
-            params["n_samples"],
-            case_seed,
-            fs,
-        )
-        series = _modulate(series, tone, case_depth)
-        snr[label] = _peak_snr(welch_psd(series, rbw), f_signal)
+    n_samples = params["n_samples"]
+    ratio = params["signal_to_lo_power_ratio"]
+
+    def arm_snr(series) -> float:
+        return _peak_snr(welch_psd(series, rbw), f_signal)
+
+    # A worker thread takes the sine the three series share, then each arm's
+    # spectrum while this thread draws the next arm.  This thread allocates
+    # every large array: a freed buffer then returns to one malloc arena,
+    # where the next run reuses it, instead of one arena per thread.  Every
+    # step gets the inputs it gets in a serial run, so the bytes do not
+    # depend on how the threads are scheduled.
+    phase = _tone_phase(n_samples, fs, f_signal)
+    job = _Background(np.sin, phase, phase)  # in place
+    done = []  # the sine, then each arm's SNR
+    try:
+        for _, state, case_depth, case_seed in cases:
+            series = bhd_series(state, 0.0, ratio, detector, n_samples, case_seed, fs)
+            done.append(job.result())
+            # Rebinding frees the unmodulated draw before the next one.
+            series = _modulate(series, done[0], case_depth)
+            job = _Background(arm_snr, series)
+        done.append(job.result())
+    except BaseException:
+        # Join the worker before leaving.  If its step failed, a serial run
+        # would have met that error first, so it is the one raised.
+        job.result()
+        raise
+    snr = dict(zip((label for label, *_ in cases), done[1:]))
     result = {
         "snr_squeezed": snr["squeezed"],
         "snr_coherent_equal_power": snr["coherent_equal_power"],

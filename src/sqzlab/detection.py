@@ -6,7 +6,11 @@ carrier itself enters as classical parameters: a :class:`LightSource` for
 direct detection, a local-oscillator phase and power ratio for balanced
 homodyne detection.  All sampling is driven by an explicit integer seed and
 is reproducible bit for bit; identical seeds give identical records no
-matter how the caller schedules the work.
+matter how the caller schedules the work.  A run may therefore overlap its
+seeded draws with spectral estimation on a second thread, as
+``sqzlab run snr-equivalence`` does: each draw has its own generator, and
+:func:`welch_psd` reads only the series it is given, so the bytes do not
+depend on how the threads are scheduled.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .gaussian import (
     PLANCK,
     GaussianState,
     _frozen_array,
+    _Owned,
     apply_loss,
     check_range,
     quadrature_variance,
@@ -61,6 +66,10 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
+# welch_psd transforms this many bytes of segments at a time, so its
+# working memory stays under 2 MiB, however long the series, whenever one
+# segment fits in a block.
+_PSD_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -236,7 +245,7 @@ def sample_photon_record(
         )
         draws = rng.normal(n_bar, np.sqrt(v_amp * n_bar), size=windowing.n_windows)
         counts = np.rint(np.clip(draws, 0.0, None)).astype(np.int64)
-    return PhotonRecord(windowing, counts, float(counts.mean()), seed)
+    return PhotonRecord(windowing, _Owned(counts), float(counts.mean()), seed)
 
 
 def fano_factor(record: PhotonRecord) -> float:
@@ -274,7 +283,7 @@ def single_pd_series(
     variance = quadrature_variance(detected, 0.0) + detector.dark_noise_variance
     rng = np.random.default_rng(seed)
     samples = rng.normal(0.0, np.sqrt(variance), size=n_samples)
-    return TimeSeries(sample_rate, samples, lo_phase=0.0)
+    return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
 
 
 def bhd_series(
@@ -320,7 +329,7 @@ def bhd_series(
     leak_amplitude = 2.0 * detector.balance_asymmetry * np.sqrt(lo_noise_variance)
     if leak_amplitude > 0.0:
         samples = samples + leak_amplitude * rng.normal(size=n_samples)
-    return TimeSeries(sample_rate, samples, lo_phase=float(lo_phase))
+    return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
 
 
 def add_signal_modulation(
@@ -341,11 +350,21 @@ def _tone(n_samples: int, sample_rate: float, frequency: float) -> np.ndarray:
     Series of one length and sample rate share it, so a caller modulating
     several of them computes it once and passes it to :func:`_modulate`.
     """
+    phase = _tone_phase(n_samples, sample_rate, frequency)
+    return np.sin(phase, out=phase)
+
+
+def _tone_phase(n_samples: int, sample_rate: float, frequency: float) -> np.ndarray:
+    """The phase ``2 pi f t`` whose in-place sine is :func:`_tone`.
+
+    A caller may take the sine on another thread, while this thread, which
+    allocated the array, goes on.
+    """
     check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
     # In place: each 2^20-sample temporary costs 8 MiB of peak memory.
     phase = np.arange(n_samples) / sample_rate
     phase *= 2.0 * np.pi * frequency
-    return np.sin(phase, out=phase)
+    return phase
 
 
 def _modulate(series: TimeSeries, tone: np.ndarray, depth: float) -> TimeSeries:
@@ -354,7 +373,7 @@ def _modulate(series: TimeSeries, tone: np.ndarray, depth: float) -> TimeSeries:
     # samples + depth * tone, bit for bit (addition commutes), in place.
     samples = depth * tone
     samples += series.samples
-    return TimeSeries(series.sample_rate, samples, lo_phase=series.lo_phase)
+    return TimeSeries(series.sample_rate, _Owned(samples), lo_phase=series.lo_phase)
 
 
 def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
@@ -363,7 +382,8 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     The series is cut into non-overlapping segments of
     ``sample_rate / resolution_bandwidth`` samples; per segment and bin the
     squared rFFT magnitude over the segment length estimates the variance
-    contribution, and segments are averaged.  DC and Nyquist bins are
+    contribution, and segments are averaged in order, a block of about
+    1 MiB of segments at a time.  DC and Nyquist bins are
     dropped.  For a white unit-variance input every returned bin averages to
     1.0, and the mean over bins estimates the total sample variance
     (Parseval consistency).
@@ -384,9 +404,20 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     )
     n_runs = series.samples.size // n_segment
     segments = series.samples[: n_runs * n_segment].reshape(n_runs, n_segment)
-    spectra = np.abs(np.fft.rfft(segments, axis=1)) ** 2 / n_segment
-    interior = slice(1, (n_segment + 1) // 2)
-    psd = spectra.mean(axis=0)[interior]
+    block_rows = min(n_runs, max(1, _PSD_BLOCK_BYTES // (8 * n_segment)))
+    # Row 0 carries the running sum, so each reduce adds the segments in
+    # their original order: the result is ``spectra.mean(axis=0)`` bit for
+    # bit without holding every segment's spectrum at once.
+    power = np.zeros((block_rows + 1, n_segment // 2 + 1))
+    for start in range(0, n_runs, block_rows):
+        spectra = np.fft.rfft(segments[start : start + block_rows], axis=1)
+        rows = power[: spectra.shape[0] + 1]
+        block = rows[1:]
+        np.abs(spectra, out=block)
+        np.square(block, out=block)
+        block /= n_segment
+        power[0] = np.add.reduce(rows, axis=0)
+    psd = power[0, 1 : (n_segment + 1) // 2] / n_runs
     actual_rbw = series.sample_rate / n_segment
     freqs = actual_rbw * np.arange(1, (n_segment + 1) // 2)
     return NoiseSpectrum(freqs, psd, actual_rbw)

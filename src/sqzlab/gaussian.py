@@ -91,9 +91,29 @@ def _rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+class _Owned:
+    """An array the library itself just allocated and hands to a record.
+
+    :func:`_frozen_array` freezes it in place; any other value is copied,
+    so a caller's array never aliases a record.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 def _frozen_array(obj, field: str, dtype=float, shape=None) -> np.ndarray:
-    """Replace ``obj.field`` of a frozen dataclass by a read-only array copy."""
-    out = np.array(getattr(obj, field), dtype=dtype, copy=True)
+    """Replace ``obj.field`` of a frozen dataclass by a read-only array.
+
+    The array is a copy unless the field holds an :class:`_Owned` one.
+    """
+    value = getattr(obj, field)
+    if isinstance(value, _Owned):
+        out = np.asarray(value.array, dtype=dtype)
+    else:
+        out = np.array(value, dtype=dtype, copy=True)
     if shape is not None:
         out = out.reshape(shape)
     out.setflags(write=False)

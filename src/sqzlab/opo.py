@@ -123,6 +123,14 @@ def spectrum_to_state(point: SqueezeSpectrumPoint, angle: float) -> GaussianStat
     """Zero-mean Gaussian state with the point's variances on its axes.
 
     The squeezed axis sits at ``angle`` from the amplitude quadrature.
+
+    Raises
+    ------
+    ValueError
+        If ``point`` holds arrays (one state per point) or ``angle`` is not
+        finite.
     """
+    if np.ndim(point.v_squeeze) or np.ndim(point.v_antisqueeze):
+        raise ValueError("point must be a scalar spectrum point")
     check_range("angle", angle)
     return _from_axes(np.zeros(2), point.v_squeeze, point.v_antisqueeze, angle)

@@ -1,13 +1,19 @@
 """Unit tests for photon counting, homodyne sampling, and the PSD."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
+import sqzlab.detection as detection
 from sqzlab.detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
+    PhotonRecord,
     TimeSeries,
     add_signal_modulation,
     bhd_series,
@@ -19,7 +25,7 @@ from sqzlab.detection import (
     single_pd_series,
     welch_psd,
 )
-from sqzlab.gaussian import SqueezeSetting, squeeze, vacuum
+from sqzlab.gaussian import SqueezeSetting, _Owned, squeeze, vacuum
 
 R_10DB = np.log(10.0) / 2.0
 WAVELENGTH = 1.064e-6
@@ -286,3 +292,66 @@ def test_add_signal_modulation_is_the_written_sine_bit_for_bit(frequency, depth)
     expected = series.samples + depth * np.sin(2.0 * np.pi * frequency * t)
     assert modulated.samples.tobytes() == expected.tobytes()
     assert (modulated.sample_rate, modulated.lo_phase) == (fs, 0.3)
+
+
+def test_records_copy_caller_arrays_and_hand_out_read_only_ones():
+    samples = np.arange(8.0)
+    counts = np.array([3, 4, 5])
+    series = TimeSeries(1.0, samples)
+    record = PhotonRecord(_windowing(3), counts, 4.0, seed=0)
+    samples[0] = counts[0] = 99
+    assert series.samples[0] == 0.0 and record.counts[0] == 3
+    detector = DetectorParams()
+    handed_out = [
+        series.samples,
+        record.counts,
+        bhd_series(vacuum(), 0.0, 0.005, detector, 64, seed=1).samples,
+        single_pd_series(vacuum(), _source(), detector, 64, seed=2).samples,
+        add_signal_modulation(series, 0.25, 1.0).samples,
+        sample_photon_record(vacuum(), _source(), _windowing(64), seed=3).counts,
+    ]
+    for array in handed_out:
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_a_library_owned_array_is_frozen_in_place():
+    samples = np.zeros(8)
+    assert TimeSeries(1.0, _Owned(samples)).samples is samples
+    assert not samples.flags.writeable
+
+
+def _mean_periodogram(samples, n_segment):
+    """Every segment's periodogram at once, then their mean: the reference."""
+    n_runs = samples.size // n_segment
+    segments = samples[: n_runs * n_segment].reshape(n_runs, n_segment)
+    spectra = np.abs(np.fft.rfft(segments, axis=1)) ** 2 / n_segment
+    return spectra.mean(axis=0)[1 : (n_segment + 1) // 2]
+
+
+BLOCK = detection._PSD_BLOCK_BYTES
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_segment=st.integers(8, 300),
+    n_runs=st.integers(1, 40),
+    tail=st.integers(0, 299),
+    block_bytes=st.sampled_from([1, 8 * 20, 8 * 100, 8 * 1000, BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# At the real block size: one segment; an odd segment length with a count
+# (70) that is not a multiple of the block (31 segments); a segment larger
+# than one block.
+@example(n_segment=4096, n_runs=1, tail=17, block_bytes=BLOCK, seed=0)
+@example(n_segment=4097, n_runs=70, tail=0, block_bytes=BLOCK, seed=1)
+@example(n_segment=BLOCK // 8 + 1, n_runs=3, tail=5, block_bytes=BLOCK, seed=2)
+def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
+    n_segment, n_runs, tail, block_bytes, seed
+):
+    size = n_segment * n_runs + tail % n_segment
+    samples = np.random.default_rng(seed).normal(size=size)
+    with mock.patch.object(detection, "_PSD_BLOCK_BYTES", block_bytes):
+        spectrum = welch_psd(TimeSeries(float(n_segment), samples), 1.0)
+    expected = _mean_periodogram(samples, n_segment)
+    assert spectrum.psd.tobytes() == expected.tobytes()

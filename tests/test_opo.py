@@ -97,6 +97,12 @@ def test_spectrum_to_state_matches_point():
     assert np.array_equal(state.mean, np.zeros(2))
 
 
+def test_spectrum_to_state_rejects_an_array_point():
+    point = opo_spectrum(OpoParams(0.5, 0.9, 1e6), np.array([0.0, 1e5]))
+    with pytest.raises(ValueError, match="point must be a scalar spectrum point"):
+        spectrum_to_state(point, 0.3)
+
+
 def test_point_rejects_impossible_product():
     with pytest.raises(ValueError):
         SqueezeSpectrumPoint(0.0, 0.5, 1.5)

@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -136,6 +135,15 @@ def _check_numbers(name: str, values: list) -> None:
         raise ValueError(f"{name} must contain numbers")
 
 
+def _float(value: int | float) -> float:
+    """``float(value)``; an int beyond the float range reads as +-inf, as the
+    JSON number ``1e400`` does, so that the model's range check rejects it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 def _child_seeds(seed: int, count: int) -> list[int]:
     """Independent substream seeds derived from the master seed."""
     children = np.random.SeedSequence(seed).spawn(count)
@@ -178,6 +186,7 @@ def _run_decohere(params: dict, seed: int | None) -> ExperimentOutcome:
     noise = PhaseNoise.from_degrees(params["phase_noise_deg"])
     added = params["added_losses"]
     _check_numbers("added_losses", added)
+    added = [_float(value) for value in added]
     s_db, a_db = forward_model(
         params["gain"],
         params["intrinsic_loss"],
@@ -226,7 +235,7 @@ def _run_fit_loss(params: dict, seed: int | None) -> ExperimentOutcome:
     if any(not isinstance(t, (list, tuple)) or len(t) != 3 for t in triples):
         raise ValueError("each measurement must be a 3-item list")
     _check_numbers("measurements", [value for triple in triples for value in triple])
-    measurements = [SqueezeMeasurement(*map(float, triple)) for triple in triples]
+    measurements = [SqueezeMeasurement(*map(_float, triple)) for triple in triples]
     fixed = params["fixed_phase_noise_deg"]
     fixed_noise = None if fixed is None else PhaseNoise.from_degrees(fixed)
     fit = fit_loss_phase(
@@ -308,29 +317,6 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
     return ExperimentOutcome(metadata, columns, rows)
 
 
-class _Background:
-    """``fn(*args)`` run on a second thread while the caller goes on."""
-
-    def __init__(self, fn: Callable, *args: Any) -> None:
-        self._outcome: tuple = (None, None)
-        self._thread = threading.Thread(target=self._run, args=(fn, args))
-        self._thread.start()
-
-    def _run(self, fn: Callable, args: tuple) -> None:
-        try:
-            self._outcome = (fn(*args), None)
-        except BaseException as exc:  # raised again by the joining thread
-            self._outcome = (None, exc)
-
-    def result(self) -> Any:
-        """Join the thread; return what ``fn`` returned or raise what it raised."""
-        self._thread.join()
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
 def _peak_snr(spectrum, signal_frequency: float) -> float:
     """Signal-bin PSD over the mean off-signal floor."""
     idx = int(np.argmin(np.abs(spectrum.frequencies - signal_frequency)))
@@ -355,11 +341,11 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     depth = params["modulation_depth"]
     seeds = _child_seeds(seed, 3)
     cases = [
-        ("squeezed", squeezed, depth, seeds[0]),
-        ("coherent_equal_power", vacuum(), depth, seeds[1]),
+        (squeezed, depth, seeds[0]),
+        (vacuum(), depth, seeds[1]),
         # Doubling the carrier power scales the shot-relative modulation
         # depth by sqrt(2) while the noise floor stays at shot noise.
-        ("coherent_double_power", vacuum(), depth * np.sqrt(2.0), seeds[2]),
+        (vacuum(), depth * np.sqrt(2.0), seeds[2]),
     ]
     n_samples = params["n_samples"]
     ratio = params["signal_to_lo_power_ratio"]
@@ -372,30 +358,29 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     # every large array: a freed buffer then returns to one malloc arena,
     # where the next run reuses it, instead of one arena per thread.  Every
     # step gets the inputs it gets in a serial run, so the bytes do not
-    # depend on how the threads are scheduled.
+    # depend on how the threads are scheduled.  Leaving the block joins the
+    # worker, whether the run succeeds or fails.  Imported here, so that no
+    # other run pays for the module.
+    from concurrent.futures import ThreadPoolExecutor
+
     phase = _tone_phase(n_samples, fs, f_signal)
-    job = _Background(np.sin, phase, phase)  # in place
-    done = []  # the sine, then each arm's SNR
-    try:
-        for _, state, case_depth, case_seed in cases:
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        job = worker.submit(np.sin, phase, phase)  # in place
+        done = []  # the sine, then each arm's SNR
+        for state, case_depth, case_seed in cases:
             series = bhd_series(state, 0.0, ratio, detector, n_samples, case_seed, fs)
             done.append(job.result())
             # Rebinding frees the unmodulated draw before the next one.
             series = _modulate(series, done[0], case_depth)
-            job = _Background(arm_snr, series)
+            job = worker.submit(arm_snr, series)
         done.append(job.result())
-    except BaseException:
-        # Join the worker before leaving.  If its step failed, a serial run
-        # would have met that error first, so it is the one raised.
-        job.result()
-        raise
-    snr = dict(zip((label for label, *_ in cases), done[1:]))
+    _, squeezed_snr, equal_snr, double_snr = done
     result = {
-        "snr_squeezed": snr["squeezed"],
-        "snr_coherent_equal_power": snr["coherent_equal_power"],
-        "snr_coherent_double_power": snr["coherent_double_power"],
-        "improvement_over_equal_power": snr["squeezed"] / snr["coherent_equal_power"],
-        "ratio_to_double_power": snr["squeezed"] / snr["coherent_double_power"],
+        "snr_squeezed": squeezed_snr,
+        "snr_coherent_equal_power": equal_snr,
+        "snr_coherent_double_power": double_snr,
+        "improvement_over_equal_power": squeezed_snr / equal_snr,
+        "ratio_to_double_power": squeezed_snr / double_snr,
         "equivalent_power_gain": snr_equivalent_power_gain(params["squeeze_db"]),
     }
     metadata = {
@@ -610,7 +595,7 @@ def _load_config(path_text: str) -> dict:
     path = Path(path_text)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         config = json.loads(text)
@@ -618,6 +603,8 @@ def _load_config(path_text: str) -> dict:
         raise ConfigError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer with too many digits for int()
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -629,7 +616,7 @@ def _apply_override(config: dict, assignment: str) -> None:
         raise ConfigError(f"override must look like key=value, got {assignment!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer with too many digits
         value = raw
     node = config
     parts = key.split(".")
@@ -655,7 +642,7 @@ def _coerce(experiment: str, name: str, param: Param, value: Any) -> Any:
             f"{experiment}: parameter {name!r} must be {expected}, "
             f"got {value!r}"
         )
-    return float(value) if kind == "float" else value
+    return _float(value) if kind == "float" else value
 
 
 def _validate_config(config: dict) -> tuple[str, dict, int | None, str, str]:
@@ -692,9 +679,13 @@ def _validate_config(config: dict) -> tuple[str, dict, int | None, str, str]:
     for pname, param in experiment.params.items():
         need = param.bytes_each and param.bytes_each * params[pname]
         if need > MAX_RUN_BYTES:
+            try:
+                gib = f"{need / 2**30:.1f}"
+            except OverflowError:  # an integer beyond the float range
+                gib = f"{need >> 30}"
             raise ConfigError(
                 f"{name}: parameter {pname!r} = {params[pname]} needs about "
-                f"{need / 2**30:.1f} GiB, over the {MAX_RUN_BYTES / 2**30:g} GiB limit"
+                f"{gib} GiB, over the {MAX_RUN_BYTES / 2**30:g} GiB limit"
             )
     seed = config.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):

@@ -340,25 +340,17 @@ def add_signal_modulation(
     ``depth`` is the modulation amplitude in the same shot-noise-relative
     units as the samples.  The frequency must sit below Nyquist.
     """
-    tone = _tone(series.samples.size, series.sample_rate, frequency)
-    return _modulate(series, tone, depth)
-
-
-def _tone(n_samples: int, sample_rate: float, frequency: float) -> np.ndarray:
-    """Unit sine at ``frequency`` on the times of ``n_samples`` samples.
-
-    Series of one length and sample rate share it, so a caller modulating
-    several of them computes it once and passes it to :func:`_modulate`.
-    """
-    phase = _tone_phase(n_samples, sample_rate, frequency)
-    return np.sin(phase, out=phase)
+    phase = _tone_phase(series.samples.size, series.sample_rate, frequency)
+    return _modulate(series, np.sin(phase, out=phase), depth)
 
 
 def _tone_phase(n_samples: int, sample_rate: float, frequency: float) -> np.ndarray:
-    """The phase ``2 pi f t`` whose in-place sine is :func:`_tone`.
+    """The phase ``2 pi f t`` on the times of ``n_samples`` samples.
 
-    A caller may take the sine on another thread, while this thread, which
-    allocated the array, goes on.
+    Its sine, taken in place, is the unit tone :func:`_modulate` adds.
+    Series of one length and sample rate share it, so a caller modulating
+    several of them computes it once.  It may take the sine on another
+    thread, while this thread, which allocated the array, goes on.
     """
     check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
     # In place: each 2^20-sample temporary costs 8 MiB of peak memory.
@@ -368,7 +360,7 @@ def _tone_phase(n_samples: int, sample_rate: float, frequency: float) -> np.ndar
 
 
 def _modulate(series: TimeSeries, tone: np.ndarray, depth: float) -> TimeSeries:
-    """``series`` plus ``depth`` times a :func:`_tone` of its own length."""
+    """``series`` plus ``depth`` times ``tone``, the sine of its :func:`_tone_phase`."""
     check_range("modulation depth", depth)
     # samples + depth * tone, bit for bit (addition commutes), in place.
     samples = depth * tone

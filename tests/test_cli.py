@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -29,6 +30,16 @@ def test_list_names_every_experiment(capsys):
         assert name in out
     assert "photon-record" in out
     assert "seed required" in out
+
+
+def test_list_output_bytes_are_pinned(capsys):
+    # Parameter names, kinds, defaults and help texts, in registry order;
+    # unlike argparse's --help layout, this does not vary with Python.
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "090c685635ad8c24ff57d2bdb8a77249e46672f18951d60939e8c1e6e0a5234f"
+    )
 
 
 def test_opo_csv_run(tmp_path):
@@ -225,6 +236,81 @@ def test_missing_config_file(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b'{"experiment": "decohere", "output_path": "caf\xe9"}')
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read {config}: 'utf-8' codec can't decode byte 0xe9"
+    )
+
+
+BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "n_samples, gib",
+    [(2**26 + 1, "2.0"), (10**18, "29802322387.7"), (BIG, str(32 * BIG >> 30))],
+    ids=["just-over", "float-range", "beyond-float-range"],
+)
+def test_size_guard_message(tmp_path, capsys, n_samples, gib):
+    payload = {"experiment": "bhd-psd", "seed": 1}
+    assert _run(tmp_path, payload, "--set", f"parameters.n_samples={n_samples}") == 2
+    assert capsys.readouterr().err == (
+        f"config error: bhd-psd: parameter 'n_samples' = {n_samples} needs about "
+        f"{gib} GiB, over the 2 GiB limit\n"
+    )
+
+
+def test_integer_too_long_for_python_is_config_error(tmp_path, capsys):
+    # Python refuses to convert a decimal integer of more than 4300 digits
+    # (3.11, and 3.10.7 on); a Python without that limit hits the size guard.
+    digits = "1" + "0" * 5000
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"experiment": "bhd-psd", "seed": 1, "parameters": {"n_samples": %s}}' % digits
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    override = f"parameters.n_samples={digits}"
+    assert _run(tmp_path, {"experiment": "bhd-psd", "seed": 1}, "--set", override) == 2
+    assert capsys.readouterr().err.count("config error: ") == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters, message",
+    [
+        (
+            "opo-spectrum",
+            '{"escape_efficiency": %s}',
+            "escape_efficiency must be finite and >= 0 and <= 1",
+        ),
+        (
+            "decohere",
+            '{"added_losses": [0.0, %s]}',
+            "added_loss must be finite and >= 0 and <= 1",
+        ),
+        (
+            "fit-loss",
+            '{"measurements": [[0.0, %s, 23.0], [0.1, -7.4, 22.6]]}',
+            "squeeze_db must be finite and <= 0",
+        ),
+    ],
+    ids=["escape_efficiency", "added_losses", "measurements"],
+)
+def test_integer_beyond_float_range_reads_as_1e400(
+    tmp_path, capsys, experiment, parameters, message
+):
+    out_dir = tmp_path / "out"
+    for number in [str(BIG), "1e400"]:
+        config = tmp_path / "config.json"
+        config.write_text(
+            f'{{"experiment": "{experiment}", "parameters": {parameters % number}}}'
+        )
+        assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_model_validation_maps_to_exit_3(tmp_path, capsys):
     code = _run(
         tmp_path,
@@ -375,3 +461,42 @@ def test_fit_loss_runs_without_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (out_dir / "fit-loss.csv").stat().st_size > 0
+
+
+def test_only_snr_equivalence_imports_concurrent_futures(tmp_path):
+    # A fresh interpreter runs every other default experiment; the import
+    # cost of concurrent.futures must stay with the one run that uses it.
+    configs = []
+    for name, experiment in EXPERIMENTS.items():
+        if name != "snr-equivalence":
+            payload = {"experiment": name, "seed": 1 if experiment.stochastic else None}
+            if name == "photon-record":
+                payload["parameters"] = {"power_w": 1e-12}
+            configs.append(_write_config(tmp_path / f"{name}.json", payload))
+    # The control: the one run that uses the module does import it.
+    snr_config = _write_config(
+        tmp_path / "snr.json",
+        {"experiment": "snr-equivalence", "seed": 1, "parameters": {"n_samples": 65536}},
+    )
+    out = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "from sqzlab.cli import main\n"
+        f"for config in {configs + [snr_config]!r}:\n"
+        "    if config.endswith('snr.json') and 'concurrent.futures' in sys.modules:\n"
+        "        sys.exit('concurrent.futures imported before snr-equivalence')\n"
+        f"    if main(['run', '--config', config, '--out', {out!r}]) != 0:\n"
+        "        sys.exit('run failed: ' + config)\n"
+        "if 'concurrent.futures' not in sys.modules:\n"
+        "    sys.exit('snr-equivalence did not import concurrent.futures')\n"
+    )
+    src = str(Path(sqzlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(configs) == len(EXPERIMENTS) - 1

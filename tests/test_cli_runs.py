@@ -102,8 +102,8 @@ def test_bytes_each_bounds_the_measured_peak(tmp_path, name, pname, param, fmt):
 
 
 def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
-    # The sine is taken in place of this one phase array; another call of
-    # _tone would compute the phase again and show here.
+    # The sine is taken in place of this one phase array; any other tone,
+    # add_signal_modulation's included, would compute a phase and show here.
     calls = []
     tone_phase = detection._tone_phase
 
@@ -187,7 +187,8 @@ def _serial_snrs(params, seed):
     fs = params["sample_rate_hz"]
     n = params["n_samples"]
     depth = params["modulation_depth"]
-    tone = detection._tone(n, fs, params["signal_frequency_hz"])
+    # The sine of the shared phase, taken on this thread.
+    tone = np.sin(detection._tone_phase(n, fs, params["signal_frequency_hz"]))
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
     detector = detection.DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],

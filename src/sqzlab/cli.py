@@ -22,13 +22,27 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-import numpy as np
+# numpy's OpenBLAS starts a worker thread at import that spins for about
+# 0.1 s of CPU before it sleeps, and the CLI's only BLAS call (fit-loss's
+# 6x2 lstsq) never uses it.  When this import is the process's first of
+# numpy and the user has not chosen a thread count, OpenBLAS starts with one
+# thread; the variable goes again at once, so later code and child processes
+# never see it.  A library user who imported numpy first keeps their pool.
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .budget import (

@@ -62,15 +62,19 @@ def check_range(name: str, value, *, ge=None, gt=None, le=None, lt=None):
     """
     if isinstance(value, (int, float)):
         low = high = value
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
     else:
         value = np.asarray(value, dtype=float)
         if value.size == 0:
             return value
         # min and max propagate NaN, so a NaN entry fails the finiteness test.
         low, high = value.min(), value.max()
+        finite = math.isfinite(low) and math.isfinite(high)
     if (
-        math.isfinite(low)
-        and math.isfinite(high)
+        finite
         and (ge is None or low >= ge)
         and (gt is None or low > gt)
         and (le is None or high <= le)

@@ -23,6 +23,24 @@ def _run(tmp_path, payload, *extra):
     return main(["run", "--config", config, *extra])
 
 
+def _fresh_interpreter(script, **environ):
+    """Run ``script`` in a new interpreter that imports sqzlab from this tree.
+
+    OPENBLAS_NUM_THREADS is unset there unless ``environ`` sets it.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(sqzlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**env, **environ},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result
+
+
 def test_list_names_every_experiment(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -451,15 +469,7 @@ def test_fit_loss_runs_without_scipy(tmp_path):
         "from sqzlab.cli import main\n"
         f"sys.exit(main(['run', '--config', {config!r}, '--out', {str(out_dir)!r}]))\n"
     )
-    src = str(Path(sqzlab.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
+    _fresh_interpreter(script)
     assert (out_dir / "fit-loss.csv").stat().st_size > 0
 
 
@@ -490,13 +500,83 @@ def test_only_snr_equivalence_imports_concurrent_futures(tmp_path):
         "if 'concurrent.futures' not in sys.modules:\n"
         "    sys.exit('snr-equivalence did not import concurrent.futures')\n"
     )
-    src = str(Path(sqzlab.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
+    _fresh_interpreter(script)
     assert len(configs) == len(EXPERIMENTS) - 1
+
+
+def test_import_sqzlab_leaves_numpy_to_first_use():
+    script = (
+        "import json, sys\n"
+        "import sqzlab\n"
+        "numpy_at_import = 'numpy' in sys.modules\n"
+        "star = {}\n"
+        "exec('from sqzlab import *', star)\n"
+        "print(json.dumps({\n"
+        "    'numpy_at_import': numpy_at_import,\n"
+        "    'all': sqzlab.__all__,\n"
+        "    'star': sorted(k for k in star if k != '__builtins__'),\n"
+        "    'resolved': [getattr(sqzlab, n).__name__ for n in sqzlab.__all__],\n"
+        "    'gaussian': sqzlab.gaussian.__name__,\n"
+        "}))\n"
+    )
+    report = json.loads(_fresh_interpreter(script).stdout)
+    assert report["numpy_at_import"] is False
+    assert len(report["all"]) == 52
+    assert report["resolved"] == report["all"]
+    assert report["star"] == sorted(report["all"])
+    assert report["gaussian"] == "sqzlab.gaussian"
+
+
+# Reports what importing the CLI with {statement} did to the environment
+# and the thread count, after running {first}.  ``os.environ`` writes go
+# through ``os.putenv``, which records the values written to
+# OPENBLAS_NUM_THREADS; other names are left out, because numpy's own import
+# sets and removes OPENBLAS_MAIN_FREE.
+_CLI_IMPORT_REPORT = """\
+import json, os
+{first}
+before = dict(os.environ)
+written = []
+putenv = os.putenv
+os.putenv = lambda key, value: (written.append((key, value)), putenv(key, value))
+{statement}
+os.putenv = putenv
+threads = None
+if os.path.exists('/proc/self/status'):
+    with open('/proc/self/status') as status:
+        threads = int(status.read().split('Threads:')[1].split()[0])
+print(json.dumps({{
+    'environ_kept': dict(os.environ) == before,
+    'blas_threads_set': [v.decode() for k, v in written if k == b'OPENBLAS_NUM_THREADS'],
+    'openblas': os.environ.get('OPENBLAS_NUM_THREADS'),
+    'threads': threads,
+}}))
+"""
+
+
+@pytest.mark.parametrize("statement", ["import sqzlab.cli", "from sqzlab import cli"])
+def test_cli_import_starts_one_blas_thread_and_restores_environ(statement):
+    script = _CLI_IMPORT_REPORT.format(first="", statement=statement)
+    report = json.loads(_fresh_interpreter(script).stdout)
+    assert report["environ_kept"]
+    assert report["blas_threads_set"] == ["1"]
+    assert report["openblas"] is None
+    if report["threads"] is None:
+        pytest.skip("no /proc/self/status to count threads")
+    assert report["threads"] == 1
+
+
+def test_cli_import_keeps_a_user_set_blas_thread_count():
+    script = _CLI_IMPORT_REPORT.format(first="", statement="import sqzlab.cli")
+    report = json.loads(_fresh_interpreter(script, OPENBLAS_NUM_THREADS="2").stdout)
+    assert report["environ_kept"]
+    assert report["blas_threads_set"] == []
+    assert report["openblas"] == "2"
+
+
+def test_cli_import_after_numpy_leaves_environ_alone():
+    script = _CLI_IMPORT_REPORT.format(first="import numpy", statement="import sqzlab.cli")
+    report = json.loads(_fresh_interpreter(script).stdout)
+    assert report["environ_kept"]
+    assert report["blas_threads_set"] == []
+    assert report["openblas"] is None

@@ -273,6 +273,14 @@ def test_check_range_message_names_the_parameter():
         check_range("phase_deg", [0.0, np.nan])
 
 
+def test_check_range_rejects_int_beyond_float_range():
+    # math.isfinite cannot convert such an int; it must still read as infinite.
+    with pytest.raises(ValueError, match=r"^x must be finite and <= 1$"):
+        check_range("x", 10**400, le=1.0)
+    with pytest.raises(ValueError, match=r"^x must be finite$"):
+        check_range("x", -(10**400))
+
+
 def test_si_constants_equal_scipy_bit_for_bit():
     from scipy import constants
 

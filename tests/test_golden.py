@@ -13,9 +13,14 @@ ufunc's last bit shows up here first.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqzlab
 from sqzlab.cli import main
 
 CASES = {
@@ -193,7 +198,8 @@ GOLDEN = {
 }
 
 
-def output_hashes(tmp_path, case: str, output_format: str) -> tuple[str, str]:
+def run_args(directory, case: str, output_format: str) -> list[str]:
+    """``sqzlab`` arguments that write ``case`` to ``directory / "out"``."""
     experiment, parameters, seed = CASES[case]
     config = {
         "experiment": experiment,
@@ -202,12 +208,15 @@ def output_hashes(tmp_path, case: str, output_format: str) -> tuple[str, str]:
     }
     if seed is not None:
         config["seed"] = seed
-    path = tmp_path / "config.json"
+    path = directory / "config.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    return ["run", "--config", str(path), "--out", str(directory / "out")]
+
+
+def output_hashes(directory, case: str, output_format: str) -> tuple[str, str]:
+    experiment = CASES[case][0]
     return tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        hashlib.sha256((directory / "out" / name).read_bytes()).hexdigest()
         for name in (f"{experiment}.{output_format}", "manifest.json")
     )
 
@@ -215,4 +224,41 @@ def output_hashes(tmp_path, case: str, output_format: str) -> tuple[str, str]:
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_output_bytes_are_pinned(tmp_path, case, output_format):
+    assert main(run_args(tmp_path, case, output_format)) == 0
     assert output_hashes(tmp_path, case, output_format) == GOLDEN[case, output_format]
+
+
+def test_default_bytes_on_the_cold_path(tmp_path):
+    # pytest has imported numpy before sqzlab.cli, so the runs above keep
+    # OpenBLAS's thread pool.  A cold ``sqzlab run`` is the first to import
+    # numpy and starts it single-threaded; fit-loss's lstsq then takes that
+    # path.  One fresh interpreter runs every default case that way.
+    runs = [
+        (case, output_format, tmp_path / f"{case}-{output_format}")
+        for case, (experiment, _, _) in CASES.items()
+        if case == experiment
+        for output_format in ("csv", "json")
+    ]
+    argvs = []
+    for case, output_format, directory in runs:
+        directory.mkdir()
+        argvs.append(run_args(directory, case, output_format))
+    script = (
+        "import sys\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('numpy imported before sqzlab.cli')\n"
+        "from sqzlab.cli import main\n"
+        f"for args in {argvs!r}:\n"
+        "    if main(args) != 0:\n"
+        "        sys.exit(f'run failed: {args}')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(sqzlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(runs) == 14
+    for case, output_format, directory in runs:
+        hashes = output_hashes(directory, case, output_format)
+        assert hashes == GOLDEN[case, output_format], (case, output_format)

@@ -122,6 +122,13 @@ def test_params_reject_threshold_and_bad_escape():
         OpoParams(0.5, 0.9, 0.0)
 
 
+def test_params_reject_int_beyond_float_range():
+    with pytest.raises(
+        ValueError, match=r"^escape_efficiency must be finite and >= 0 and <= 1$"
+    ):
+        OpoParams(0.5, 10**400, 1e6)
+
+
 def test_spectrum_scalar_and_array_agree():
     params = OpoParams(0.874, 0.914, 1.0e7)
     freqs = np.concatenate([[0.0], np.geomspace(1.0e3, 1.0e9, 61)])

@@ -100,6 +100,7 @@ class IfoConfig:
         positive = ("arm_power", "mirror_mass", "arm_length", "wavelength", "sql_scale")
         for name in positive:
             check_range(name, getattr(self, name), gt=0.0)
+        check_range("arm_length**2", self.arm_length * self.arm_length)  # **2 raises
         check_range("detection_efficiency", self.detection_efficiency, gt=0.0, le=1.0)
         check_range("injection_loss", self.injection_loss, ge=0.0, lt=1.0)
         if self.matched_rotation and self.filter_cavity is not None:

@@ -63,6 +63,7 @@ from .detection import (
     LightSource,
     MeasurementWindowing,
     _modulate,
+    _psd_segment,
     _tone_phase,
     bhd_series,
     fano_factor,
@@ -301,6 +302,9 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
         params["squeeze_db"], np.deg2rad(params["squeeze_angle_deg"])
     )
     state = squeeze(vacuum(), setting)
+    n_segment = _psd_segment(
+        params["sample_rate_hz"], params["resolution_bandwidth_hz"], params["n_samples"]
+    )
     detector = DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
         dark_noise_variance=params["dark_noise_variance"],
@@ -324,8 +328,7 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
     metadata = {
         "series_variance": float(series.samples.var()),
         "resolution_bandwidth_hz": spectrum.resolution_bandwidth,
-        "n_averages": params["n_samples"]
-        // int(round(params["sample_rate_hz"] / spectrum.resolution_bandwidth)),
+        "n_averages": params["n_samples"] // n_segment,
     }
     columns = ["frequency_hz", "psd_rel_shot", "psd_db"]
     return ExperimentOutcome(metadata, columns, rows)
@@ -343,9 +346,9 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     fs = params["sample_rate_hz"]
     rbw = params["resolution_bandwidth_hz"]
     f_signal = params["signal_frequency_hz"]
-    n_segment = int(round(fs / rbw))
-    bin_position = f_signal / (fs / n_segment)
-    if abs(bin_position - round(bin_position)) > 1e-9:
+    n_samples = params["n_samples"]
+    bin_position = f_signal / (fs / _psd_segment(fs, rbw, n_samples))
+    if abs(bin_position - round(bin_position, 0)) > 1e-9:  # round(inf) raises
         raise ValueError("signal_frequency_hz must sit on a spectrum bin")
     detector = DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
@@ -361,7 +364,6 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         # depth by sqrt(2) while the noise floor stays at shot noise.
         (vacuum(), depth * np.sqrt(2.0), seeds[2]),
     ]
-    n_samples = params["n_samples"]
     ratio = params["signal_to_lo_power_ratio"]
 
     def arm_snr(series) -> float:

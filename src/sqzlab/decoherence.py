@@ -46,13 +46,14 @@ _GRID_PHASE_POINTS = 26
 class PhaseNoise:
     """Zero-mean Gaussian jitter of the measured quadrature angle.
 
-    ``sigma`` is the RMS angle in radians, >= 0.
+    ``sigma`` is the RMS angle in radians, >= 0, with a finite square.
     """
 
     sigma: float
 
     def __post_init__(self) -> None:
         check_range("phase-noise sigma", self.sigma, ge=0.0)
+        check_range("phase-noise sigma**2", self.sigma * self.sigma)  # **2 raises
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "PhaseNoise":
@@ -221,6 +222,7 @@ def fit_loss_phase(
     grid = np.stack(np.meshgrid(loss_grid, sigmas**2, indexing="ij"), -1).reshape(-1, 2)
     start = grid[np.argmin((residuals(grid) ** 2).sum(axis=1))]
     params, cost, converged = _least_squares(residuals, start, lower, upper)
+    check_range("fit residual (sum of squared dB errors)", cost)
     noise = fixed_phase_noise or PhaseNoise(float(np.sqrt(params[1])))
     return FitResult(float(params[0]), noise, cost, converged)
 

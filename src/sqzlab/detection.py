@@ -60,6 +60,8 @@ _GAUSSIAN_REGIME_MIN_COUNT = 100.0
 # A single photodiode linearizes quadrature noise only against a carrier of
 # many photons per sample.
 _BRIGHT_CARRIER_MIN_PHOTONS = 100.0
+# numpy's largest Poisson mean, 2**63 - 10 sqrt(2**63); int64 holds its counts.
+_MAX_MEAN_COUNT = 9.223372006484771e18
 # Balanced homodyne detection assumes the signal beam is much dimmer than
 # the local oscillator.
 _MAX_SIGNAL_TO_LO_RATIO = 0.01
@@ -231,6 +233,7 @@ def sample_photon_record(
         lt=_MAX_WINDOW_TO_COHERENCE * source.coherence_time,
     )
     n_bar = mean_photons_per_window(source, windowing)
+    check_range("mean photons per window", n_bar, le=_MAX_MEAN_COUNT)
     v_amp = quadrature_variance(state, 0.0)
     rng = np.random.default_rng(seed)
     if abs(v_amp - 1.0) <= _POISSON_VARIANCE_TOL:
@@ -368,6 +371,14 @@ def _modulate(series: TimeSeries, tone: np.ndarray, depth: float) -> TimeSeries:
     return TimeSeries(series.sample_rate, _Owned(samples), lo_phase=series.lo_phase)
 
 
+def _psd_segment(sample_rate: float, rbw: float, n_samples: int) -> int:
+    """Samples per :func:`welch_psd` segment, checked before it becomes an int."""
+    check_range("resolution_bandwidth", rbw, gt=0.0)
+    n_segment = np.rint(sample_rate / rbw)  # inf stays a float, where round() raises
+    name = "samples per PSD segment (sample_rate / resolution_bandwidth)"
+    return int(check_range(name, n_segment, ge=_MIN_PSD_SEGMENT, le=n_samples))
+
+
 def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     """Averaged-periodogram PSD calibrated so shot noise reads 1.0 per bin.
 
@@ -383,18 +394,12 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     Raises
     ------
     ValueError
-        If the requested resolution is finer than the series length allows,
-        or so coarse that segments have fewer than 8 samples.
+        If ``sample_rate / resolution_bandwidth`` is not finite, or rounds to
+        fewer than 8 samples per segment or to more than the series holds.
     """
-    check_range("resolution_bandwidth", resolution_bandwidth, gt=0.0)
-    n_segment = int(round(series.sample_rate / resolution_bandwidth))
-    check_range(
-        "samples per PSD segment (sample_rate / resolution_bandwidth)",
-        n_segment,
-        ge=_MIN_PSD_SEGMENT,
-        le=series.samples.size,
-    )
-    n_runs = series.samples.size // n_segment
+    n_samples = series.samples.size
+    n_segment = _psd_segment(series.sample_rate, resolution_bandwidth, n_samples)
+    n_runs = n_samples // n_segment
     segments = series.samples[: n_runs * n_segment].reshape(n_runs, n_segment)
     block_rows = min(n_runs, max(1, _PSD_BLOCK_BYTES // (8 * n_segment)))
     # Row 0 carries the running sum, so each reduce adds the segments in

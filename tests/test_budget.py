@@ -174,6 +174,8 @@ def test_config_validation():
         _config(detection_efficiency=0.0)
     with pytest.raises(ValueError):
         _config(injection_loss=1.0)
+    with pytest.raises(ValueError, match=r"arm_length\*\*2 must be finite"):
+        standard_quantum_limit(_config(arm_length=1e300), 100.0)
     with pytest.raises(ValueError):
         FilterCavityParams(half_linewidth=0.0, detuning=1.0)
 

@@ -1,15 +1,24 @@
 """Run-level guarantees of ``sqzlab run``: size limits checked before any
-allocation, one modulation sine per ``snr-equivalence`` run, and its worker
-thread joined whether the run succeeds or fails."""
+allocation, one modulation sine per ``snr-equivalence`` run, its worker
+thread joined whether the run succeeds or fails, and no config that passes
+config validation ending in an unexpected runtime failure."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import sys
+import tempfile
 import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqzlab.cli as cli
 import sqzlab.detection as detection
@@ -131,8 +140,9 @@ def _failing_second_psd(monkeypatch):
 
 
 # (parameters, fault injected, exit code, message): the message and code a
-# serial run gives.  The first two fail on the worker thread, the last on
-# this one while the worker takes the sine.
+# serial run gives.  The first fails on this thread before any draw, the
+# second on the worker thread, the last on this one while the worker takes
+# the sine.
 WORKER_FAILURES = [
     (
         {"resolution_bandwidth_hz": 16384.0, "signal_frequency_hz": 16384.0},
@@ -224,3 +234,171 @@ def test_snr_equivalence_matches_a_serial_run_whatever_the_switch_interval():
             assert [result[key] for key in keys] == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+SEGMENT_ERROR = (
+    "samples per PSD segment (sample_rate / resolution_bandwidth) must be finite "
+    "and >= 8 and <= 65536"
+)
+SIGMA_SQUARED_ERROR = "phase-noise sigma**2 must be finite"
+COUNT_ERROR = "mean photons per window must be finite and <= 9.22337e+18"
+# (experiment, parameters, message): configs whose runs once divided by zero,
+# overflowed a float, exited 3 with numpy's words, or wrote an infinite fit
+# residual, because a quantity derived from the parameters was used before
+# anything checked it.
+DERIVED_FAILURES = [
+    ("snr-equivalence", {"resolution_bandwidth_hz": 1e11}, SEGMENT_ERROR),
+    (
+        "snr-equivalence",
+        {"resolution_bandwidth_hz": -0.0},
+        "resolution_bandwidth must be finite and > 0",
+    ),
+    ("snr-equivalence", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
+    # The signal sits an infinite number of bins up.
+    (
+        "snr-equivalence",
+        {
+            "sample_rate_hz": 1e-9,
+            "resolution_bandwidth_hz": 1e-12,
+            "signal_frequency_hz": 1e300,
+        },
+        "modulation frequency must be finite and > 0 and < 5e-10",
+    ),
+    ("bhd-psd", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
+    ("decohere", {"phase_noise_deg": 1e300}, SIGMA_SQUARED_ERROR),
+    ("fit-loss", {"fixed_phase_noise_deg": 1e303}, SIGMA_SQUARED_ERROR),
+    (
+        "fit-loss",
+        {"measurements": [[0.0, 0.0, 0.0], [0.0, 0.0, 1e300]]},
+        "fit residual (sum of squared dB errors) must be finite",
+    ),
+    ("noise-budget", {"arm_length_m": 1e300}, "arm_length**2 must be finite"),
+    ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
+    ("photon-record", {"power_w": 1e6, "noise_squeeze_db": 3.0}, COUNT_ERROR),
+]
+
+
+# The fit's squared dB errors overflow before the check sees their sum.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, params, message",
+    DERIVED_FAILURES,
+    ids=[
+        "snr-rbw-above-sample-rate",
+        "snr-rbw-negative-zero",
+        "snr-rbw-subnormal",
+        "snr-signal-infinite-bins-up",
+        "bhd-rbw-subnormal",
+        "decohere-sigma-squared",
+        "fit-loss-sigma-squared",
+        "fit-loss-residual",
+        "noise-budget-arm-length-squared",
+        "photon-record-coherent-counts",
+        "photon-record-squeezed-counts",
+    ],
+)
+def test_a_derived_quantity_out_of_range_exits_3_by_name(
+    tmp_path, capsys, name, params, message
+):
+    # The segment bound in SEGMENT_ERROR is n_samples.
+    size = {"n_samples": 65536} if "n_samples" in EXPERIMENTS[name].params else {}
+    parameters = {**REQUIRED.get(name, {}), **size, **params}
+    assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Boundary floats, and values just inside the bounds the models state:
+# efficiencies and losses in [0, 1], the splitter's 0.5, the 0.01 power ratio.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-12, 1e12, 1e300, -1.0, 0.999999, 0.499999, 0.009999]
+# Array sizes stay at most this, so that a run takes milliseconds.
+SIZE_CAP = 4096
+# Validation errors that name their parameters in a sentence rather than as
+# "<name> must ...".
+WORDED_ERRORS = {
+    "set either gain or pump_ratio",
+    "filter cavity needs both half linewidth and detuning, or neither",
+    "choose either a filter cavity or matched_rotation, not both",
+    "mean count is zero, Fano factor undefined",
+    "need at least two windows for a variance",
+}
+
+
+def _values(param):
+    """Values of a parameter's declared kind: edge floats and small sizes."""
+    kind = param.kind.removesuffix("?")
+    if kind == "int":
+        values = st.sampled_from([-1, 0, 1, 2, 8, min(param.default, SIZE_CAP)])
+    elif kind == "float":
+        values = st.sampled_from(EDGE_FLOATS)
+    elif kind == "bool":
+        values = st.booleans()
+    elif kind == "str":
+        values = st.sampled_from([param.default, "other"])
+    elif kind == "list":
+        values = st.lists(st.sampled_from(EDGE_FLOATS), max_size=4)
+    else:  # "list|str", fit-loss's measurements
+        triple = st.lists(st.sampled_from(EDGE_FLOATS), min_size=3, max_size=3)
+        values = st.sampled_from([param.default, "other"]) | st.lists(triple, max_size=4)
+    return values if kind == param.kind else st.none() | values
+
+
+@st.composite
+def configs(draw):
+    """A config of any experiment that changes up to three of its parameters."""
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    params = EXPERIMENTS[name].params
+    parameters = dict(REQUIRED.get(name, {}))
+    for pname, param in params.items():
+        if param.bytes_each:
+            parameters[pname] = min(param.default, SIZE_CAP)
+    for pname in draw(st.lists(st.sampled_from(sorted(params)), max_size=3, unique=True)):
+        parameters[pname] = draw(_values(params[pname]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    return {"experiment": name, "seed": 1, "parameters": parameters, "output_format": fmt}
+
+
+def _not_finite(token):
+    raise AssertionError(f"the output holds {token}")
+
+
+def _assert_finite_numbers(path):
+    """Every number in a CSV or JSON output file is finite."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=_not_finite)
+        return
+    for line in text.splitlines():
+        cells = [line.partition(" = ")[2]] if line.startswith("# ") else line.split(",")
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:  # a word: a column name, a shape, a boolean
+                continue
+            assert math.isfinite(value), f"{path.name}: {line}"
+
+
+def _check_run(config):
+    """Run ``config``: it exits 0 with finite outputs, 2, or 3 by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        # Extreme parameters overflow intermediate values, which numpy warns
+        # about before a model's check rejects them.
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = _run(Path(tmp), config)
+        message = err.getvalue()
+        assert code in (0, 2, 3), message
+        if code == 0:
+            for output in Path(tmp, "out").iterdir():
+                _assert_finite_numbers(output)
+        elif code == 3:
+            reason = message.removeprefix("validation error: ").rstrip("\n")
+            assert " must " in reason or reason in WORDED_ERRORS, message
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=configs())
+def test_every_config_runs_or_is_rejected_by_name(config):
+    _check_run(config)

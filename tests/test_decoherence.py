@@ -57,6 +57,9 @@ def test_phase_noise_degree_round_trip():
     assert noise.degrees == pytest.approx(1.2, abs=1e-12)
     with pytest.raises(ValueError):
         PhaseNoise(-0.1)
+    # The square of 1e300 degrees in radians overflows a float.
+    with pytest.raises(ValueError, match=r"phase-noise sigma\*\*2 must be finite"):
+        forward_model(63.0, 0.086, 0.1, PhaseNoise.from_degrees(1e300))
 
 
 def test_forward_model_scalar_and_array_agree():

@@ -103,6 +103,13 @@ def test_dim_beam_rejects_gaussian_branch():
         sample_photon_record(state, _source(power=POWER_1000 / 100), _windowing(100), 1)
 
 
+@pytest.mark.parametrize("state", [vacuum(), squeeze(vacuum(), SqueezeSetting(R_10DB))])
+def test_counts_beyond_int64_are_rejected_by_name(state):
+    # 1 MW at 1064 nm puts 5.4e20 photons into a 0.1 ms window.
+    with pytest.raises(ValueError, match="mean photons per window must be finite"):
+        sample_photon_record(state, _source(power=1e6), _windowing(10), seed=1)
+
+
 def test_fano_needs_two_windows():
     record = sample_photon_record(vacuum(), _source(), _windowing(1), seed=1)
     with pytest.raises(ValueError):
@@ -264,6 +271,8 @@ def test_psd_segment_bounds():
         welch_psd(series, 25.0)  # segments of 4 samples are too short
     with pytest.raises(ValueError):
         welch_psd(series, 0.5)  # segment longer than the series
+    with pytest.raises(ValueError, match=r"samples per PSD segment .* must be finite"):
+        welch_psd(series, 5e-324)  # 100 / 5e-324 overflows to inf
 
 
 def test_time_series_validation():

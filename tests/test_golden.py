@@ -79,6 +79,20 @@ CASES = {
         {"squeeze_db": 6.0, "matched_rotation": True},
         None,
     ),
+    # A leak of LO noise through the splitter, and a tail of 97 samples after
+    # the last 128-sample PSD segment that only the series variance reads.
+    "bhd-psd-lo-leak-tail": (
+        "bhd-psd",
+        {"lo_noise_variance": 4.0, "balance_asymmetry": 0.25, "n_samples": 300001},
+        11,
+    ),
+    # One PSD segment of 2 MiB, longer than welch_psd's 1 MiB block.
+    "bhd-psd-long-segment": (
+        "bhd-psd",
+        {"resolution_bandwidth_hz": 1.0, "n_samples": 524288},
+        12,
+    ),
+    "snr-equivalence-tail": ("snr-equivalence", {"n_samples": 300001}, 13),
 }
 
 # (case, output format) -> (sha256 of the data file, sha256 of manifest.json)
@@ -194,6 +208,29 @@ GOLDEN = {
     ("noise-budget-matched", "json"): (
         "5219d3556a7fde5bcf9448cee73515a88ba51581e444e0dc1a72591562bef069",
         "ce0b933a6d339e18d28bc0d2a423247f864d78adc4459633c432347955c78d2e",
+    ),    ("bhd-psd-lo-leak-tail", "csv"): (
+        "26fb592f22ef32cdeded0501fa79396f93ec82e2be07252619a53420ad6bd0b5",
+        "7549ed86121a84f573f505edc209db75d899c23a126f757a04a1a2974c1fa51e",
+    ),
+    ("bhd-psd-lo-leak-tail", "json"): (
+        "daa49440924d1cbf00000d50cef5722aaedc1c85fd087f9851564793faa7028d",
+        "82137aea75e9d32384b05f09fb547adccec34fffb4788c20c1dde7295e0478d7",
+    ),
+    ("bhd-psd-long-segment", "csv"): (
+        "c42f1b48ebf61be9ca184d11e4e5eb7abf0af91c0436ce7692e71330f9e380f2",
+        "26ce6fac36e73ab70f801c29da21b97abfb954821404b9d70bf244ac0366dc69",
+    ),
+    ("bhd-psd-long-segment", "json"): (
+        "601bb55d4950ef0d478a9440fc632eab3d4534818e447fce07ac3f1a9f087d81",
+        "52b78079b9f302f9ba37fad5a9e830b8bdc4dfa60479f6c50bbdd1e250b8582a",
+    ),
+    ("snr-equivalence-tail", "csv"): (
+        "4c3695e775fe37f62a629dd52d8ab427df756c3f018fab0ecc346b3be4cbbfe2",
+        "24e1cca1f9230df0dce5bcf4dc289ecdbe37b3ddf32a64911b3d0a8510c8fae5",
+    ),
+    ("snr-equivalence-tail", "json"): (
+        "891bfc95ac1c4a4137660cff445a5bd71c692235a6a5c4b64644c897188b8a5c",
+        "5c1feeec3056f18a24ad62403f55753c51ff627dc48bc1605b7af17a6f4bc0ea",
     ),
 }
 

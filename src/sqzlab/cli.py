@@ -62,8 +62,11 @@ from .detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
-    _modulate,
+    TimeSeries,
+    _add_tone,
+    _bhd_samples,
     _psd_segment,
+    _series_variance,
     _tone_phase,
     bhd_series,
     fano_factor,
@@ -71,7 +74,7 @@ from .detection import (
     sample_photon_record,
     welch_psd,
 )
-from .gaussian import SqueezeSetting, check_range, db_from_variance, squeeze, vacuum
+from .gaussian import SqueezeSetting, _Owned, check_range, db_from_variance, squeeze, vacuum
 from .io import write_csv, write_json
 from .opo import OpoParams, opo_spectrum, parametric_gain, pump_ratio_from_gain
 
@@ -326,7 +329,7 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
         [spectrum.frequencies, spectrum.psd, db_from_variance(spectrum.psd)]
     )
     metadata = {
-        "series_variance": float(series.samples.var()),
+        "series_variance": _series_variance(series.samples),
         "resolution_bandwidth_hz": spectrum.resolution_bandwidth,
         "n_averages": params["n_samples"] // n_segment,
     }
@@ -370,13 +373,14 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         return _peak_snr(welch_psd(series, rbw), f_signal)
 
     # A worker thread takes the sine the three series share, then each arm's
-    # spectrum while this thread draws the next arm.  This thread allocates
-    # every large array: a freed buffer then returns to one malloc arena,
-    # where the next run reuses it, instead of one arena per thread.  Every
-    # step gets the inputs it gets in a serial run, so the bytes do not
-    # depend on how the threads are scheduled.  Leaving the block joins the
-    # worker, whether the run succeeds or fails.  Imported here, so that no
-    # other run pays for the module.
+    # spectrum while this thread draws the next arm and adds the tone to it
+    # in place.  This thread allocates every large array: a freed buffer
+    # then returns to one malloc arena, where the next run reuses it,
+    # instead of one arena per thread.  Every step gets the inputs it gets
+    # in a serial run, so the bytes do not depend on how the threads are
+    # scheduled.  Leaving the block joins the worker, whether the run
+    # succeeds or fails.  Imported here, so that no other run pays for the
+    # module.
     from concurrent.futures import ThreadPoolExecutor
 
     phase = _tone_phase(n_samples, fs, f_signal)
@@ -384,11 +388,10 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         job = worker.submit(np.sin, phase, phase)  # in place
         done = []  # the sine, then each arm's SNR
         for state, case_depth, case_seed in cases:
-            series = bhd_series(state, 0.0, ratio, detector, n_samples, case_seed, fs)
+            samples = _bhd_samples(state, 0.0, ratio, detector, n_samples, case_seed)
             done.append(job.result())
-            # Rebinding frees the unmodulated draw before the next one.
-            series = _modulate(series, done[0], case_depth)
-            job = worker.submit(arm_snr, series)
+            _add_tone(samples, done[0], case_depth)
+            job = worker.submit(arm_snr, TimeSeries(fs, _Owned(samples)))
         done.append(job.result())
     _, squeezed_snr, equal_snr, double_snr = done
     result = {

@@ -72,6 +72,9 @@ _MIN_PSD_SEGMENT = 8
 # working memory stays under 2 MiB, however long the series, whenever one
 # segment fits in a block.
 _PSD_BLOCK_BYTES = 1 << 20
+# _series_variance and _add_tone work through a scratch of this many
+# samples (512 KiB) instead of a temporary as long as the series.
+_SCRATCH_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -313,6 +316,28 @@ def bhd_series(
         If the signal beam is not much weaker than the local oscillator
         (power ratio >= 0.01).
     """
+    samples = _bhd_samples(
+        signal_state,
+        lo_phase,
+        signal_to_lo_power_ratio,
+        detector,
+        n_samples,
+        seed,
+        lo_noise_variance,
+    )
+    return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
+
+
+def _bhd_samples(
+    signal_state: GaussianState,
+    lo_phase: float,
+    signal_to_lo_power_ratio: float,
+    detector: DetectorParams,
+    n_samples: int,
+    seed: int,
+    lo_noise_variance: float = 0.0,
+) -> np.ndarray:
+    """The samples of :func:`bhd_series`, in a new array the caller owns."""
     check_range("n_samples", n_samples, ge=1)
     check_range("lo_phase", lo_phase)
     check_range(
@@ -331,8 +356,11 @@ def bhd_series(
     samples = rng.normal(0.0, np.sqrt(variance), size=n_samples)
     leak_amplitude = 2.0 * detector.balance_asymmetry * np.sqrt(lo_noise_variance)
     if leak_amplitude > 0.0:
-        samples = samples + leak_amplitude * rng.normal(size=n_samples)
-    return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
+        # samples + leak_amplitude * leak, bit for bit, in place.
+        leak = rng.normal(size=n_samples)
+        leak *= leak_amplitude
+        samples += leak
+    return samples
 
 
 def add_signal_modulation(
@@ -344,31 +372,72 @@ def add_signal_modulation(
     units as the samples.  The frequency must sit below Nyquist.
     """
     phase = _tone_phase(series.samples.size, series.sample_rate, frequency)
-    return _modulate(series, np.sin(phase, out=phase), depth)
+    samples = series.samples.copy()
+    _add_tone(samples, np.sin(phase, out=phase), depth)
+    return TimeSeries(series.sample_rate, _Owned(samples), lo_phase=series.lo_phase)
 
 
 def _tone_phase(n_samples: int, sample_rate: float, frequency: float) -> np.ndarray:
     """The phase ``2 pi f t`` on the times of ``n_samples`` samples.
 
-    Its sine, taken in place, is the unit tone :func:`_modulate` adds.
+    Its sine, taken in place, is the unit tone :func:`_add_tone` adds.
     Series of one length and sample rate share it, so a caller modulating
     several of them computes it once.  It may take the sine on another
     thread, while this thread, which allocated the array, goes on.
     """
     check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
-    # In place: each 2^20-sample temporary costs 8 MiB of peak memory.
-    phase = np.arange(n_samples) / sample_rate
+    # One array, in place: each 2^20-sample temporary costs 8 MiB of peak
+    # memory.  Float arange holds the integers exactly, as int arange does.
+    phase = np.arange(n_samples, dtype=float)
+    phase /= sample_rate
     phase *= 2.0 * np.pi * frequency
     return phase
 
 
-def _modulate(series: TimeSeries, tone: np.ndarray, depth: float) -> TimeSeries:
-    """``series`` plus ``depth`` times ``tone``, the sine of its :func:`_tone_phase`."""
+def _add_tone(
+    samples: np.ndarray, tone: np.ndarray, depth: float, block: int = _SCRATCH_SAMPLES
+) -> None:
+    """Add ``depth * tone`` to ``samples`` in place, ``block`` samples at a time.
+
+    ``tone`` is the sine of a :func:`_tone_phase`.  Each sample becomes
+    ``sample + depth * tone``, bit for bit, whatever the block size, without
+    a temporary as long as the series.
+    """
     check_range("modulation depth", depth)
-    # samples + depth * tone, bit for bit (addition commutes), in place.
-    samples = depth * tone
-    samples += series.samples
-    return TimeSeries(series.sample_rate, _Owned(samples), lo_phase=series.lo_phase)
+    scratch = np.empty(min(samples.size, block))
+    for start in range(0, samples.size, block):
+        stop = min(start + block, samples.size)
+        part = scratch[: stop - start]
+        np.multiply(tone[start:stop], depth, out=part)
+        samples[start:stop] += part
+
+
+def _series_variance(samples: np.ndarray, leaf: int = _SCRATCH_SAMPLES) -> float:
+    """``samples.var()`` bit for bit, without its temporary as long as the series.
+
+    numpy sums the squared deviations from the mean pairwise: it splits a
+    run of ``n`` items at ``n // 2``, rounded down to a multiple of 8, until
+    a run holds at most 128.  This makes the same splits down to runs of at
+    most ``leaf`` items (at least 128), squares each run's deviations in
+    one small scratch and lets numpy sum it, so every addition is the one
+    ``var`` makes.
+    """
+    scratch = np.empty(min(samples.size, leaf))
+    return float(_squared_deviations(samples, samples.mean(), scratch) / samples.size)
+
+
+def _squared_deviations(samples: np.ndarray, mean, scratch: np.ndarray):
+    """The pairwise sum of ``(samples - mean)**2``; see :func:`_series_variance`."""
+    n = samples.size
+    if n <= scratch.size:
+        part = scratch[:n]
+        np.subtract(samples, mean, out=part)
+        np.square(part, out=part)
+        return np.add.reduce(part)
+    half = n // 2 - n // 2 % 8
+    return _squared_deviations(samples[:half], mean, scratch) + _squared_deviations(
+        samples[half:], mean, scratch
+    )
 
 
 def _psd_segment(sample_rate: float, rbw: float, n_samples: int) -> int:

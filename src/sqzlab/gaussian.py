@@ -50,6 +50,11 @@ HBAR = PLANCK / (2 * math.pi)
 # gets a small absolute allowance for round-off in the caller's matrix.
 _SYMMETRY_TOL = 1e-9
 _HEISENBERG_TOL = 1e-9
+# The strongest representable squeeze: exp(2 r), the anti-squeezed
+# variance of vacuum, is the largest float at r = ln(max float) / 2, about
+# 354.891, which is 10 log10(max float), about 3082.55 dB.
+_MAX_SQUEEZE_R = 0.5 * math.log(np.finfo(float).max)
+_MAX_SQUEEZE_DB = 20.0 * _MAX_SQUEEZE_R / math.log(10.0)
 
 
 def check_range(name: str, value, *, ge=None, gt=None, le=None, lt=None):
@@ -203,7 +208,8 @@ class SqueezeSetting:
     """Squeeze magnitude and orientation.
 
     ``r`` is the dimensionless squeeze parameter (variance reduction
-    ``exp(-2 r)`` along the squeezed axis) and must be non-negative.
+    ``exp(-2 r)`` along the squeezed axis), from 0 up to ln(max float) / 2,
+    about 354.891, where ``exp(2 r)`` is the largest float.
     ``theta`` is the squeezed-axis angle measured from the amplitude
     quadrature; variances are pi-periodic in angle, so it is stored mod pi.
     """
@@ -212,15 +218,18 @@ class SqueezeSetting:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        check_range("squeeze parameter r", self.r, ge=0.0)
+        check_range("squeeze parameter r", self.r, ge=0.0, le=_MAX_SQUEEZE_R)
         check_range("squeeze angle", self.theta)
         object.__setattr__(self, "theta", float(self.theta) % np.pi)
         object.__setattr__(self, "r", float(self.r))
 
     @classmethod
     def from_db(cls, squeeze_db: float, theta: float = 0.0) -> "SqueezeSetting":
-        """Setting that squeezes shot noise by ``squeeze_db`` dB (>= 0) at ``theta``."""
-        check_range("squeeze_db", squeeze_db, ge=0.0)
+        """Setting that squeezes shot noise by ``squeeze_db`` dB at ``theta``.
+
+        ``squeeze_db`` runs from 0 up to 10 log10(max float), about 3082.55.
+        """
+        check_range("squeeze_db", squeeze_db, ge=0.0, le=_MAX_SQUEEZE_DB)
         return cls(squeeze_db * np.log(10.0) / 20.0, theta)
 
 

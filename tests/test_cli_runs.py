@@ -110,6 +110,19 @@ def test_bytes_each_bounds_the_measured_peak(tmp_path, name, pname, param, fmt):
     assert peak <= param.bytes_each * size
 
 
+def test_a_default_bhd_psd_run_peaks_at_10_bytes_per_sample(tmp_path):
+    # The series takes 8 bytes a sample.  samples.var() held a second array
+    # as long as the series; the variance now goes through a small scratch.
+    n_samples = EXPERIMENTS["bhd-psd"].params["n_samples"].default
+    tracemalloc.start()
+    try:
+        assert _run(tmp_path, {"experiment": "bhd-psd", "seed": 1}) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n_samples
+
+
 def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
     # The sine is taken in place of this one phase array; any other tone,
     # add_signal_modulation's included, would compute a phase and show here.
@@ -197,8 +210,6 @@ def _serial_snrs(params, seed):
     fs = params["sample_rate_hz"]
     n = params["n_samples"]
     depth = params["modulation_depth"]
-    # The sine of the shared phase, taken on this thread.
-    tone = np.sin(detection._tone_phase(n, fs, params["signal_frequency_hz"]))
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
     detector = detection.DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
@@ -213,7 +224,9 @@ def _serial_snrs(params, seed):
         series = detection.bhd_series(
             state, 0.0, params["signal_to_lo_power_ratio"], detector, n, case_seed, fs
         )
-        series = detection._modulate(series, tone, case_depth)
+        series = detection.add_signal_modulation(
+            series, params["signal_frequency_hz"], case_depth
+        )
         spectrum = detection.welch_psd(series, params["resolution_bandwidth_hz"])
         snrs.append(cli._peak_snr(spectrum, params["signal_frequency_hz"]))
     return snrs
@@ -300,12 +313,56 @@ DERIVED_FAILURES = [
 def test_a_derived_quantity_out_of_range_exits_3_by_name(
     tmp_path, capsys, name, params, message
 ):
+    _assert_exits_3(tmp_path, capsys, name, params, message)
+
+
+def _assert_exits_3(tmp_path, capsys, name, params, message):
+    """The run exits 3 with ``message`` as its one stderr line, and no output."""
     # The segment bound in SEGMENT_ERROR is n_samples.
     size = {"n_samples": 65536} if "n_samples" in EXPERIMENTS[name].params else {}
     parameters = {**REQUIRED.get(name, {}), **size, **params}
     assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 3
     assert capsys.readouterr().err == f"validation error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# Squeezes whose anti-squeezed variance exp(2 r) overflows a float.  Their
+# runs warned of numpy's overflow, then exited 3 naming the state covariance
+# (5,000 dB) or the state mean (1e4 dB and up) instead of the squeeze.
+SQUEEZE_FAILURES = [
+    ("bhd-psd", {"squeeze_db": 5000.0}),
+    ("bhd-psd", {"squeeze_db": 1e12}),
+    ("snr-equivalence", {"squeeze_db": 1e4}),
+    ("photon-record", {"noise_squeeze_db": 5000.0}),
+    ("noise-budget", {"squeeze_db": 5000.0}),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, params",
+    SQUEEZE_FAILURES,
+    ids=["bhd-5000-db", "bhd-1e12-db", "snr-1e4-db", "photon-5000-db", "budget-5000-db"],
+)
+def test_a_squeeze_beyond_the_float_range_exits_3_by_name(tmp_path, capsys, name, params):
+    message = "squeeze_db must be finite and >= 0 and <= 3082.55"
+    _assert_exits_3(tmp_path, capsys, name, params, message)
+
+
+# 10 log10(max float) is about 3082.547 dB.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("bhd-psd", {"squeeze_db": 3082.5, "n_samples": 65536}),
+        ("snr-equivalence", {"squeeze_db": 3082.5, "n_samples": 65536}),
+        ("photon-record", {"noise_squeeze_db": 3082.5}),
+    ],
+    ids=["bhd", "snr", "photon"],
+)
+def test_a_squeeze_just_inside_the_float_range_runs(tmp_path, name, params):
+    parameters = {**REQUIRED.get(name, {}), **params}
+    assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 0
 
 
 # Boundary floats, and values just inside the bounds the models state:

@@ -344,6 +344,33 @@ def test_largest_representable_squeeze_builds(theta):
     assert quadrature_variance(state, theta) == state.axes[0]
 
 
+# The strongest squeeze a float represents: exp(2 r) is the largest float at
+# r = ln(max float) / 2, and from_db reaches it at 10 log10(max float) dB.
+R_MAX = 354.891356446692
+DB_MAX = 3082.547155599167
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [SqueezeSetting(R_MAX), SqueezeSetting.from_db(DB_MAX), SqueezeSetting.from_db(3082.5)],
+    ids=["r-max", "db-max", "3082.5-db"],
+)
+def test_the_strongest_representable_squeeze_builds(setting):
+    minor, major, _ = squeeze(vacuum(), setting).axes
+    assert 0.0 < minor and math.isfinite(major)
+
+
+def test_a_squeeze_beyond_the_float_range_is_rejected_by_name():
+    # One ulp beyond either bound, squeeze's exp(2 r) overflowed, and a run
+    # failed naming the state covariance or mean instead of the squeeze.
+    with pytest.raises(ValueError) as r_error:
+        SqueezeSetting(math.nextafter(R_MAX, math.inf))
+    assert str(r_error.value) == "squeeze parameter r must be finite and >= 0 and <= 354.891"
+    with pytest.raises(ValueError) as db_error:
+        SqueezeSetting.from_db(math.nextafter(DB_MAX, math.inf))
+    assert str(db_error.value) == "squeeze_db must be finite and >= 0 and <= 3082.55"
+
+
 @pytest.mark.parametrize(
     "cov, message",
     [

@@ -394,16 +394,15 @@ def _tone_phase(n_samples: int, sample_rate: float, frequency: float) -> np.ndar
     return phase
 
 
-def _add_tone(
-    samples: np.ndarray, tone: np.ndarray, depth: float, block: int = _SCRATCH_SAMPLES
-) -> None:
-    """Add ``depth * tone`` to ``samples`` in place, ``block`` samples at a time.
+def _add_tone(samples: np.ndarray, tone: np.ndarray, depth: float) -> None:
+    """Add ``depth * tone`` to ``samples`` in place, a block at a time.
 
     ``tone`` is the sine of a :func:`_tone_phase`.  Each sample becomes
     ``sample + depth * tone``, bit for bit, whatever the block size, without
     a temporary as long as the series.
     """
     check_range("modulation depth", depth)
+    block = _SCRATCH_SAMPLES
     scratch = np.empty(min(samples.size, block))
     for start in range(0, samples.size, block):
         stop = min(start + block, samples.size)
@@ -412,17 +411,17 @@ def _add_tone(
         samples[start:stop] += part
 
 
-def _series_variance(samples: np.ndarray, leaf: int = _SCRATCH_SAMPLES) -> float:
+def _series_variance(samples: np.ndarray) -> float:
     """``samples.var()`` bit for bit, without its temporary as long as the series.
 
     numpy sums the squared deviations from the mean pairwise: it splits a
     run of ``n`` items at ``n // 2``, rounded down to a multiple of 8, until
-    a run holds at most 128.  This makes the same splits down to runs of at
-    most ``leaf`` items (at least 128), squares each run's deviations in
-    one small scratch and lets numpy sum it, so every addition is the one
+    a run holds at most 128.  This makes the same splits down to runs that
+    fit the scratch (which must hold at least 128), squares each run's
+    deviations in it and lets numpy sum it, so every addition is the one
     ``var`` makes.
     """
-    scratch = np.empty(min(samples.size, leaf))
+    scratch = np.empty(min(samples.size, _SCRATCH_SAMPLES))
     return float(_squared_deviations(samples, samples.mean(), scratch) / samples.size)
 
 

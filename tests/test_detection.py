@@ -366,20 +366,24 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
     assert spectrum.psd.tobytes() == expected.tobytes()
 
 
+SCRATCH = detection._SCRATCH_SAMPLES
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.integers(0, 21).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))),
-    leaf=st.sampled_from([128, 129, 1000, 4096, detection._SCRATCH_SAMPLES]),
+    leaf=st.sampled_from([128, 129, 1000, 4096, SCRATCH]),
     decade=st.integers(-140, 140),
     offset=st.sampled_from([0.0, 1.0, -3.5, 1.0e3]),
     seed=st.integers(0, 2**32 - 1),
 )
 # The default bhd-psd series, and an odd size above 4M at the smallest leaf.
-@example(size=2**21, leaf=detection._SCRATCH_SAMPLES, decade=0, offset=0.0, seed=0)
+@example(size=2**21, leaf=SCRATCH, decade=0, offset=0.0, seed=0)
 @example(size=2**22 + 1, leaf=128, decade=-3, offset=1.0, seed=1)
 def test_leafwise_variance_is_numpys_var_bit_for_bit(size, leaf, decade, offset, seed):
     samples = 10.0**decade * (offset + np.random.default_rng(seed).normal(size=size))
-    variance = detection._series_variance(samples, leaf)
+    with mock.patch.object(detection, "_SCRATCH_SAMPLES", leaf):
+        variance = detection._series_variance(samples)
     assert np.float64(variance).tobytes() == samples.var().tobytes()
 
 
@@ -392,8 +396,8 @@ def test_leafwise_variance_is_numpys_var_bit_for_bit(size, leaf, decade, offset,
     seed=st.integers(0, 2**32 - 1),
 )
 # snr-equivalence's default arm in default blocks, and a partial last block.
-@example(size=2**20, block=detection._SCRATCH_SAMPLES, depth=0.5, cycles=0.125, seed=0)
-@example(size=300001, block=detection._SCRATCH_SAMPLES, depth=-2.0, cycles=0.3, seed=1)
+@example(size=2**20, block=SCRATCH, depth=0.5, cycles=0.125, seed=0)
+@example(size=300001, block=SCRATCH, depth=-2.0, cycles=0.3, seed=1)
 def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
     size, block, depth, cycles, seed
 ):
@@ -404,5 +408,6 @@ def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
     modulated = add_signal_modulation(series, cycles * fs, depth)
     assert modulated.samples.tobytes() == expected.tobytes()
     samples = series.samples.copy()
-    detection._add_tone(samples, tone, depth, block)
+    with mock.patch.object(detection, "_SCRATCH_SAMPLES", block):
+        detection._add_tone(samples, tone, depth)
     assert samples.tobytes() == expected.tobytes()

@@ -202,3 +202,10 @@ def test_snr_equivalent_power_gain_frozen():
     assert snr_equivalent_power_gain(10.0) == pytest.approx(10.0, rel=1e-12)
     assert snr_equivalent_power_gain(0.0) == 1.0
 
+
+@pytest.mark.parametrize(
+    "improvement_db, expected",
+    [(-10.0, 0.1), (0.0, 1.0), (3.0, 1.9952623149688795), (10.0, 10.0)],
+)
+def test_snr_equivalent_power_gain_exact(improvement_db, expected):
+    assert snr_equivalent_power_gain(improvement_db) == expected

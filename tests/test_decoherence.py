@@ -39,6 +39,8 @@ def test_total_efficiency_frozen():
         )
     )
     assert total_efficiency(budget) == pytest.approx(0.95569551, abs=1e-10)
+    assert total_efficiency(budget) == 0.95569551
+    assert total_efficiency(LossBudget(())) == 1.0
 
 
 def test_loss_budget_rejects_bad_entry():
@@ -174,6 +176,24 @@ def test_effective_improvement_frozen():
     )
 
 
+@pytest.mark.parametrize(
+    "injected_db, loss, expected",
+    [
+        (0.0, 0.0, 0.0),
+        (0.0, 0.25, 0.0),
+        (0.0, 1.0, 0.0),
+        (3.0, 0.0, 3.0000000000000004),
+        (3.0, 0.25, 2.0350169216890914),
+        (3.0, 1.0, 0.0),
+        (10.0, 0.0, 10.0),
+        (10.0, 0.25, 4.8811663902112565),
+        (10.0, 1.0, 0.0),
+    ],
+)
+def test_effective_improvement_exact(injected_db, loss, expected):
+    assert effective_improvement(injected_db, loss) == expected
+
+
 def test_effective_improvement_limits():
     assert effective_improvement(10.0, 0.0) == pytest.approx(10.0, abs=1e-12)
     assert effective_improvement(0.0, 0.3) == pytest.approx(0.0, abs=1e-12)
@@ -186,6 +206,19 @@ def test_loss_for_improvement_frozen():
     assert loss_for_improvement(10.0, 3.5) == pytest.approx(
         0.3852039912788479, abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "injected_db, effective_db, expected",
+    [
+        (3.0, 0.0, 1.0),
+        (3.0, 1.5, 0.41450132132819056),
+        (3.0, 3.0, 0.0),
+        (10.0, 6.0, 0.16798738127884222),
+    ],
+)
+def test_loss_for_improvement_exact(injected_db, effective_db, expected):
+    assert loss_for_improvement(injected_db, effective_db) == expected
 
 
 def test_improvement_round_trip():

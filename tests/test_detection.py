@@ -1,5 +1,6 @@
 """Unit tests for photon counting, homodyne sampling, and the PSD."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,32 @@ def test_single_pd_variance():
     # 0.9 * 0.1 + 0.1 vacuum + 0.05 dark
     assert series.samples.var() == pytest.approx(0.24, rel=0.02)
     assert series.samples.mean() == pytest.approx(0.0, abs=0.01)
+
+
+# Pinned draws: 6 dB at 0.3 rad through efficiency 0.9 with dark noise and a
+# visibility a single photodiode ignores, over an odd length; and vacuum.
+@pytest.mark.parametrize(
+    "db, detector, seed, digest",
+    [
+        (
+            6.0,
+            DetectorParams(0.9, 0.05, 0.7),
+            5,
+            "5f09ddc1e665842d1b221f9a673a3a3fe56226ff50763bffb6cf8345df02a7e7",
+        ),
+        (
+            0.0,
+            DetectorParams(),
+            6,
+            "12a708ace6a4607c74b3209e07b098f9ecc64acba32f77df2c67b818846553f6",
+        ),
+    ],
+    ids=["6db-lossy-dark", "vacuum"],
+)
+def test_single_pd_series_bytes_are_pinned(db, detector, seed, digest):
+    state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.3))
+    series = single_pd_series(state, _source(), detector, 4097, seed=seed)
+    assert hashlib.sha256(series.samples.tobytes()).hexdigest() == digest
 
 
 def test_single_pd_needs_bright_carrier():

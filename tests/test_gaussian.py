@@ -93,6 +93,19 @@ def test_loss_on_known_state():
     )
 
 
+@pytest.mark.parametrize(
+    "loss, axes",
+    [
+        (0.0, (0.25118864315095796, 3.981071705534973, 0.3)),
+        (0.25, (0.43839148236321845, 3.23580377915123, 0.3)),
+        (1.0, (1.0, 1.0, 0.0)),
+    ],
+)
+def test_loss_axes_exact(loss, axes):
+    state = squeeze(vacuum(), SqueezeSetting.from_db(6.0, 0.3))
+    assert apply_loss(state, loss).axes == axes
+
+
 def test_loss_shrinks_mean():
     lossy = apply_loss(coherent(2.0, 0.0), 0.19)
     assert lossy.mean[0] == pytest.approx(4.0 * np.sqrt(0.81))

@@ -36,6 +36,7 @@ import numpy as np
 from .gaussian import (
     HBAR,
     LIGHT_SPEED,
+    _MAX_SQUEEZE_DB,
     SqueezeSetting,
     _frozen_array,
     apply_loss,
@@ -43,6 +44,7 @@ from .gaussian import (
     quadrature_variance,
     squeeze,
     vacuum,
+    variance_from_db,
 )
 
 __all__ = [
@@ -242,6 +244,7 @@ def snr_equivalent_power_gain(improvement_db: float) -> float:
     A squeezing improvement of x dB raises a shot-noise-limited SNR exactly
     like multiplying the carrier power by ``10**(x / 10)``.
     """
-    check_range("improvement_db", improvement_db)
-    return 10.0 ** (improvement_db / 10.0)
+    bound = _MAX_SQUEEZE_DB
+    check_range("improvement_db", improvement_db, ge=-bound, le=bound)
+    return variance_from_db(improvement_db)
 

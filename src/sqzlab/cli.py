@@ -738,28 +738,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Only a run that passed validation leaves a directory behind.
     out_dir.mkdir(parents=True, exist_ok=True)
     data_name = f"{name}.{output_format}"
+    header = {"experiment": name, "seed": seed, "version": __version__}
     if output_format == "csv":
-        metadata = {
-            "experiment": name,
-            "seed": "none" if seed is None else seed,
-            "version": __version__,
-            **outcome.metadata,
-        }
-        write_csv(out_dir / data_name, metadata, outcome.columns, outcome.rows)
+        header["seed"] = "none" if seed is None else seed
+        header.update(outcome.metadata)
+        write_csv(out_dir / data_name, header, outcome.columns, outcome.rows)
     else:
-        write_json(
-            out_dir / data_name,
-            {
-                "experiment": name,
-                "seed": seed,
-                "version": __version__,
-                "parameters": params,
-                "metadata": outcome.metadata,
-                "columns": outcome.columns,
-                "rows": outcome.rows,
-                "result": outcome.result,
-            },
-        )
+        header.update(parameters=params, metadata=outcome.metadata)
+        header.update(columns=outcome.columns, rows=outcome.rows, result=outcome.result)
+        write_json(out_dir / data_name, header)
     manifest = {
         "experiment": name,
         "parameters": params,

@@ -11,12 +11,13 @@ added loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .gaussian import check_range
+from .gaussian import _MAX_SQUEEZE_DB, _lossy, check_range, variance_from_db
 from .opo import OpoParams, SqueezeSpectrumPoint, opo_spectrum, pump_ratio_from_gain
 
 __all__ = [
@@ -108,10 +109,7 @@ class FitResult:
 
 def total_efficiency(budget: LossBudget) -> float:
     """Product of all efficiencies in the budget."""
-    out = 1.0
-    for _, efficiency in budget.entries:
-        out *= efficiency
-    return out
+    return math.prod((efficiency for _, efficiency in budget.entries), start=1.0)
 
 
 def visibility_efficiency(visibility: float) -> float:
@@ -151,8 +149,8 @@ def _jitter(v_squeeze, v_antisqueeze, variance):
 def _sweep_db(pure: SqueezeSpectrumPoint, loss0, added, variance):
     """Unchecked, broadcasting dB readings of :func:`forward_model`, given sigma**2."""
     combined = 1.0 - (1.0 - loss0) * (1.0 - added)
-    v_s = (1.0 - combined) * pure.v_squeeze + combined
-    v_a = (1.0 - combined) * pure.v_antisqueeze + combined
+    v_s = _lossy(pure.v_squeeze, combined)
+    v_a = _lossy(pure.v_antisqueeze, combined)
     v_s, v_a = _jitter(v_s, v_a, variance)
     return 10.0 * np.log10(v_s), 10.0 * np.log10(v_a)
 
@@ -268,12 +266,11 @@ def effective_improvement(injected_db: float, loss: float) -> float:
     ``injected_db`` is the squeezing magnitude entering the path, quoted as a
     positive number of dB.  Returns the output improvement in dB:
     ``-10 log10((1 - loss) * 10**(-injected_db / 10) + loss)``.  Total loss
-    returns 0 dB.
+    returns 0 dB.  ``injected_db`` reaches up to 10 log10(max float).
     """
-    check_range("injected_db", injected_db, ge=0.0)
+    check_range("injected_db", injected_db, ge=0.0, le=_MAX_SQUEEZE_DB)
     check_range("loss", loss, ge=0.0, le=1.0)
-    variance = (1.0 - loss) * 10.0 ** (-injected_db / 10.0) + loss
-    return -10.0 * np.log10(variance)
+    return -10.0 * np.log10(_lossy(variance_from_db(-injected_db), loss))
 
 
 def loss_for_improvement(injected_db: float, effective_db: float) -> float:
@@ -281,7 +278,9 @@ def loss_for_improvement(injected_db: float, effective_db: float) -> float:
 
     Closed-form inverse of :func:`effective_improvement`.
     """
-    check_range("injected_db", injected_db, gt=0.0)
+    check_range("injected_db", injected_db, gt=0.0, le=_MAX_SQUEEZE_DB)
     check_range("effective_db", effective_db, ge=0.0, le=injected_db)
-    floor = 10.0 ** (-injected_db / 10.0)
-    return (10.0 ** (-effective_db / 10.0) - floor) / (1.0 - floor)
+    floor = variance_from_db(-injected_db)
+    # Below about 5e-16 dB the floor rounds to 1, which leaves no range.
+    check_range("1 - variance_from_db(-injected_db)", 1.0 - floor, gt=0.0)
+    return (variance_from_db(-effective_db) - floor) / (1.0 - floor)

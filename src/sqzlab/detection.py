@@ -68,13 +68,10 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
-# welch_psd transforms this many bytes of segments at a time, so its
-# working memory stays under 2 MiB, however long the series, whenever one
-# segment fits in a block.
-_PSD_BLOCK_BYTES = 1 << 20
-# _series_variance and _add_tone work through a scratch of this many
-# samples (512 KiB) instead of a temporary as long as the series.
-_SCRATCH_SAMPLES = 1 << 16
+# welch_psd transforms its segments, and _series_variance and _add_tone fill
+# a float64 scratch, this many bytes at a time: no temporary is as long as the
+# series, and welch_psd stays under 2 MiB whenever one segment fits a block.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -285,11 +282,17 @@ def single_pd_series(
         photon_flux(source) / sample_rate,
         ge=_BRIGHT_CARRIER_MIN_PHOTONS,
     )
-    detected = apply_loss(state, 1.0 - detector.quantum_efficiency)
-    variance = quadrature_variance(detected, 0.0) + detector.dark_noise_variance
-    rng = np.random.default_rng(seed)
-    samples = rng.normal(0.0, np.sqrt(variance), size=n_samples)
+    efficiency = detector.quantum_efficiency
+    samples, _ = _detected_draw(state, 0.0, efficiency, detector, n_samples, seed)
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
+
+
+def _detected_draw(state, angle, efficiency, detector, n_samples, seed):
+    """Seeded draw at ``angle`` through ``efficiency``, plus dark noise, and its rng."""
+    detected = apply_loss(state, 1.0 - efficiency)
+    variance = quadrature_variance(detected, angle) + detector.dark_noise_variance
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, np.sqrt(variance), size=n_samples), rng
 
 
 def bhd_series(
@@ -350,10 +353,9 @@ def _bhd_samples(
     efficiency = detector.quantum_efficiency * visibility_efficiency(
         detector.visibility
     )
-    detected = apply_loss(signal_state, 1.0 - efficiency)
-    variance = quadrature_variance(detected, lo_phase) + detector.dark_noise_variance
-    rng = np.random.default_rng(seed)
-    samples = rng.normal(0.0, np.sqrt(variance), size=n_samples)
+    samples, rng = _detected_draw(
+        signal_state, lo_phase, efficiency, detector, n_samples, seed
+    )
     leak_amplitude = 2.0 * detector.balance_asymmetry * np.sqrt(lo_noise_variance)
     if leak_amplitude > 0.0:
         # samples + leak_amplitude * leak, bit for bit, in place.
@@ -402,7 +404,7 @@ def _add_tone(samples: np.ndarray, tone: np.ndarray, depth: float) -> None:
     a temporary as long as the series.
     """
     check_range("modulation depth", depth)
-    block = _SCRATCH_SAMPLES
+    block = _BLOCK_BYTES // 8
     scratch = np.empty(min(samples.size, block))
     for start in range(0, samples.size, block):
         stop = min(start + block, samples.size)
@@ -421,7 +423,7 @@ def _series_variance(samples: np.ndarray) -> float:
     deviations in it and lets numpy sum it, so every addition is the one
     ``var`` makes.
     """
-    scratch = np.empty(min(samples.size, _SCRATCH_SAMPLES))
+    scratch = np.empty(min(samples.size, _BLOCK_BYTES // 8))
     return float(_squared_deviations(samples, samples.mean(), scratch) / samples.size)
 
 
@@ -469,7 +471,7 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     n_segment = _psd_segment(series.sample_rate, resolution_bandwidth, n_samples)
     n_runs = n_samples // n_segment
     segments = series.samples[: n_runs * n_segment].reshape(n_runs, n_segment)
-    block_rows = min(n_runs, max(1, _PSD_BLOCK_BYTES // (8 * n_segment)))
+    block_rows = min(n_runs, max(1, _BLOCK_BYTES // (8 * n_segment)))
     # Row 0 carries the running sum, so each reduce adds the segments in
     # their original order: the result is ``spectra.mean(axis=0)`` bit for
     # bit without holding every segment's spectrum at once.

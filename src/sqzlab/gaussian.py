@@ -288,11 +288,14 @@ def apply_loss(state: GaussianState, loss: float) -> GaussianState:
         ``a`` then ``b`` equals one channel of ``1 - (1 - a) * (1 - b)``.
     """
     check_range("loss", loss, ge=0.0, le=1.0)
-    kept = 1.0 - loss
     minor, major, theta = state.axes
-    return _from_axes(
-        np.sqrt(kept) * state.mean, kept * minor + loss, kept * major + loss, theta
-    )
+    mean = np.sqrt(1.0 - loss) * state.mean
+    return _from_axes(mean, _lossy(minor, loss), _lossy(major, loss), theta)
+
+
+def _lossy(variance, loss):
+    """Unchecked, broadcasting variance ``(1 - loss) * variance + loss`` after loss."""
+    return (1.0 - loss) * variance + loss
 
 
 def quadrature_variance(state: GaussianState, angle):
@@ -329,6 +332,6 @@ def db_from_variance(variance):
 
 
 def variance_from_db(db: float) -> float:
-    """Inverse of :func:`db_from_variance`."""
-    check_range("dB value", db)
+    """Inverse of :func:`db_from_variance`, for |db| up to 10 log10(max float)."""
+    check_range("dB value", db, ge=-_MAX_SQUEEZE_DB, le=_MAX_SQUEEZE_DB)
     return 10.0 ** (db / 10.0)

@@ -203,6 +203,15 @@ def test_snr_equivalent_power_gain_frozen():
     assert snr_equivalent_power_gain(0.0) == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("improvement_db", [4000.0, -4000.0])
+def test_snr_gain_beyond_the_float_range_is_rejected_by_name(improvement_db):
+    # 4000 dB raised OverflowError; -4000 dB returned a power gain of 0.
+    with pytest.raises(ValueError, match=r"^improvement_db must be finite and >= -3082"):
+        snr_equivalent_power_gain(improvement_db)
+    assert snr_equivalent_power_gain(3082.547155599167) == 1.7976931348620926e308
+
+
 @pytest.mark.parametrize(
     "improvement_db, expected",
     [(-10.0, 0.1), (0.0, 1.0), (3.0, 1.9952623149688795), (10.0, 10.0)],

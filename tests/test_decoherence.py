@@ -221,6 +221,22 @@ def test_loss_for_improvement_exact(injected_db, effective_db, expected):
     assert loss_for_improvement(injected_db, effective_db) == expected
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_injected_squeeze_beyond_the_float_range_is_rejected_by_name():
+    # 3300 dB rounded the variance to 0 and returned inf after numpy's
+    # divide-by-zero warning.
+    with pytest.raises(ValueError, match=r"^injected_db must be finite and >= 0 and <= 3082\.55$"):
+        effective_improvement(3300.0, 0.0)
+    assert effective_improvement(3082.547155599167, 0.0) == 3082.547155599167
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_injected_squeeze_too_small_to_resolve_is_rejected_by_name():
+    # 10**(-1e-301) rounds to 1, and the inverse divided by zero.
+    with pytest.raises(ValueError, match=r"^1 - variance_from_db\(-injected_db\) must be"):
+        loss_for_improvement(1e-300, 0.0)
+
+
 def test_improvement_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -365,7 +365,7 @@ def _mean_periodogram(samples, n_segment):
     return spectra.mean(axis=0)[1 : (n_segment + 1) // 2]
 
 
-BLOCK = detection._PSD_BLOCK_BYTES
+BLOCK = detection._BLOCK_BYTES
 
 
 @settings(max_examples=200, deadline=None)
@@ -387,19 +387,19 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
 ):
     size = n_segment * n_runs + tail % n_segment
     samples = np.random.default_rng(seed).normal(size=size)
-    with mock.patch.object(detection, "_PSD_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(detection, "_BLOCK_BYTES", block_bytes):
         spectrum = welch_psd(TimeSeries(float(n_segment), samples), 1.0)
     expected = _mean_periodogram(samples, n_segment)
     assert spectrum.psd.tobytes() == expected.tobytes()
 
 
-SCRATCH = detection._SCRATCH_SAMPLES
+SCRATCH = BLOCK // 8  # samples of float64 scratch
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.integers(0, 21).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))),
-    leaf=st.sampled_from([128, 129, 1000, 4096, SCRATCH]),
+    leaf=st.sampled_from([128, 129, 1000, 4096, 65536, SCRATCH]),
     decade=st.integers(-140, 140),
     offset=st.sampled_from([0.0, 1.0, -3.5, 1.0e3]),
     seed=st.integers(0, 2**32 - 1),
@@ -409,7 +409,7 @@ SCRATCH = detection._SCRATCH_SAMPLES
 @example(size=2**22 + 1, leaf=128, decade=-3, offset=1.0, seed=1)
 def test_leafwise_variance_is_numpys_var_bit_for_bit(size, leaf, decade, offset, seed):
     samples = 10.0**decade * (offset + np.random.default_rng(seed).normal(size=size))
-    with mock.patch.object(detection, "_SCRATCH_SAMPLES", leaf):
+    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * leaf):
         variance = detection._series_variance(samples)
     assert np.float64(variance).tobytes() == samples.var().tobytes()
 
@@ -435,6 +435,6 @@ def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
     modulated = add_signal_modulation(series, cycles * fs, depth)
     assert modulated.samples.tobytes() == expected.tobytes()
     samples = series.samples.copy()
-    with mock.patch.object(detection, "_SCRATCH_SAMPLES", block):
+    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
         detection._add_tone(samples, tone, depth)
     assert samples.tobytes() == expected.tobytes()

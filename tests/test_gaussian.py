@@ -150,6 +150,15 @@ def test_decibel_frozen_values():
     assert variance_from_db(-3.0103) == pytest.approx(0.4999999950079739, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decibels_beyond_the_float_range_are_rejected_by_name():
+    # 10**400 overflowed with an OverflowError that named nothing.
+    with pytest.raises(ValueError, match=r"^dB value must be finite and >= -3082\.55 "):
+        variance_from_db(4000.0)
+    assert variance_from_db(DB_MAX) == 1.7976931348620926e308
+    assert variance_from_db(-DB_MAX) == 5.562684646268695e-309
+
+
 def test_decibel_round_trip():
     rng = np.random.default_rng(3)
     for variance in rng.uniform(0.01, 100.0, size=25):

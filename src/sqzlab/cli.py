@@ -369,31 +369,33 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     ]
     ratio = params["signal_to_lo_power_ratio"]
 
-    def arm_snr(series) -> float:
-        return _peak_snr(welch_psd(series, rbw), f_signal)
-
-    # A worker thread takes the sine the three series share, then each arm's
-    # spectrum while this thread draws the next arm and adds the tone to it
-    # in place.  This thread allocates every large array: a freed buffer
-    # then returns to one malloc arena, where the next run reuses it,
-    # instead of one arena per thread.  Every step gets the inputs it gets
-    # in a serial run, so the bytes do not depend on how the threads are
+    # Each thread runs whole arms: draw, tone, spectrum.  The worker takes the
+    # sine the three series share and then arm 2; this thread runs arm 1,
+    # waits for the sine only before adding its tone, and then runs arm 3.
+    # This thread allocates every large array, so that freed buffers return
+    # to one malloc arena, where the next run reuses them.  Arm 2's buffer
+    # comes before the phase and is freed when arm 2 ends; in that order a
+    # run's freed arrays leave room that a later, longer series reuses,
+    # instead of the heap growing.  Every step gets the inputs it gets in
+    # a serial run, so the bytes do not depend on how the threads are
     # scheduled.  Leaving the block joins the worker, whether the run
-    # succeeds or fails.  Imported here, so that no other run pays for the
-    # module.
+    # succeeds or fails.  Imported here, so no other run pays for the module.
     from concurrent.futures import ThreadPoolExecutor
 
+    def arm_snr(state, case_depth, case_seed, out=None) -> float:
+        samples = _bhd_samples(state, 0.0, ratio, detector, n_samples, case_seed, out=out)
+        _add_tone(samples, sine.result(), case_depth)
+        return _peak_snr(welch_psd(TimeSeries(fs, _Owned(samples)), rbw), f_signal)
+
+    buffer = np.empty(n_samples)
     phase = _tone_phase(n_samples, fs, f_signal)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        job = worker.submit(np.sin, phase, phase)  # in place
-        done = []  # the sine, then each arm's SNR
-        for state, case_depth, case_seed in cases:
-            samples = _bhd_samples(state, 0.0, ratio, detector, n_samples, case_seed)
-            done.append(job.result())
-            _add_tone(samples, done[0], case_depth)
-            job = worker.submit(arm_snr, TimeSeries(fs, _Owned(samples)))
-        done.append(job.result())
-    _, squeezed_snr, equal_snr, double_snr = done
+        sine = worker.submit(np.sin, phase, phase)  # in place
+        equal = worker.submit(arm_snr, *cases[1], buffer)
+        del buffer
+        squeezed_snr = arm_snr(*cases[0])
+        double_snr = arm_snr(*cases[2])
+        equal_snr = equal.result()
     result = {
         "snr_squeezed": squeezed_snr,
         "snr_coherent_equal_power": equal_snr,

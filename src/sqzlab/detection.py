@@ -6,11 +6,11 @@ carrier itself enters as classical parameters: a :class:`LightSource` for
 direct detection, a local-oscillator phase and power ratio for balanced
 homodyne detection.  All sampling is driven by an explicit integer seed and
 is reproducible bit for bit; identical seeds give identical records no
-matter how the caller schedules the work.  A run may therefore overlap its
-seeded draws with spectral estimation on a second thread, as
-``sqzlab run snr-equivalence`` does: each draw has its own generator, and
-:func:`welch_psd` reads only the series it is given, so the bytes do not
-depend on how the threads are scheduled.
+matter how the caller schedules the work.  A run may therefore draw and
+analyse series on two threads at once, as ``sqzlab run snr-equivalence``
+does: each draw has its own generator and may fill a buffer the caller
+allocated, and :func:`welch_psd` reads only the series it is given, so the
+bytes do not depend on how the threads are scheduled.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
 # welch_psd transforms its segments, and _series_variance and _add_tone fill
 # a float64 scratch, this many bytes at a time: no temporary is as long as the
-# series, and welch_psd stays under 2 MiB whenever one segment fits a block.
-_BLOCK_BYTES = 1 << 20
+# series, and welch_psd stays under 1 MiB whenever one segment fits a block.
+# A scratch this size and the blocks it is made from fit a 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -287,12 +288,20 @@ def single_pd_series(
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
 
 
-def _detected_draw(state, angle, efficiency, detector, n_samples, seed):
-    """Seeded draw at ``angle`` through ``efficiency``, plus dark noise, and its rng."""
+def _detected_draw(state, angle, efficiency, detector, n_samples, seed, out=None):
+    """Seeded draw at ``angle`` through ``efficiency``, plus dark noise, and its rng.
+
+    The draw fills ``out`` (a new array if None) with ``rng.normal(0.0, scale,
+    n_samples)`` bit for bit: numpy computes ``0.0 + scale * z``, and adding
+    0.0 turns a -0.0 into +0.0 as that sum does.
+    """
     detected = apply_loss(state, 1.0 - efficiency)
     variance = quadrature_variance(detected, angle) + detector.dark_noise_variance
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, np.sqrt(variance), size=n_samples), rng
+    samples = rng.standard_normal(out=np.empty(n_samples) if out is None else out)
+    samples *= np.sqrt(variance)
+    samples += 0.0
+    return samples, rng
 
 
 def bhd_series(
@@ -339,8 +348,9 @@ def _bhd_samples(
     n_samples: int,
     seed: int,
     lo_noise_variance: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The samples of :func:`bhd_series`, in a new array the caller owns."""
+    """The samples of :func:`bhd_series`, in ``out`` or a new array the caller owns."""
     check_range("n_samples", n_samples, ge=1)
     check_range("lo_phase", lo_phase)
     check_range(
@@ -354,7 +364,7 @@ def _bhd_samples(
         detector.visibility
     )
     samples, rng = _detected_draw(
-        signal_state, lo_phase, efficiency, detector, n_samples, seed
+        signal_state, lo_phase, efficiency, detector, n_samples, seed, out
     )
     leak_amplitude = 2.0 * detector.balance_asymmetry * np.sqrt(lo_noise_variance)
     if leak_amplitude > 0.0:
@@ -456,7 +466,7 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     ``sample_rate / resolution_bandwidth`` samples; per segment and bin the
     squared rFFT magnitude over the segment length estimates the variance
     contribution, and segments are averaged in order, a block of about
-    1 MiB of segments at a time.  DC and Nyquist bins are
+    512 KiB of segments at a time.  DC and Nyquist bins are
     dropped.  For a white unit-variance input every returned bin averages to
     1.0, and the mean over bins estimates the total sample variance
     (Parseval consistency).

@@ -11,6 +11,7 @@ import math
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -121,6 +122,22 @@ def test_a_default_bhd_psd_run_peaks_at_10_bytes_per_sample(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * n_samples
+
+
+def test_a_default_snr_equivalence_run_peaks_at_27_bytes_per_sample(tmp_path):
+    # The sine and the series of two arms in flight take 24 bytes a sample;
+    # the spectra and the tone go through blocks.  A small run first imports
+    # the modules a first run would, whose objects tracemalloc would count.
+    n_samples = EXPERIMENTS["snr-equivalence"].params["n_samples"].default
+    (tmp_path / "warm").mkdir()
+    assert _run(tmp_path / "warm", _config("snr-equivalence", "n_samples", 65536)) == 0
+    tracemalloc.start()
+    try:
+        assert _run(tmp_path, {"experiment": "snr-equivalence", "seed": 1}) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27 * n_samples
 
 
 def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
@@ -247,6 +264,35 @@ def test_snr_equivalence_matches_a_serial_run_whatever_the_switch_interval():
             assert [result[key] for key in keys] == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("slow", ["worker", "main"])
+def test_snr_equivalence_arms_may_finish_in_either_order(monkeypatch, slow):
+    # The slow thread sleeps before each of its draws, so the other thread's
+    # arm finishes first.
+    payload = _config("snr-equivalence", "n_samples", 65536)
+    _, params, seed, _, _ = _validate_config(payload)
+    expected = _serial_snrs(params, seed)
+    main_thread = threading.get_ident()
+    bhd_samples, peak_snr = cli._bhd_samples, cli._peak_snr
+    finished = []
+
+    def delayed_samples(*args, **kwargs):
+        if (threading.get_ident() == main_thread) == (slow == "main"):
+            time.sleep(0.2)
+        return bhd_samples(*args, **kwargs)
+
+    def recorded_snr(*args):
+        finished.append(threading.get_ident() == main_thread)
+        return peak_snr(*args)
+
+    monkeypatch.setattr(cli, "_bhd_samples", delayed_samples)
+    monkeypatch.setattr(cli, "_peak_snr", recorded_snr)
+    result = cli._run_snr_equivalence(params, seed).result
+    keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
+    assert [result[key] for key in keys] == expected
+    assert sorted(finished) == [False, True, True]
+    assert finished[0] == (slow == "worker")
 
 
 SEGMENT_ERROR = (

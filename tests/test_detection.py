@@ -26,7 +26,14 @@ from sqzlab.detection import (
     single_pd_series,
     welch_psd,
 )
-from sqzlab.gaussian import SqueezeSetting, _Owned, squeeze, vacuum
+from sqzlab.gaussian import (
+    SqueezeSetting,
+    _Owned,
+    apply_loss,
+    quadrature_variance,
+    squeeze,
+    vacuum,
+)
 
 R_10DB = np.log(10.0) / 2.0
 WAVELENGTH = 1.064e-6
@@ -399,7 +406,7 @@ SCRATCH = BLOCK // 8  # samples of float64 scratch
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.integers(0, 21).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))),
-    leaf=st.sampled_from([128, 129, 1000, 4096, 65536, SCRATCH]),
+    leaf=st.sampled_from(sorted({128, 129, 1000, 4096, 65536, 131072, SCRATCH})),
     decade=st.integers(-140, 140),
     offset=st.sampled_from([0.0, 1.0, -3.5, 1.0e3]),
     seed=st.integers(0, 2**32 - 1),
@@ -438,3 +445,51 @@ def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
     with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
         detection._add_tone(samples, tone, depth)
     assert samples.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(0, 20).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))),
+    db=st.floats(0.0, 60.0),
+    angle=st.floats(0.0, np.pi),
+    efficiency=st.floats(0.01, 1.0),
+    dark=st.sampled_from([0.0, 0.25, 1.0e-12, 1.0e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# One sample; an odd size; the largest size, odd and even.
+@example(size=1, db=3.0, angle=0.0, efficiency=1.0, dark=0.0, seed=0)
+@example(size=300001, db=10.0, angle=0.3, efficiency=0.9, dark=0.25, seed=1)
+@example(size=2**21 - 1, db=0.0, angle=0.0, efficiency=1.0, dark=0.0, seed=2)
+@example(size=2**21, db=60.0, angle=1.5, efficiency=0.5, dark=1.0e6, seed=3)
+def test_draw_into_a_buffer_is_rng_normal_bit_for_bit(
+    size, db, angle, efficiency, dark, seed
+):
+    state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.2))
+    detector = DetectorParams(0.5, dark)
+    variance = quadrature_variance(apply_loss(state, 1.0 - efficiency), angle) + dark
+    expected = np.random.default_rng(seed).normal(0.0, np.sqrt(variance), size)
+    buffer = np.full(size, np.nan)
+    samples, _ = detection._detected_draw(
+        state, angle, efficiency, detector, size, seed, buffer
+    )
+    assert samples is buffer
+    assert samples.tobytes() == expected.tobytes()
+
+
+class _NegativeZeros(np.random.Generator):
+    """A generator whose standard normal draws are all -0.0."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        out[...] = -0.0
+        return out
+
+
+def test_a_negative_zero_draw_scales_to_positive_zero():
+    # numpy's normal is 0.0 + scale * z, which maps z = -0.0 to +0.0.
+    def rng(seed):
+        return _NegativeZeros(np.random.PCG64(seed))
+
+    with mock.patch.object(np.random, "default_rng", rng):
+        samples, _ = detection._detected_draw(vacuum(), 0.0, 1.0, DetectorParams(), 5, 1)
+    assert samples.tobytes() == (0.0 + 1.0 * np.full(5, -0.0)).tobytes()
+    assert not np.signbit(samples).any()

@@ -86,7 +86,7 @@ CASES = {
         {"lo_noise_variance": 4.0, "balance_asymmetry": 0.25, "n_samples": 300001},
         11,
     ),
-    # One PSD segment of 2 MiB, longer than welch_psd's 1 MiB block.
+    # One PSD segment of 2 MiB, longer than welch_psd's 512 KiB block.
     "bhd-psd-long-segment": (
         "bhd-psd",
         {"resolution_bandwidth_hz": 1.0, "n_samples": 524288},

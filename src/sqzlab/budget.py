@@ -215,15 +215,18 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
     if config.matched_rotation:
         # Idealized frequency-dependent injection: the minor axis of the
         # noise ellipse tracks the effective readout quadrature exactly.
-        rotation = readout_angle - state.axes[2]
+        # The rotation, readout_angle - theta, is applied in two parts so
+        # that the readout lands on theta exactly: an ulp of error there,
+        # times the major axis, would swamp the minor.
+        axis, rotation = state.axes[2], readout_angle
     elif config.filter_cavity is not None:
-        rotation = filter_cavity_angle(config.filter_cavity, f)
+        axis, rotation = 0.0, filter_cavity_angle(config.filter_cavity, f)
     else:
-        rotation = np.zeros_like(f)
+        axis, rotation = 0.0, np.zeros_like(f)
 
     detected = apply_loss(state, 1.0 - config.detection_efficiency)
     e_total, e_shot, e_rpn = (
-        quadrature_variance(detected, angle - rotation)
+        quadrature_variance(detected, axis + (angle - rotation))
         for angle in (readout_angle, 0.5 * np.pi, 0.0)
     )
 

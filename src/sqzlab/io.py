@@ -6,17 +6,17 @@ run metadata as leading ``#`` comment lines followed by one header row.
 JSON files are ``json.dumps(payload, indent=2)`` byte for byte; a
 ``rows`` entry may be a 2-D array, written as its ``tolist()``.
 
-Both writers render their table through one renderer, parametrised by a
-row and a cell template, as one ``%``-format of the whole table: ``%s``
-applies ``str``, which equals ``repr`` for exact Python ``int`` and
-``float`` values.  CSV cells are typed once per column, or once per 2-D
-array by its dtype; exact ``int`` and ``float`` columns and integer or
-float arrays take ``%s`` directly, and any other column (bool, numpy
-scalars, strings) goes through :func:`format_value`.  JSON renders a
-non-empty 2-D integer or float array of finite values this way, spliced
-into the ``json.dumps`` text of the rest of the payload; other rows, and
-float arrays holding nan or infinity (JSON spells them ``NaN`` and
-``Infinity``), go through ``json``.
+A non-empty 2-D integer array goes through a digit kernel, which builds
+the decimal digits of the whole array in numpy, one digit per pass.  Any
+other table goes through one renderer, parametrised by a row and a cell
+template, as one ``%``-format of the whole table: ``%s`` applies ``str``,
+which equals ``repr`` for exact Python ``int`` and ``float`` values.  CSV
+cells are typed once per column, or once per 2-D array by its dtype; exact
+``int`` and ``float`` columns and float arrays take ``%s`` directly, and
+any other column (bool, numpy scalars, strings) goes through
+:func:`format_value`.  JSON writes a non-empty 2-D integer or float array
+of finite values this way, into the ``json.dumps`` text of the rest of
+the payload; other rows, nan and infinity included, go through ``json``.
 
 Both writers replace their target atomically: the text goes to a temporary
 file in the target's directory, which is renamed over the target only once
@@ -72,8 +72,33 @@ def _table(
     return sep.join([row.format(cell.join(["%s"] * width))] * n_rows) % tuple(values)
 
 
+def _int_cells(rows: np.ndarray, cell: str, end: str) -> str:
+    """The decimal text of a non-empty 2-D integer array, one digit per
+    numpy pass: ``cell`` follows each cell but a row's last, ``end`` that."""
+    flat = np.ravel(rows)
+    negative = flat < 0
+    q = flat.astype(np.uint64)  # |v|, exact at int64's minimum
+    np.negative(q, out=q, where=negative)
+    top = int(q.max())
+    q = q.astype(np.uint32) if top < 2**32 else q  # halves each pass's cost
+    digits = len(str(top))
+    # Sign, digits and separator per cell; NUL marks a slot left empty.
+    buf = np.zeros((q.size, digits + 2), np.uint8)
+    buf[:, 0] = negative * ord("-")
+    for column in range(digits, 0, -1):
+        rest = q // 10
+        digit = q - 10 * rest + ord("0")
+        buf[:, column] = digit if column == digits else digit * (q != 0)
+        q = rest
+    buf[:, -1] = ord(cell)
+    buf.reshape(*rows.shape, -1)[:, -1, -1] = ord(end)
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_table(rows: np.ndarray | Iterable[Sequence[Any]]) -> str:
     """One newline-terminated CSV line per row."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.size:
+        return _int_cells(rows, ",", "\n")
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
         return _table(np.ravel(rows).tolist(), *rows.shape, *_CSV_TABLE)
     rows = list(rows)
@@ -84,11 +109,17 @@ def _csv_table(rows: np.ndarray | Iterable[Sequence[Any]]) -> str:
 
 def _json_table(rows: np.ndarray) -> str | None:
     """The ``json.dumps`` text of ``rows.tolist()`` as a top-level entry,
-    between its outer brackets, or None where ``%s`` does not spell it
-    (bool, empty or non-finite arrays)."""
+    between its outer brackets, or None where neither the digit kernel nor
+    ``%s`` spells it (bool, empty or non-finite arrays)."""
     if rows.ndim != 2 or not rows.size or rows.dtype.kind not in "iuf":
         return None
-    if rows.dtype.kind == "f" and not np.isfinite(rows).all():
+    if rows.dtype.kind in "iu":
+        row, cell, sep = _JSON_TABLE
+        head, tail = row.split("{}")
+        # Digits and "-" hold neither "," nor "]", so each maps in one replace.
+        text = _int_cells(rows, ",", "]")[:-1].replace(",", cell)
+        return row.format(text.replace("]", tail + sep + head))
+    if not np.isfinite(rows).all():
         return None
     return _table(np.ravel(rows).tolist(), *rows.shape, *_JSON_TABLE)
 

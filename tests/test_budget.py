@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqzlab.budget import (
     BudgetCurve,
@@ -14,7 +16,7 @@ from sqzlab.budget import (
     snr_equivalent_power_gain,
     standard_quantum_limit,
 )
-from sqzlab.gaussian import SqueezeSetting
+from sqzlab.gaussian import SqueezeSetting, apply_loss, squeeze, vacuum
 
 R_10DB = np.log(10.0) / 2.0
 FREQS = np.geomspace(1.0, 1000.0, 61)
@@ -107,6 +109,38 @@ def test_matched_rotation_scales_total_uniformly():
     plain = quantum_noise_budget(_config(), FREQS)
     matched = quantum_noise_budget(config, FREQS)
     np.testing.assert_allclose(matched.total, 0.1 * plain.total, rtol=1e-9)
+
+
+# Up to 2,000 dB the matched total, about 1e-200 of the vacuum's, stays a
+# normal float; the few-ulp comparison needs that.
+@settings(max_examples=100, deadline=None)
+@given(
+    squeeze_db=st.floats(0.0, 2000.0),
+    angles=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    injection_loss=st.floats(0.0, 0.5),
+    detection_efficiency=st.floats(0.5, 1.0),
+)
+@example(160.0, (np.pi / 6, np.pi / 2), 0.0, 1.0)
+@example(300.0, (np.pi / 6, np.pi / 2), 0.0, 1.0)
+def test_matched_total_is_the_detected_minor_variance_at_any_angle(
+    squeeze_db, angles, injection_loss, detection_efficiency
+):
+    def matched_total(angle):
+        config = _config(
+            injected_squeeze=SqueezeSetting.from_db(squeeze_db, angle),
+            matched_rotation=True,
+            injection_loss=injection_loss,
+            detection_efficiency=detection_efficiency,
+        )
+        return quantum_noise_budget(config, FREQS).total
+
+    injected = squeeze(vacuum(), SqueezeSetting.from_db(squeeze_db))
+    detected = apply_loss(apply_loss(injected, injection_loss), 1 - detection_efficiency)
+    expected = detected.axes[0] * quantum_noise_budget(_config(), FREQS).total
+    first, second = map(matched_total, angles)
+    ulps = 4 * np.finfo(float).eps
+    np.testing.assert_allclose(first, second, rtol=ulps, atol=0.0)
+    np.testing.assert_allclose(first, expected, rtol=ulps, atol=0.0)
 
 
 def test_injection_loss_limits_matched_gain():

@@ -140,6 +140,23 @@ def test_a_default_snr_equivalence_run_peaks_at_27_bytes_per_sample(tmp_path):
     assert peak <= 27 * n_samples
 
 
+def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
+    # The table holds 16 bytes a window and its CSV text about 11.  The
+    # digit kernel renders it through byte buffers, where the boxed ints of
+    # tolist() took 72 bytes a window.  A small run first imports the
+    # modules a first run would, whose objects tracemalloc would count.
+    n_windows = EXPERIMENTS["photon-record"].params["n_windows"].default
+    (tmp_path / "warm").mkdir()
+    assert _run(tmp_path / "warm", _config("photon-record", "n_windows", 1000)) == 0
+    tracemalloc.start()
+    try:
+        assert _run(tmp_path, _config("photon-record", "n_windows", n_windows)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 79 * n_windows
+
+
 def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
     # The sine is taken in place of this one phase array; any other tone,
     # add_signal_modulation's included, would compute a phase and show here.

@@ -173,6 +173,66 @@ def test_tall_json_tables_match_json_dumps(tmp_path):
     _check_json(tmp_path, PAYLOAD, np.column_stack((np.arange(5000), ints)))
 
 
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64]
+INT_DTYPES += [np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _int_edges(dtype):
+    """The values among iinfo's min and max, 0, ±1, ±(10**k ± 1) and
+    ±(2**32 ± 1) that ``dtype`` holds; at 2**32 the writer's digits go from
+    32 to 64 bits."""
+    info = np.iinfo(dtype)
+    powers = [10**k for k in range(1, 20)] + [2**32]
+    near_powers = [power + d for power in powers for d in (-1, 0, 1)]
+    values = {info.min, info.max, 0, 1, -1, *near_powers, *(-v for v in near_powers)}
+    return sorted(v for v in values if info.min <= v <= info.max)
+
+
+@st.composite
+def _int_arrays(draw):
+    """Integer arrays of any dtype whose cells mix small values, edge
+    values and the dtype's full range, so cell widths differ within one."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    info = np.iinfo(dtype)
+    elements = st.one_of(
+        st.integers(max(info.min, -99), 99),
+        st.sampled_from(_int_edges(dtype)),
+        st.integers(info.min, info.max),
+    )
+    return draw(hnp.arrays(dtype, _json_shapes(), elements=elements))
+
+
+def _check_int_csv(directory, rows):
+    """``write_csv`` writes an integer array as ``%s`` renders its cells."""
+    path = directory / "ints.csv"
+    write_csv(path, {}, ["c"], rows)
+    lines = [",".join(["%s"] * len(row)) % tuple(row) for row in rows.tolist()]
+    assert path.read_bytes() == "".join(f"{line}\n" for line in ["c", *lines]).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_int_arrays())
+def test_integer_tables_match_percent_s_and_json_dumps(tmp_path_factory, rows):
+    _check_int_csv(tmp_path_factory.getbasetemp(), rows)
+    _check_json(tmp_path_factory.getbasetemp(), PAYLOAD, rows)
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda dtype: dtype.__name__)
+def test_integer_edge_values_and_shapes_match_percent_s_and_json_dumps(
+    tmp_path, dtype
+):
+    edges = np.array(_int_edges(dtype), dtype)
+    wide = np.ones((7, 3), dtype)
+    wide[5, 1] = np.iinfo(dtype).max
+    tables = [edges[:, None], edges[None, :], edges[:0].reshape(0, 2), wide]
+    tables.append(edges[: len(edges) // 2 * 2].reshape(-1, 2))
+    # Each edge as the widest cell of a table, which sets the digit count.
+    tables += [np.array([[edge, 1], [0, 7]], dtype) for edge in edges]
+    for rows in tables:
+        _check_int_csv(tmp_path, rows)
+        _check_json(tmp_path, PAYLOAD, rows)
+
+
 @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
 def test_matrix_rows_are_written_like_their_array(tmp_path):
     matrix = np.matrix([[1.5, 2.0], [3.0, -0.0]])

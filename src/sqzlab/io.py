@@ -3,20 +3,14 @@
 Floats are rendered with ``repr``, the shortest round-trip form, so a rerun
 with the same seed produces byte-identical files.  CSV files carry their
 run metadata as leading ``#`` comment lines followed by one header row.
-JSON files are ``json.dumps(payload, indent=2)`` byte for byte; a
-``rows`` entry may be a 2-D array, written as its ``tolist()``.
+JSON files are ``json.dumps(payload, indent=2)`` byte for byte.
 
 A non-empty 2-D integer array goes through a digit kernel, which builds
-the decimal digits of the whole array in numpy, one digit per pass.  Any
-other table goes through one renderer, parametrised by a row and a cell
-template, as one ``%``-format of the whole table: ``%s`` applies ``str``,
-which equals ``repr`` for exact Python ``int`` and ``float`` values.  CSV
-cells are typed once per column, or once per 2-D array by its dtype; exact
-``int`` and ``float`` columns and float arrays take ``%s`` directly, and
-any other column (bool, numpy scalars, strings) goes through
-:func:`format_value`.  JSON writes a non-empty 2-D integer or float array
-of finite values this way, into the ``json.dumps`` text of the rest of
-the payload; other rows, nan and infinity included, go through ``json``.
+the decimal digits of the whole array in numpy, one digit per pass, in
+both writers.  Every other CSV cell goes through :func:`format_value`.
+JSON writes a 2-D float array of finite values as one ``%s`` format of
+the table (``str`` equals ``repr`` for ``float``); other arrays and values
+go through ``json`` (see :func:`write_json`).
 
 Both writers replace their target atomically: the text goes to a temporary
 file in the target's directory, which is renamed over the target only once
@@ -35,9 +29,6 @@ import numpy as np
 
 __all__ = ["format_value", "write_csv", "write_json"]
 
-# Cell types whose ``str`` is already their CSV form; bool is excluded.
-_PLAIN_TYPES = {int, float}
-
 
 def format_value(value: Any) -> str:
     """Render one CSV cell deterministically."""
@@ -50,16 +41,8 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def _cells(column: Sequence[Any]) -> Sequence[Any]:
-    """The column itself if ``%s`` already renders it, else its cell texts."""
-    if set(map(type, column)) <= _PLAIN_TYPES:
-        return column
-    return list(map(format_value, column))
-
-
-# (row, cell separator, row separator) templates of the table renderer.
-_CSV_TABLE = ("{}\n", ",", "")
-# A table as ``json.dumps(indent=2)`` lays out a top-level entry's rows.
+# (row, cell separator, row separator) templates of the table renderer:
+# a table as ``json.dumps(indent=2)`` lays out a top-level entry's rows.
 _JSON_TABLE = ("    [\n      {}\n    ]", ",\n      ", ",\n")
 _JSON_ROWS_KEY = '\n  "rows": '
 
@@ -97,14 +80,14 @@ def _int_cells(rows: np.ndarray, cell: str, end: str) -> str:
 
 def _csv_table(rows: np.ndarray | Iterable[Sequence[Any]]) -> str:
     """One newline-terminated CSV line per row."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.size:
-        return _int_cells(rows, ",", "\n")
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
-        return _table(np.ravel(rows).tolist(), *rows.shape, *_CSV_TABLE)
-    rows = list(rows)
-    columns = [_cells(column) for column in zip(*rows, strict=True)]
-    values = [value for row in zip(*columns) for value in row]
-    return _table(values, len(rows), len(columns), *_CSV_TABLE)
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind in "iu" and rows.size:
+            return _int_cells(rows, ",", "\n")
+        rows = np.asarray(rows)  # a matrix's rows iterate as matrices
+    lines = [[*map(format_value, row)] for row in rows]
+    if len(set(map(len, lines))) > 1:
+        raise ValueError("CSV rows must all have the same length")
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _json_table(rows: np.ndarray) -> str | None:
@@ -154,10 +137,9 @@ def write_json(path: Path, payload: Mapping[str, Any]) -> None:
     """Write ``payload``, which must hold Python values, as indented JSON.
 
     ``payload["rows"]`` may also be an array, written as its ``tolist()``;
-    a 2-D integer or float array of finite values goes through the table
-    renderer, and any other array through ``json``.  ``np.float64`` passes
-    as a ``float`` subclass; other numpy scalars, and arrays anywhere else,
-    raise TypeError.
+    a 2-D integer array, or a float array of finite values, is spliced in
+    as text.  ``np.float64`` passes as a ``float`` subclass; other numpy
+    scalars, and arrays anywhere else, raise TypeError.
     """
     rows = payload.get("rows")
     if isinstance(rows, np.ndarray):

@@ -85,6 +85,29 @@ def test_tuple_tables_match_the_per_cell_reference(tmp_path_factory, table):
     _check(tmp_path_factory.getbasetemp(), rows, width)
 
 
+ROW_DTYPES = [np.float64, np.float32, np.bool_, np.int64]
+
+
+@st.composite
+def _array_rows(draw):
+    """Rows as 1-D arrays, each of one dtype drawn from ROW_DTYPES."""
+    n_rows, width = draw(_shapes())
+    kind = st.sampled_from(ROW_DTYPES)
+    dtypes = draw(st.lists(kind, min_size=n_rows, max_size=n_rows))
+    return [draw(hnp.arrays(dtype, width)) for dtype in dtypes], width
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_array_rows())
+def test_generator_and_array_rows_match_the_per_cell_reference(tmp_path_factory, table):
+    rows, width = table
+    columns = [f"c{i}" for i in range(width)]
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    for given_rows in ((row for row in rows), rows, (tuple(row) for row in rows)):
+        write_csv(path, METADATA, columns, given_rows)
+        assert path.read_bytes() == _reference(METADATA, columns, rows)
+
+
 def test_edge_values_match_the_per_cell_reference(tmp_path):
     floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1]
     ints = [0, -1, 2**63 - 1, -(2**63), 10**40, -(10**40), 7, 3]

@@ -171,19 +171,19 @@ def standard_quantum_limit(config: IfoConfig, frequency) -> np.ndarray | float:
 
 
 def filter_cavity_angle(cavity: FilterCavityParams, frequency) -> np.ndarray | float:
-    """Quadrature rotation of a detuned cavity at a sideband frequency.
+    """Quadrature rotation of a lossless detuned cavity at a sideband
+    frequency (Kimble et al., PRD 65, 022002 (2001), section V).
 
-    ``0.5 * (arctan((detuning + f) / hwhm) + arctan((detuning - f) / hwhm))``:
-    zero at zero detuning, approaching ``arctan(detuning / hwhm)`` for
+    ``arctan((detuning + f) / hwhm) + arctan((detuning - f) / hwhm)``: zero
+    at zero detuning, approaching ``2 arctan(detuning / hwhm)`` for
     frequencies far below the linewidth and falling to zero far above it,
-    monotonically for positive detuning.
+    monotonically for positive detuning.  At ``hwhm = detuning`` it is
+    ``arctan(2 hwhm**2 / f**2)``, which is ``arctan(kappa)`` for the
+    free-mass readout when ``hwhm`` is the crossover frequency over sqrt(2).
     """
     f = check_range("frequency", frequency, ge=0.0)
-    gamma = cavity.half_linewidth
-    out = 0.5 * (
-        np.arctan((cavity.detuning + f) / gamma)
-        + np.arctan((cavity.detuning - f) / gamma)
-    )
+    gamma, detuning = cavity.half_linewidth, cavity.detuning
+    out = np.arctan((detuning + f) / gamma) + np.arctan((detuning - f) / gamma)
     return out if np.ndim(out) else float(out)
 
 

@@ -168,7 +168,7 @@ def test_detection_efficiency_mixes_vacuum():
 def test_filter_cavity_angle_limits():
     cavity = FilterCavityParams(half_linewidth=10.0, detuning=10.0)
     low = filter_cavity_angle(cavity, 1e-6)
-    assert low == pytest.approx(np.arctan(1.0), rel=1e-3)
+    assert low == pytest.approx(2 * np.arctan(1.0), rel=1e-3)
     high = filter_cavity_angle(cavity, 1e6)
     # the two arctan branches cancel far above the linewidth
     assert high == pytest.approx(0.0, abs=1e-3)

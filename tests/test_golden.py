@@ -194,11 +194,11 @@ GOLDEN = {
         "0d0ecc2eff063c28f49ff91ce3239c75f46edbdfeab61bb9b4dd0d73c3b49fd2",
     ),
     ("noise-budget-filter-cavity", "csv"): (
-        "de87ea12f4d9e938e1f8dc135212cd2496b5815b725115cbc68d5238aa4957b0",
+        "fbee267c71dc10e1ad1d4c37350563566ad1eb5734fad641ac84d5c8bb3da9af",
         "0ec59a91af2bd880eadcdc5a00c4a655fc71a2f43f6f06ce45c843306ec19e1c",
     ),
     ("noise-budget-filter-cavity", "json"): (
-        "8075a190bb769bd376869cd2aee592a8716369bd649e463b6a3c1ff69205030a",
+        "7dcbf90cf1bd540dc0a0e93f339bb2fa619071f400801a9ced54b9bdfa758096",
         "a98211589dd475ca999b2ecfe2917e02ca46775bf5fa6e7d270de2e7ab5e8830",
     ),
     ("noise-budget-matched", "csv"): (

@@ -83,11 +83,6 @@ def test_coherent_total_touches_sql_at_crossover():
     assert curve.total[0] == pytest.approx(curve.sql[0], rel=1e-9)
 
 
-def test_coherent_total_never_beats_sql():
-    curve = quantum_noise_budget(_config(), FREQS)
-    assert np.all(curve.total >= curve.sql * (1.0 - 1e-12))
-
-
 def test_coherent_components_sum_to_total():
     curve = quantum_noise_budget(_config(), FREQS)
     np.testing.assert_allclose(curve.shot + curve.rpn, curve.total, rtol=1e-12)
@@ -193,6 +188,164 @@ def test_filter_cavity_improves_both_ends():
     assert np.all(with_cavity.total[high] < plain.total[high])
     # low-frequency blow-up of the fixed angle is reduced
     assert np.all(with_cavity.total[low] < without.total[low])
+
+
+# Interferometers over many decades of arm power and mirror mass, so that
+# kappa = 1 falls anywhere from below 1 Hz to above 1 kHz.
+ARM_POWERS = st.floats(1.0, 1e8)
+MIRROR_MASSES = st.floats(1e-3, 1e3)
+ULPS = 4 * np.finfo(float).eps
+
+
+def _grid(config):
+    """1 Hz to 1 kHz, and the crossover frequency times 1e-2 to 1e2."""
+    f_sql = crossover_frequency(config)
+    return np.concatenate((FREQS, f_sql * np.geomspace(1e-2, 1e2, 41)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arm_power=ARM_POWERS,
+    mirror_mass=MIRROR_MASSES,
+    squeeze_db=st.floats(0.0, 60.0),
+    injection_loss=st.floats(0.0, 0.5),
+    detection_efficiency=st.floats(0.5, 1.0),
+)
+def test_one_cavity_at_the_crossover_over_root_two_matches_the_free_mass(
+    arm_power, mirror_mass, squeeze_db, injection_loss, detection_efficiency
+):
+    # gamma = detuning = f_SQL / sqrt(2) rotates by arctan(kappa) at every f.
+    def total(**rotation):
+        config = _config(
+            arm_power=arm_power,
+            mirror_mass=mirror_mass,
+            injected_squeeze=SqueezeSetting.from_db(squeeze_db, np.pi / 2),
+            injection_loss=injection_loss,
+            detection_efficiency=detection_efficiency,
+            **rotation,
+        )
+        return quantum_noise_budget(config, _grid(config)).total
+
+    f_sql = crossover_frequency(_config(arm_power=arm_power, mirror_mass=mirror_mass))
+    gamma = f_sql / np.sqrt(2)
+    cavity = FilterCavityParams(half_linewidth=gamma, detuning=gamma)
+    np.testing.assert_allclose(
+        total(filter_cavity=cavity), total(matched_rotation=True), rtol=ULPS, atol=0.0
+    )
+
+
+ROTATIONS = st.one_of(
+    st.just({}),
+    st.just({"matched_rotation": True}),
+    st.builds(
+        lambda gamma, detuning: {"filter_cavity": FilterCavityParams(gamma, detuning)},
+        st.floats(0.1, 1e3),
+        st.floats(-1e3, 1e3),
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arm_power=ARM_POWERS,
+    mirror_mass=MIRROR_MASSES,
+    squeeze_db=st.floats(0.0, 100.0),
+    angle=st.floats(-10.0, 10.0),
+    injection_loss=st.floats(0.0, 0.9),
+    detection_efficiency=st.floats(0.1, 1.0),
+    rotation=ROTATIONS,
+)
+def test_shot_times_rpn_is_at_least_the_quarter_sql_squared(
+    arm_power,
+    mirror_mass,
+    squeeze_db,
+    angle,
+    injection_loss,
+    detection_efficiency,
+    rotation,
+):
+    # shot * rpn = (sql/2)^2 V(phi) V(phi + pi/2), and V(phi) V(phi + pi/2)
+    # >= det >= 1 for the detected state.
+    config = _config(
+        arm_power=arm_power,
+        mirror_mass=mirror_mass,
+        injected_squeeze=SqueezeSetting.from_db(squeeze_db, angle),
+        injection_loss=injection_loss,
+        detection_efficiency=detection_efficiency,
+        **rotation,
+    )
+    curve = quantum_noise_budget(config, _grid(config))
+    assert np.all(curve.shot * curve.rpn >= (0.5 * curve.sql) ** 2 * (1 - ULPS))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arm_power=ARM_POWERS,
+    mirror_mass=MIRROR_MASSES,
+    squeeze_db=st.floats(0.0, 30.0),
+    quarter_turns=st.integers(-4, 4),
+    injection_loss=st.floats(0.0, 0.9),
+    detection_efficiency=st.floats(0.1, 1.0),
+)
+def test_axis_aligned_components_sum_to_the_total(
+    arm_power,
+    mirror_mass,
+    squeeze_db,
+    quarter_turns,
+    injection_loss,
+    detection_efficiency,
+):
+    config = _config(
+        arm_power=arm_power,
+        mirror_mass=mirror_mass,
+        injected_squeeze=SqueezeSetting.from_db(squeeze_db, quarter_turns * np.pi / 2),
+        injection_loss=injection_loss,
+        detection_efficiency=detection_efficiency,
+    )
+    curve = quantum_noise_budget(config, _grid(config))
+    # As in test_coherent_components_sum_to_total: the readout angle
+    # pi/2 + arctan(kappa) is rounded to an ulp of pi/2.
+    np.testing.assert_allclose(curve.shot + curve.rpn, curve.total, rtol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arm_power=ARM_POWERS,
+    mirror_mass=MIRROR_MASSES,
+    scale=st.floats(1e-3, 1e3),
+    frequency=st.floats(0.1, 1e4),
+)
+def test_kappa_depends_on_arm_power_over_mirror_mass(
+    arm_power, mirror_mass, scale, frequency
+):
+    config = _config(arm_power=arm_power, mirror_mass=mirror_mass)
+    scaled = _config(arm_power=arm_power * scale, mirror_mass=mirror_mass * scale)
+    assert kappa(scaled, frequency) == pytest.approx(kappa(config, frequency), rel=ULPS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arm_power=ARM_POWERS,
+    mirror_mass=MIRROR_MASSES,
+    arm_length=st.floats(1.0, 1e5),
+    wavelength=st.floats(1e-7, 1e-5),
+    detection_efficiency=st.floats(0.1, 1.0),
+)
+@example(1.0e6, 40.0, 4000.0, 1.064e-6, 1.0)
+def test_coherent_total_never_beats_sql(
+    arm_power, mirror_mass, arm_length, wavelength, detection_efficiency
+):
+    # (1/kappa + kappa) >= 2 with vacuum at the dark port (Caves, PRD 23,
+    # 1693 (1981)).
+    config = _config(
+        arm_power=arm_power,
+        mirror_mass=mirror_mass,
+        arm_length=arm_length,
+        wavelength=wavelength,
+        detection_efficiency=detection_efficiency,
+    )
+    curve = quantum_noise_budget(config, _grid(config))
+    assert np.all(curve.total >= curve.sql * (1 - ULPS))
 
 
 def test_config_rejects_cavity_with_matched_rotation():

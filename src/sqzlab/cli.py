@@ -62,19 +62,20 @@ from .detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
-    TimeSeries,
+    _BLOCK_BYTES,
     _add_tone,
     _bhd_samples,
     _psd_segment,
     _series_variance,
     _tone_phase,
+    _WelchSum,
     bhd_series,
     fano_factor,
     mean_photons_per_window,
     sample_photon_record,
     welch_psd,
 )
-from .gaussian import SqueezeSetting, _Owned, check_range, db_from_variance, squeeze, vacuum
+from .gaussian import SqueezeSetting, check_range, db_from_variance, squeeze, vacuum
 from .io import write_csv, write_json
 from .opo import OpoParams, opo_spectrum, parametric_gain, pump_ratio_from_gain
 
@@ -350,7 +351,8 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     rbw = params["resolution_bandwidth_hz"]
     f_signal = params["signal_frequency_hz"]
     n_samples = params["n_samples"]
-    bin_position = f_signal / (fs / _psd_segment(fs, rbw, n_samples))
+    n_segment = _psd_segment(fs, rbw, n_samples)
+    bin_position = f_signal / (fs / n_segment)
     if abs(bin_position - round(bin_position, 0)) > 1e-9:  # round(inf) raises
         raise ValueError("signal_frequency_hz must sit on a spectrum bin")
     detector = DetectorParams(
@@ -369,33 +371,53 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     ]
     ratio = params["signal_to_lo_power_ratio"]
 
-    # Each thread runs whole arms: draw, tone, spectrum.  The worker takes the
-    # sine the three series share and then arm 2; this thread runs arm 1,
-    # waits for the sine only before adding its tone, and then runs arm 3.
-    # This thread allocates every large array, so that freed buffers return
-    # to one malloc arena, where the next run reuses them.  Arm 2's buffer
-    # comes before the phase and is freed when arm 2 ends; in that order a
-    # run's freed arrays leave room that a later, longer series reuses,
-    # instead of the heap growing.  Every step gets the inputs it gets in
-    # a serial run, so the bytes do not depend on how the threads are
-    # scheduled.  Leaving the block joins the worker, whether the run
-    # succeeds or fails.  Imported here, so no other run pays for the module.
+    block, chunk = _BLOCK_BYTES // 8, _BLOCK_BYTES // 2  # samples
+
+    def arm(state, case_depth, case_seed):
+        """Sent each chunk's sine in turn; yields None, and its SNR after the last."""
+        rng = np.random.default_rng(case_seed)
+        welch = _WelchSum(n_segment, n_samples // n_segment)
+        buffer, held = np.empty(n_segment * max(1, block // n_segment)), 0
+        for _ in range(0, n_samples, chunk):
+            tone = yield
+            while tone.size:
+                part = buffer[held : held + tone.size]
+                _bhd_samples(state, 0.0, ratio, detector, part.size, rng, out=part)
+                _add_tone(part, tone[: part.size], case_depth)
+                check_range("samples", part)
+                held, tone = held + part.size, tone[part.size :]
+                if held == buffer.size:
+                    welch.add(buffer)
+                    held = 0
+            del tone  # a view that would keep the chunk alive while this waits
+        welch.add(buffer[: held - held % n_segment])
+        yield _peak_snr(welch.spectrum(fs), f_signal)
+
+    def sine(start):
+        phase = _tone_phase(min(start + chunk, n_samples), fs, f_signal, start)
+        return np.sin(phase, out=phase)
+
+    # The arms advance together, a chunk of their shared sine at a time: the
+    # worker takes the next chunk's sine and then arm 2's step over this one,
+    # while this thread runs arms 1 and 3; arm 2's steps are joined at the end.
+    # Each arm has its own generator and Welch sum, so the bytes are a serial
+    # run's however the threads are scheduled.  Leaving the block joins the
+    # worker, even on failure.  Imported here, so no other run pays for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    def arm_snr(state, case_depth, case_seed, out=None) -> float:
-        samples = _bhd_samples(state, 0.0, ratio, detector, n_samples, case_seed, out=out)
-        _add_tone(samples, sine.result(), case_depth)
-        return _peak_snr(welch_psd(TimeSeries(fs, _Owned(samples)), rbw), f_signal)
-
-    buffer = np.empty(n_samples)
-    phase = _tone_phase(n_samples, fs, f_signal)
+    squeezed_arm, equal_arm, double_arm = arms = [arm(*case) for case in cases]
+    for each in arms:
+        next(each)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        sine = worker.submit(np.sin, phase, phase)  # in place
-        equal = worker.submit(arm_snr, *cases[1], buffer)
-        del buffer
-        squeezed_snr = arm_snr(*cases[0])
-        double_snr = arm_snr(*cases[2])
-        equal_snr = equal.result()
+        next_sine, equal_steps = worker.submit(sine, 0), []
+        for start in range(0, n_samples, chunk):
+            tone = next_sine.result()
+            if start + chunk < n_samples:
+                next_sine = worker.submit(sine, start + chunk)
+            equal_steps.append(worker.submit(equal_arm.send, tone))
+            squeezed_snr = squeezed_arm.send(tone)
+            double_snr = double_arm.send(tone)
+        equal_snr = [step.result() for step in equal_steps][-1]
     result = {
         "snr_squeezed": squeezed_snr,
         "snr_coherent_equal_power": equal_snr,

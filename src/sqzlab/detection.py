@@ -6,11 +6,8 @@ carrier itself enters as classical parameters: a :class:`LightSource` for
 direct detection, a local-oscillator phase and power ratio for balanced
 homodyne detection.  All sampling is driven by an explicit integer seed and
 is reproducible bit for bit; identical seeds give identical records no
-matter how the caller schedules the work.  A run may therefore draw and
-analyse series on two threads at once, as ``sqzlab run snr-equivalence``
-does: each draw has its own generator and may fill a buffer the caller
-allocated, and :func:`welch_psd` reads only the series it is given, so the
-bytes do not depend on how the threads are scheduled.
+matter how the caller schedules the work, or in how many pieces a series is
+drawn, modulated and averaged.
 """
 
 from __future__ import annotations
@@ -68,10 +65,10 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
-# welch_psd transforms its segments, and _series_variance and _add_tone fill
-# a float64 scratch, this many bytes at a time: no temporary is as long as the
-# series, and welch_psd stays under 1 MiB whenever one segment fits a block.
-# A scratch this size and the blocks it is made from fit a 2 MiB L2 cache.
+# Draws are scaled, tones added, welch_psd's segments transformed and
+# _series_variance's deviations squared this many bytes at a time: no
+# temporary is as long as the series, and welch_psd stays under 1 MiB whenever
+# one segment fits a block.  A block and its scratch fit a 2 MiB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -293,14 +290,17 @@ def _detected_draw(state, angle, efficiency, detector, n_samples, seed, out=None
 
     The draw fills ``out`` (a new array if None) with ``rng.normal(0.0, scale,
     n_samples)`` bit for bit: numpy computes ``0.0 + scale * z``, and adding
-    0.0 turns a -0.0 into +0.0 as that sum does.
+    0.0 turns a -0.0 into +0.0 as that sum does, a block at a time.  A
+    Generator passed as ``seed`` is used as is: successive draws continue it.
     """
     detected = apply_loss(state, 1.0 - efficiency)
-    variance = quadrature_variance(detected, angle) + detector.dark_noise_variance
+    scale = np.sqrt(quadrature_variance(detected, angle) + detector.dark_noise_variance)
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal(out=np.empty(n_samples) if out is None else out)
-    samples *= np.sqrt(variance)
-    samples += 0.0
+    samples = np.empty(n_samples) if out is None else out
+    for start in range(0, n_samples, _BLOCK_BYTES // 8):
+        block = rng.standard_normal(out=samples[start : start + _BLOCK_BYTES // 8])
+        block *= scale
+        block += 0.0
     return samples, rng
 
 
@@ -383,44 +383,35 @@ def add_signal_modulation(
     ``depth`` is the modulation amplitude in the same shot-noise-relative
     units as the samples.  The frequency must sit below Nyquist.
     """
-    phase = _tone_phase(series.samples.size, series.sample_rate, frequency)
-    samples = series.samples.copy()
-    _add_tone(samples, np.sin(phase, out=phase), depth)
+    samples, step = series.samples.copy(), _BLOCK_BYTES // 8
+    for start in range(0, samples.size, step):
+        stop = min(start + step, samples.size)
+        phase = _tone_phase(stop, series.sample_rate, frequency, start)
+        _add_tone(samples[start:stop], np.sin(phase, out=phase), depth)
     return TimeSeries(series.sample_rate, _Owned(samples), lo_phase=series.lo_phase)
 
 
-def _tone_phase(n_samples: int, sample_rate: float, frequency: float) -> np.ndarray:
-    """The phase ``2 pi f t`` on the times of ``n_samples`` samples.
+def _tone_phase(stop: int, sample_rate: float, frequency: float, start: int = 0):
+    """The phase ``2 pi f t`` on the times of samples ``[start, stop)``.
 
-    Its sine, taken in place, is the unit tone :func:`_add_tone` adds.
-    Series of one length and sample rate share it, so a caller modulating
-    several of them computes it once.  It may take the sine on another
-    thread, while this thread, which allocated the array, goes on.
+    Its sine, taken in place, is the unit tone :func:`_add_tone` adds.  The
+    phase of a range holds exactly the values of the whole array's slice, so
+    a caller may take the tone a chunk at a time.
     """
     check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
-    # One array, in place: each 2^20-sample temporary costs 8 MiB of peak
-    # memory.  Float arange holds the integers exactly, as int arange does.
-    phase = np.arange(n_samples, dtype=float)
+    # In place; float arange holds the integers exactly, as int arange does.
+    phase = np.arange(start, stop, dtype=float)
     phase /= sample_rate
     phase *= 2.0 * np.pi * frequency
     return phase
 
 
 def _add_tone(samples: np.ndarray, tone: np.ndarray, depth: float) -> None:
-    """Add ``depth * tone`` to ``samples`` in place, a block at a time.
-
-    ``tone`` is the sine of a :func:`_tone_phase`.  Each sample becomes
-    ``sample + depth * tone``, bit for bit, whatever the block size, without
-    a temporary as long as the series.
-    """
+    """Add ``depth * tone`` to ``samples`` in place, ``sample + depth * tone`` bit
+    for bit.  ``tone`` is the sine of a :func:`_tone_phase`; callers pass a block
+    at a time, so the product is no temporary as long as the series."""
     check_range("modulation depth", depth)
-    block = _BLOCK_BYTES // 8
-    scratch = np.empty(min(samples.size, block))
-    for start in range(0, samples.size, block):
-        stop = min(start + block, samples.size)
-        part = scratch[: stop - start]
-        np.multiply(tone[start:stop], depth, out=part)
-        samples[start:stop] += part
+    samples += np.multiply(tone, depth)
 
 
 def _series_variance(samples: np.ndarray) -> float:
@@ -466,10 +457,9 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     ``sample_rate / resolution_bandwidth`` samples; per segment and bin the
     squared rFFT magnitude over the segment length estimates the variance
     contribution, and segments are averaged in order, a block of about
-    512 KiB of segments at a time.  DC and Nyquist bins are
-    dropped.  For a white unit-variance input every returned bin averages to
-    1.0, and the mean over bins estimates the total sample variance
-    (Parseval consistency).
+    512 KiB of segments at a time.  DC and Nyquist bins are dropped.  For a
+    white unit-variance input every returned bin averages to 1.0, and the
+    mean over bins estimates the total sample variance (Parseval consistency).
 
     Raises
     ------
@@ -479,22 +469,40 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     """
     n_samples = series.samples.size
     n_segment = _psd_segment(series.sample_rate, resolution_bandwidth, n_samples)
-    n_runs = n_samples // n_segment
-    segments = series.samples[: n_runs * n_segment].reshape(n_runs, n_segment)
-    block_rows = min(n_runs, max(1, _BLOCK_BYTES // (8 * n_segment)))
-    # Row 0 carries the running sum, so each reduce adds the segments in
-    # their original order: the result is ``spectra.mean(axis=0)`` bit for
-    # bit without holding every segment's spectrum at once.
-    power = np.zeros((block_rows + 1, n_segment // 2 + 1))
-    for start in range(0, n_runs, block_rows):
-        spectra = np.fft.rfft(segments[start : start + block_rows], axis=1)
-        rows = power[: spectra.shape[0] + 1]
-        block = rows[1:]
-        np.abs(spectra, out=block)
-        np.square(block, out=block)
-        block /= n_segment
-        power[0] = np.add.reduce(rows, axis=0)
-    psd = power[0, 1 : (n_segment + 1) // 2] / n_runs
-    actual_rbw = series.sample_rate / n_segment
-    freqs = actual_rbw * np.arange(1, (n_segment + 1) // 2)
-    return NoiseSpectrum(freqs, psd, actual_rbw)
+    welch = _WelchSum(n_segment, n_samples // n_segment)
+    welch.add(series.samples[: n_samples - n_samples % n_segment])
+    return welch.spectrum(series.sample_rate)
+
+
+class _WelchSum:
+    """The running sum of :func:`welch_psd`, fed whole segments in order.
+
+    Row 0 of ``power`` carries it, so each reduce adds the segments in their
+    order: the mean is ``spectra.mean(axis=0)`` bit for bit however they
+    arrive, without every segment's spectrum held at once.
+    """
+
+    def __init__(self, n_segment: int, max_segments: int) -> None:
+        self.n_segment, self.n_runs = n_segment, 0
+        rows = min(max_segments, max(1, _BLOCK_BYTES // (8 * n_segment)))
+        self.power = np.zeros((rows + 1, n_segment // 2 + 1))
+
+    def add(self, samples: np.ndarray) -> None:
+        """Add the segments of ``samples``, whose length is a multiple of one."""
+        segments = samples.reshape(-1, self.n_segment)
+        block_rows = self.power.shape[0] - 1
+        for start in range(0, len(segments), block_rows):
+            spectra = np.fft.rfft(segments[start : start + block_rows], axis=1)
+            block = self.power[1 : len(spectra) + 1]
+            np.abs(spectra, out=block)
+            np.square(block, out=block)
+            block /= self.n_segment
+            self.power[0] = np.add.reduce(self.power[: len(spectra) + 1], axis=0)
+        self.n_runs += len(segments)
+
+    def spectrum(self, sample_rate: float) -> NoiseSpectrum:
+        """The mean of the segments added so far, DC and Nyquist dropped."""
+        n_bins = (self.n_segment + 1) // 2
+        psd = self.power[0, 1:n_bins] / self.n_runs
+        actual_rbw = sample_rate / self.n_segment
+        return NoiseSpectrum(actual_rbw * np.arange(1, n_bins), psd, actual_rbw)

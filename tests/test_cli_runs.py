@@ -15,10 +15,11 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqzlab.cli as cli
@@ -124,10 +125,12 @@ def test_a_default_bhd_psd_run_peaks_at_10_bytes_per_sample(tmp_path):
     assert peak <= 10 * n_samples
 
 
-def test_a_default_snr_equivalence_run_peaks_at_27_bytes_per_sample(tmp_path):
-    # The sine and the series of two arms in flight take 24 bytes a sample;
-    # the spectra and the tone go through blocks.  A small run first imports
-    # the modules a first run would, whose objects tracemalloc would count.
+def test_a_default_snr_equivalence_run_peaks_at_9_bytes_per_sample(tmp_path):
+    # The sine of two chunks in flight takes 4 bytes a sample of the default
+    # run; each arm holds one block, its Welch sum and their temporaries.  It
+    # measured 7.3; three arms as long as the series took 25.8.  A small run
+    # first imports the modules a first run would, whose objects tracemalloc
+    # would count.
     n_samples = EXPERIMENTS["snr-equivalence"].params["n_samples"].default
     (tmp_path / "warm").mkdir()
     assert _run(tmp_path / "warm", _config("snr-equivalence", "n_samples", 65536)) == 0
@@ -137,7 +140,7 @@ def test_a_default_snr_equivalence_run_peaks_at_27_bytes_per_sample(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 27 * n_samples
+    assert peak <= 9 * n_samples
 
 
 def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
@@ -158,8 +161,9 @@ def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
 
 
 def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
-    # The sine is taken in place of this one phase array; any other tone,
-    # add_signal_modulation's included, would compute a phase and show here.
+    # The sine is taken in place of each chunk's phase, and the chunks tile
+    # the series once; any other tone, add_signal_modulation's included,
+    # would compute a phase and show here.
     calls = []
     tone_phase = detection._tone_phase
 
@@ -170,20 +174,23 @@ def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_tone_phase", spy)
     monkeypatch.setattr(detection, "_tone_phase", spy)
     assert _run(tmp_path, {"experiment": "snr-equivalence", "seed": 92928119}) == 0
-    assert calls == [(1048576, 65536.0, 8192.0)]
+    chunk = detection._BLOCK_BYTES // 2
+    starts = range(0, 1048576, chunk)
+    assert len(starts) == 4
+    assert calls == [(start + chunk, 65536.0, 8192.0, start) for start in starts]
 
 
 def _failing_second_psd(monkeypatch):
-    welch_psd = cli.welch_psd
+    spectrum = cli._WelchSum.spectrum
     calls = []
 
-    def fails_on_second_call(series, resolution_bandwidth):
-        calls.append(resolution_bandwidth)
+    def fails_on_second_call(welch, sample_rate):
+        calls.append(sample_rate)
         if len(calls) == 2:
             raise RuntimeError("injected failure in the second spectrum")
-        return welch_psd(series, resolution_bandwidth)
+        return spectrum(welch, sample_rate)
 
-    monkeypatch.setattr(cli, "welch_psd", fails_on_second_call)
+    monkeypatch.setattr(cli._WelchSum, "spectrum", fails_on_second_call)
 
 
 # (parameters, fault injected, exit code, message): the message and code a
@@ -310,6 +317,56 @@ def test_snr_equivalence_arms_may_finish_in_either_order(monkeypatch, slow):
     assert [result[key] for key in keys] == expected
     assert sorted(finished) == [False, True, True]
     assert finished[0] == (slow == "worker")
+
+
+# Samples per block of the run, whose chunk is four blocks; the default's.
+DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block=st.sampled_from([8, 24, 100, 1000]),
+    n_segment=st.integers(16, 300),
+    runs=st.integers(1, 30),
+    tail=st.integers(0, 299),
+    bin_index=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+# At the default block: a tail past the last segment in a partial second
+# chunk; exactly one chunk; the default run's four chunks; a segment longer
+# than a block (resolution 0.25 Hz) over three chunks, the last partial.
+@example(block=DEFAULT_BLOCK, n_segment=4096, runs=73, tail=977, bin_index=512, seed=13)
+@example(block=DEFAULT_BLOCK, n_segment=4096, runs=16, tail=0, bin_index=512, seed=1)
+@example(block=DEFAULT_BLOCK, n_segment=4096, runs=256, tail=0, bin_index=512, seed=2)
+@example(block=DEFAULT_BLOCK, n_segment=2**18, runs=2, tail=75000, bin_index=32768, seed=3)
+def test_lockstep_arms_are_a_serial_run_bit_for_bit(
+    block, n_segment, runs, tail, bin_index, seed
+):
+    # Blocks of 8 to 1,000 samples give chunks of 32 to 4,000: one chunk or
+    # many, segments shorter or longer than a block, and a partial last one.
+    # A 1 us switch interval makes the threads trade the interpreter lock
+    # far more often than the default 5 ms does.
+    fs = 65536.0
+    n_samples = n_segment * runs + tail % n_segment
+    payload = _config("snr-equivalence", "n_samples", n_samples)
+    payload["seed"] = seed
+    payload["parameters"].update(
+        resolution_bandwidth_hz=fs / n_segment,
+        signal_frequency_hz=bin_index * fs / n_segment,
+    )
+    _, params, seed, _, _ = _validate_config(payload)
+    expected = _serial_snrs(params, seed)
+    keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(cli, "_BLOCK_BYTES", 8 * block), mock.patch.object(
+            detection, "_BLOCK_BYTES", 8 * block
+        ):
+            result = cli._run_snr_equivalence(params, seed).result
+    finally:
+        sys.setswitchinterval(interval)
+    assert [result[key] for key in keys] == expected
 
 
 SEGMENT_ERROR = (

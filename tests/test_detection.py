@@ -447,6 +447,29 @@ def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
     assert samples.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(1, 5000),
+    chunk=st.integers(1, 6000),
+    cycles=st.floats(1.0e-4, 0.499),
+    sample_rate=st.sampled_from([1.0, 65536.0, 3.0e7]),
+)
+# snr-equivalence's default run in its four chunks; an odd size beyond
+# bhd-psd's largest swept one, in chunks of the same length.
+@example(size=2**20, chunk=2**18, cycles=0.125, sample_rate=65536.0)
+@example(size=2**22 + 1, chunk=2**18, cycles=0.3, sample_rate=65536.0)
+def test_a_tone_taken_in_chunks_is_the_whole_sine_bit_for_bit(
+    size, chunk, cycles, sample_rate
+):
+    frequency = cycles * sample_rate
+    whole = np.sin(detection._tone_phase(size, sample_rate, frequency))
+    chunks = [
+        np.sin(detection._tone_phase(min(start + chunk, size), sample_rate, frequency, start))
+        for start in range(0, size, chunk)
+    ]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     size=st.integers(0, 20).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))),

@@ -348,10 +348,9 @@ def _peak_snr(spectrum, signal_frequency: float) -> float:
 
 def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     fs = params["sample_rate_hz"]
-    rbw = params["resolution_bandwidth_hz"]
     f_signal = params["signal_frequency_hz"]
     n_samples = params["n_samples"]
-    n_segment = _psd_segment(fs, rbw, n_samples)
+    n_segment = _psd_segment(fs, params["resolution_bandwidth_hz"], n_samples)
     bin_position = f_signal / (fs / n_segment)
     if abs(bin_position - round(bin_position, 0)) > 1e-9:  # round(inf) raises
         raise ValueError("signal_frequency_hz must sit on a spectrum bin")
@@ -371,14 +370,15 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     ]
     ratio = params["signal_to_lo_power_ratio"]
 
-    block, chunk = _BLOCK_BYTES // 8, _BLOCK_BYTES // 2  # samples
+    block = _BLOCK_BYTES // 8  # samples
+    bounds = [0, *range(min(block, n_samples), n_samples, 4 * block), n_samples]
 
     def arm(state, case_depth, case_seed):
         """Sent each chunk's sine in turn; yields None, and its SNR after the last."""
         rng = np.random.default_rng(case_seed)
         welch = _WelchSum(n_segment, n_samples // n_segment)
         buffer, held = np.empty(n_segment * max(1, block // n_segment)), 0
-        for _ in range(0, n_samples, chunk):
+        for _ in bounds[1:]:
             tone = yield
             while tone.size:
                 part = buffer[held : held + tone.size]
@@ -393,16 +393,17 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         welch.add(buffer[: held - held % n_segment])
         yield _peak_snr(welch.spectrum(fs), f_signal)
 
-    def sine(start):
-        phase = _tone_phase(min(start + chunk, n_samples), fs, f_signal, start)
+    def sine(k):
+        phase = _tone_phase(bounds[k + 1], fs, f_signal, bounds[k])
         return np.sin(phase, out=phase)
 
-    # The arms advance together, a chunk of their shared sine at a time: the
-    # worker takes the next chunk's sine and then arm 2's step over this one,
-    # while this thread runs arms 1 and 3; arm 2's steps are joined at the end.
-    # Each arm has its own generator and Welch sum, so the bytes are a serial
-    # run's however the threads are scheduled.  Leaving the block joins the
-    # worker, even on failure.  Imported here, so no other run pays for it.
+    # The arms advance together through their shared sine, one block and then
+    # four at a time, so this thread first waits for one block's sine only.
+    # The worker takes the next chunk's sine and then arm 2's step, while this
+    # thread runs arms 1 and 3 and joins arm 2's steps at the end.  Each arm's
+    # own generator and Welch sum keep the bytes a serial run's however the
+    # threads are scheduled.  Leaving the block joins the worker, even on
+    # failure.  Imported here, so no other run pays for the module.
     from concurrent.futures import ThreadPoolExecutor
 
     squeezed_arm, equal_arm, double_arm = arms = [arm(*case) for case in cases]
@@ -410,10 +411,10 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         next(each)
     with ThreadPoolExecutor(max_workers=1) as worker:
         next_sine, equal_steps = worker.submit(sine, 0), []
-        for start in range(0, n_samples, chunk):
+        for k in range(1, len(bounds)):
             tone = next_sine.result()
-            if start + chunk < n_samples:
-                next_sine = worker.submit(sine, start + chunk)
+            if k + 1 < len(bounds):
+                next_sine = worker.submit(sine, k)
             equal_steps.append(worker.submit(equal_arm.send, tone))
             squeezed_snr = squeezed_arm.send(tone)
             double_snr = double_arm.send(tone)

@@ -394,9 +394,8 @@ def add_signal_modulation(
 def _tone_phase(stop: int, sample_rate: float, frequency: float, start: int = 0):
     """The phase ``2 pi f t`` on the times of samples ``[start, stop)``.
 
-    Its sine, taken in place, is the unit tone :func:`_add_tone` adds.  The
-    phase of a range holds exactly the values of the whole array's slice, so
-    a caller may take the tone a chunk at a time.
+    Its sine, taken in place, is the unit tone :func:`_add_tone` adds.  A
+    range holds exactly the whole array's values, so tones may go in chunks.
     """
     check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
     # In place; float arange holds the integers exactly, as int arange does.

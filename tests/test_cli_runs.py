@@ -161,9 +161,9 @@ def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
 
 
 def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
-    # The sine is taken in place of each chunk's phase, and the chunks tile
-    # the series once; any other tone, add_signal_modulation's included,
-    # would compute a phase and show here.
+    # The sine is taken in place of each chunk's phase, one block and then
+    # four at a time, and the chunks tile the series once; any other tone,
+    # add_signal_modulation's included, would compute a phase and show here.
     calls = []
     tone_phase = detection._tone_phase
 
@@ -174,10 +174,11 @@ def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_tone_phase", spy)
     monkeypatch.setattr(detection, "_tone_phase", spy)
     assert _run(tmp_path, {"experiment": "snr-equivalence", "seed": 92928119}) == 0
-    chunk = detection._BLOCK_BYTES // 2
-    starts = range(0, 1048576, chunk)
-    assert len(starts) == 4
-    assert calls == [(start + chunk, 65536.0, 8192.0, start) for start in starts]
+    block = detection._BLOCK_BYTES // 8
+    bounds = [0, block, *range(5 * block, 1048576, 4 * block), 1048576]
+    assert len(bounds) == 6
+    chunks = zip(bounds, bounds[1:])
+    assert calls == [(stop, 65536.0, 8192.0, start) for start, stop in chunks]
 
 
 def _failing_second_psd(monkeypatch):
@@ -319,7 +320,8 @@ def test_snr_equivalence_arms_may_finish_in_either_order(monkeypatch, slow):
     assert finished[0] == (slow == "worker")
 
 
-# Samples per block of the run, whose chunk is four blocks; the default's.
+# Samples per block of the run, whose chunks are one block and then four;
+# the default's.
 DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
 
 
@@ -333,8 +335,8 @@ DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
     seed=st.integers(0, 2**32 - 1),
 )
 # At the default block: a tail past the last segment in a partial second
-# chunk; exactly one chunk; the default run's four chunks; a segment longer
-# than a block (resolution 0.25 Hz) over three chunks, the last partial.
+# chunk; exactly one chunk; the default run's five chunks; a segment longer
+# than a block (resolution 0.25 Hz) over four chunks, the last partial.
 @example(block=DEFAULT_BLOCK, n_segment=4096, runs=73, tail=977, bin_index=512, seed=13)
 @example(block=DEFAULT_BLOCK, n_segment=4096, runs=16, tail=0, bin_index=512, seed=1)
 @example(block=DEFAULT_BLOCK, n_segment=4096, runs=256, tail=0, bin_index=512, seed=2)
@@ -342,8 +344,9 @@ DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
 def test_lockstep_arms_are_a_serial_run_bit_for_bit(
     block, n_segment, runs, tail, bin_index, seed
 ):
-    # Blocks of 8 to 1,000 samples give chunks of 32 to 4,000: one chunk or
-    # many, segments shorter or longer than a block, and a partial last one.
+    # Blocks of 8 to 1,000 samples give chunks of up to 32 to 4,000: one
+    # chunk or many, segments shorter or longer than a block, and a partial
+    # last chunk.
     # A 1 us switch interval makes the threads trade the interpreter lock
     # far more often than the default 5 ms does.
     fs = 65536.0

@@ -454,7 +454,7 @@ def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
     cycles=st.floats(1.0e-4, 0.499),
     sample_rate=st.sampled_from([1.0, 65536.0, 3.0e7]),
 )
-# snr-equivalence's default run in its four chunks; an odd size beyond
+# snr-equivalence's default run in chunks of four blocks; an odd size beyond
 # bhd-psd's largest swept one, in chunks of the same length.
 @example(size=2**20, chunk=2**18, cycles=0.125, sample_rate=65536.0)
 @example(size=2**22 + 1, chunk=2**18, cycles=0.3, sample_rate=65536.0)

@@ -67,7 +67,7 @@ from .detection import (
     _bhd_samples,
     _psd_segment,
     _series_variance,
-    _tone_phase,
+    _tone_table,
     _WelchSum,
     bhd_series,
     fano_factor,
@@ -339,11 +339,11 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
 
 
 def _peak_snr(spectrum, signal_frequency: float) -> float:
-    """Signal-bin PSD over the mean off-signal floor."""
+    """Signal-bin PSD over the mean off-signal floor, inf beyond the float range."""
     idx = int(np.argmin(np.abs(spectrum.frequencies - signal_frequency)))
     mask = np.ones(spectrum.psd.size, dtype=bool)
     mask[max(idx - 1, 0) : idx + 2] = False
-    return float(spectrum.psd[idx] / spectrum.psd[mask].mean())
+    return float(spectrum.psd[idx]) / float(spectrum.psd[mask].mean())
 
 
 def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
@@ -366,59 +366,41 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         (vacuum(), depth, seeds[1]),
         # Doubling the carrier power scales the shot-relative modulation
         # depth by sqrt(2) while the noise floor stays at shot noise.
-        (vacuum(), depth * np.sqrt(2.0), seeds[2]),
+        (vacuum(), depth * 2.0**0.5, seeds[2]),
     ]
+    table = _tone_table(n_segment, fs, f_signal)
+    # The largest depth, checked before any arm so that every arm fails alike.
+    # A float, it overflows to inf without numpy's warning.
+    check_range("modulation depth", cases[2][1])
     ratio = params["signal_to_lo_power_ratio"]
 
-    block = _BLOCK_BYTES // 8  # samples
-    bounds = [0, *range(min(block, n_samples), n_samples, 4 * block), n_samples]
-
-    def arm(state, case_depth, case_seed):
-        """Sent each chunk's sine in turn; yields None, and its SNR after the last."""
+    def arm_snr(state, case_depth, case_seed) -> float:
+        # Each buffer holds whole segments from a period's start, so its tone
+        # is the table on each row, and a prefix of the table on the tail.
         rng = np.random.default_rng(case_seed)
         welch = _WelchSum(n_segment, n_samples // n_segment)
-        buffer, held = np.empty(n_segment * max(1, block // n_segment)), 0
-        for _ in bounds[1:]:
-            tone = yield
-            while tone.size:
-                part = buffer[held : held + tone.size]
-                _bhd_samples(state, 0.0, ratio, detector, part.size, rng, out=part)
-                _add_tone(part, tone[: part.size], case_depth)
-                check_range("samples", part)
-                held, tone = held + part.size, tone[part.size :]
-                if held == buffer.size:
-                    welch.add(buffer)
-                    held = 0
-            del tone  # a view that would keep the chunk alive while this waits
-        welch.add(buffer[: held - held % n_segment])
-        yield _peak_snr(welch.spectrum(fs), f_signal)
+        buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
+        for start in range(0, n_samples, buffer.size):
+            part = buffer[: n_samples - start]
+            _bhd_samples(state, 0.0, ratio, detector, part.size, rng, out=part)
+            whole = part.size - part.size % n_segment
+            _add_tone(part[:whole].reshape(-1, n_segment), table, case_depth)
+            _add_tone(part[whole:], table[: part.size - whole], case_depth)
+            check_range("samples", part)
+            welch.add(part[:whole])
+        return _peak_snr(welch.spectrum(fs), f_signal)
 
-    def sine(k):
-        phase = _tone_phase(bounds[k + 1], fs, f_signal, bounds[k])
-        return np.sin(phase, out=phase)
-
-    # The arms advance together through their shared sine, one block and then
-    # four at a time, so this thread first waits for one block's sine only.
-    # The worker takes the next chunk's sine and then arm 2's step, while this
-    # thread runs arms 1 and 3 and joins arm 2's steps at the end.  Each arm's
-    # own generator and Welch sum keep the bytes a serial run's however the
-    # threads are scheduled.  Leaving the block joins the worker, even on
-    # failure.  Imported here, so no other run pays for the module.
+    # The worker runs arm 2 and this thread arms 1 and 3.  Each arm has its own
+    # generator and Welch sum and only reads the table, so the bytes are a
+    # serial run's however the threads are scheduled.  Leaving the block joins
+    # the worker, even on failure.  Imported here: no other run pays for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    squeezed_arm, equal_arm, double_arm = arms = [arm(*case) for case in cases]
-    for each in arms:
-        next(each)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        next_sine, equal_steps = worker.submit(sine, 0), []
-        for k in range(1, len(bounds)):
-            tone = next_sine.result()
-            if k + 1 < len(bounds):
-                next_sine = worker.submit(sine, k)
-            equal_steps.append(worker.submit(equal_arm.send, tone))
-            squeezed_snr = squeezed_arm.send(tone)
-            double_snr = double_arm.send(tone)
-        equal_snr = [step.result() for step in equal_steps][-1]
+        equal = worker.submit(arm_snr, *cases[1])
+        squeezed_snr = arm_snr(*cases[0])
+        double_snr = arm_snr(*cases[2])
+        equal_snr = equal.result()
     result = {
         "snr_squeezed": squeezed_snr,
         "snr_coherent_equal_power": equal_snr,

@@ -405,10 +405,27 @@ def _tone_phase(stop: int, sample_rate: float, frequency: float, start: int = 0)
     return phase
 
 
+def _tone_table(n_segment: int, sample_rate: float, frequency: float) -> np.ndarray:
+    """One period of the unit tone on bin ``k = round(frequency * N / sample_rate)``
+    of N-sample segments: ``sin(2 pi ((k m) mod N) / N)`` for m in [0, N).  The
+    phase, in eighths of 1/N turn, is folded in integers to an angle in [0, pi/4]
+    for each sine or cosine; where ``2 (k m mod N)`` is a multiple of N it is 0.0."""
+    check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
+    k = round(frequency / (sample_rate / n_segment))
+    phase = np.arange(n_segment, dtype=np.int64) * k % n_segment * 8
+    negative = phase > 4 * n_segment  # sin(x) = -sin(x - pi)
+    phase %= 4 * n_segment
+    phase = np.minimum(phase, 4 * n_segment - phase)  # sin(x) = sin(pi - x)
+    cosine = phase > n_segment  # sin(x) = cos(pi/2 - x)
+    angle = np.where(cosine, 2 * n_segment - phase, phase) * (np.pi / 4.0 / n_segment)
+    table = np.where(cosine, np.cos(angle), np.sin(angle))
+    return np.negative(table, out=table, where=negative)
+
+
 def _add_tone(samples: np.ndarray, tone: np.ndarray, depth: float) -> None:
     """Add ``depth * tone`` to ``samples`` in place, ``sample + depth * tone`` bit
-    for bit.  ``tone`` is the sine of a :func:`_tone_phase`; callers pass a block
-    at a time, so the product is no temporary as long as the series."""
+    for bit.  ``tone`` is a block of a :func:`_tone_phase` sine, or a
+    :func:`_tone_table` that broadcasts over rows of whole periods."""
     check_range("modulation depth", depth)
     samples += np.multiply(tone, depth)
 

@@ -1,7 +1,8 @@
 """Run-level guarantees of ``sqzlab run``: size limits checked before any
-allocation, one modulation sine per ``snr-equivalence`` run, its worker
-thread joined whether the run succeeds or fails, and no config that passes
-config validation ending in an unexpected runtime failure."""
+allocation, one period of the modulation tone per ``snr-equivalence`` run,
+its arms equal to a serial run bit for bit, its worker thread joined whether
+the run succeeds or fails, and no config that passes config validation
+ending in an unexpected runtime failure."""
 
 import contextlib
 import dataclasses
@@ -125,10 +126,10 @@ def test_a_default_bhd_psd_run_peaks_at_10_bytes_per_sample(tmp_path):
     assert peak <= 10 * n_samples
 
 
-def test_a_default_snr_equivalence_run_peaks_at_9_bytes_per_sample(tmp_path):
-    # The sine of two chunks in flight takes 4 bytes a sample of the default
-    # run; each arm holds one block, its Welch sum and their temporaries.  It
-    # measured 7.3; three arms as long as the series took 25.8.  A small run
+def test_a_default_snr_equivalence_run_peaks_at_4_bytes_per_sample(tmp_path):
+    # The two arms in flight each hold one buffer of whole segments, its Welch
+    # sum and their temporaries, and the tone is one period; it measured 2.6.
+    # A sine of every sample, even taken in chunks, took 7.3.  A small run
     # first imports the modules a first run would, whose objects tracemalloc
     # would count.
     n_samples = EXPERIMENTS["snr-equivalence"].params["n_samples"].default
@@ -140,7 +141,7 @@ def test_a_default_snr_equivalence_run_peaks_at_9_bytes_per_sample(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * n_samples
+    assert peak <= 4 * n_samples
 
 
 def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
@@ -160,25 +161,26 @@ def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
     assert peak <= 79 * n_windows
 
 
-def test_snr_equivalence_computes_its_sine_once(tmp_path, monkeypatch):
-    # The sine is taken in place of each chunk's phase, one block and then
-    # four at a time, and the chunks tile the series once; any other tone,
-    # add_signal_modulation's included, would compute a phase and show here.
-    calls = []
-    tone_phase = detection._tone_phase
+def test_snr_equivalence_builds_one_tone_period_once(tmp_path, monkeypatch):
+    # The three arms share one table of the segment's 4,096 values; a phase
+    # per sample, add_signal_modulation's included, would call _tone_phase.
+    phases, tables = [], []
+    tone_phase, tone_table = detection._tone_phase, detection._tone_table
 
-    def spy(*args):
-        calls.append(args)
+    def phase_spy(*args):
+        phases.append(args)
         return tone_phase(*args)
 
-    monkeypatch.setattr(cli, "_tone_phase", spy)
-    monkeypatch.setattr(detection, "_tone_phase", spy)
+    def table_spy(*args):
+        tables.append(tone_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(detection, "_tone_phase", phase_spy)
+    monkeypatch.setattr(detection, "_tone_table", table_spy)
+    monkeypatch.setattr(cli, "_tone_table", table_spy)
     assert _run(tmp_path, {"experiment": "snr-equivalence", "seed": 92928119}) == 0
-    block = detection._BLOCK_BYTES // 8
-    bounds = [0, block, *range(5 * block, 1048576, 4 * block), 1048576]
-    assert len(bounds) == 6
-    chunks = zip(bounds, bounds[1:])
-    assert calls == [(stop, 65536.0, 8192.0, start) for start, stop in chunks]
+    assert phases == []
+    assert [table.shape for table in tables] == [(4096,)]
 
 
 def _failing_second_psd(monkeypatch):
@@ -195,9 +197,9 @@ def _failing_second_psd(monkeypatch):
 
 
 # (parameters, fault injected, exit code, message): the message and code a
-# serial run gives.  The first fails on this thread before any draw, the
-# second on the worker thread, the last on this one while the worker takes
-# the sine.
+# serial run gives.  The first fails on this thread before the worker starts,
+# the second on whichever thread takes the second spectrum, the last on both
+# threads, in the first draw of each arm.
 WORKER_FAILURES = [
     (
         {"resolution_bandwidth_hz": 16384.0, "signal_frequency_hz": 16384.0},
@@ -248,10 +250,16 @@ def test_snr_equivalence_success_joins_its_worker(tmp_path):
 
 
 def _serial_snrs(params, seed):
-    """The three arms drawn, modulated and analysed in turn on one thread."""
+    """The three arms drawn, modulated and analysed in turn on one thread, each
+    series whole, with the tone's period tiled over all of it."""
     fs = params["sample_rate_hz"]
     n = params["n_samples"]
+    rbw = params["resolution_bandwidth_hz"]
     depth = params["modulation_depth"]
+    n_segment = detection._psd_segment(fs, rbw, n)
+    tone = np.resize(
+        detection._tone_table(n_segment, fs, params["signal_frequency_hz"]), n
+    )
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
     detector = detection.DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
@@ -266,10 +274,8 @@ def _serial_snrs(params, seed):
         series = detection.bhd_series(
             state, 0.0, params["signal_to_lo_power_ratio"], detector, n, case_seed, fs
         )
-        series = detection.add_signal_modulation(
-            series, params["signal_frequency_hz"], case_depth
-        )
-        spectrum = detection.welch_psd(series, params["resolution_bandwidth_hz"])
+        series = detection.TimeSeries(fs, series.samples + tone * case_depth)
+        spectrum = detection.welch_psd(series, rbw)
         snrs.append(cli._peak_snr(spectrum, params["signal_frequency_hz"]))
     return snrs
 
@@ -320,8 +326,8 @@ def test_snr_equivalence_arms_may_finish_in_either_order(monkeypatch, slow):
     assert finished[0] == (slow == "worker")
 
 
-# Samples per block of the run, whose chunks are one block and then four;
-# the default's.
+# Samples per block: each arm's buffer holds as many whole segments as fit
+# one, and at least one; the default's.
 DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
 
 
@@ -334,19 +340,18 @@ DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
     bin_index=st.integers(2, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-# At the default block: a tail past the last segment in a partial second
-# chunk; exactly one chunk; the default run's five chunks; a segment longer
-# than a block (resolution 0.25 Hz) over four chunks, the last partial.
+# At the default block: a tail past the last segment in a partial fifth
+# buffer; exactly one buffer; the default run's 16 buffers; a segment longer
+# than a block (resolution 0.25 Hz), one to a buffer, then a tail buffer.
 @example(block=DEFAULT_BLOCK, n_segment=4096, runs=73, tail=977, bin_index=512, seed=13)
 @example(block=DEFAULT_BLOCK, n_segment=4096, runs=16, tail=0, bin_index=512, seed=1)
 @example(block=DEFAULT_BLOCK, n_segment=4096, runs=256, tail=0, bin_index=512, seed=2)
 @example(block=DEFAULT_BLOCK, n_segment=2**18, runs=2, tail=75000, bin_index=32768, seed=3)
-def test_lockstep_arms_are_a_serial_run_bit_for_bit(
+def test_whole_arms_are_a_serial_run_bit_for_bit(
     block, n_segment, runs, tail, bin_index, seed
 ):
-    # Blocks of 8 to 1,000 samples give chunks of up to 32 to 4,000: one
-    # chunk or many, segments shorter or longer than a block, and a partial
-    # last chunk.
+    # Blocks of 8 to 1,000 samples give one buffer or many, segments shorter
+    # or longer than a block, and a partial last buffer.
     # A 1 us switch interval makes the threads trade the interpreter lock
     # far more often than the default 5 ms does.
     fs = 65536.0
@@ -400,6 +405,12 @@ DERIVED_FAILURES = [
         },
         "modulation frequency must be finite and > 0 and < 5e-10",
     ),
+    # The double-power arm's depth, sqrt(2) times this, overflows.
+    (
+        "snr-equivalence",
+        {"modulation_depth": 1.3e308},
+        "modulation depth must be finite",
+    ),
     ("bhd-psd", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
     ("decohere", {"phase_noise_deg": 1e300}, SIGMA_SQUARED_ERROR),
     ("fit-loss", {"fixed_phase_noise_deg": 1e303}, SIGMA_SQUARED_ERROR),
@@ -424,6 +435,7 @@ DERIVED_FAILURES = [
         "snr-rbw-negative-zero",
         "snr-rbw-subnormal",
         "snr-signal-infinite-bins-up",
+        "snr-depth-times-sqrt-2",
         "bhd-rbw-subnormal",
         "decohere-sigma-squared",
         "fit-loss-sigma-squared",

@@ -429,7 +429,7 @@ def test_leafwise_variance_is_numpys_var_bit_for_bit(size, leaf, decade, offset,
     cycles=st.floats(1.0e-4, 0.499),
     seed=st.integers(0, 2**32 - 1),
 )
-# snr-equivalence's default arm in default blocks, and a partial last block.
+# A 2**20-sample series in default blocks, and a partial last block.
 @example(size=2**20, block=SCRATCH, depth=0.5, cycles=0.125, seed=0)
 @example(size=300001, block=SCRATCH, depth=-2.0, cycles=0.3, seed=1)
 def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
@@ -454,7 +454,7 @@ def test_tone_added_in_blocks_is_add_signal_modulation_bit_for_bit(
     cycles=st.floats(1.0e-4, 0.499),
     sample_rate=st.sampled_from([1.0, 65536.0, 3.0e7]),
 )
-# snr-equivalence's default run in chunks of four blocks; an odd size beyond
+# A 2**20-sample series in chunks of 2**18 samples; an odd size beyond
 # bhd-psd's largest swept one, in chunks of the same length.
 @example(size=2**20, chunk=2**18, cycles=0.125, sample_rate=65536.0)
 @example(size=2**22 + 1, chunk=2**18, cycles=0.3, sample_rate=65536.0)
@@ -468,6 +468,34 @@ def test_a_tone_taken_in_chunks_is_the_whole_sine_bit_for_bit(
         for start in range(0, size, chunk)
     ]
     assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bin_=st.integers(3, 2**18).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, (n - 1) // 2))
+    ),
+    indices=st.lists(st.integers(0, 2**18), max_size=8),
+)
+# snr-equivalence's default table: a zero crossing (2 k m = N) and a peak;
+# an odd segment, which has no crossing but m = 0; a 2**18-sample segment.
+@example(bin_=(4096, 512), indices=[4, 2, 4095])
+@example(bin_=(4097, 2048), indices=[1, 2, 4096])
+@example(bin_=(2**18, 32768), indices=[4, 3, 2**18 - 1])
+def test_the_tone_table_is_the_exact_sine_within_an_ulp(bin_, indices):
+    import mpmath
+
+    n_segment, k = bin_
+    table = detection._tone_table(n_segment, float(n_segment), float(k))
+    assert table.shape == (n_segment,)
+    with mpmath.workdps(50):
+        for m in [0, *indices]:
+            m %= n_segment
+            phase = k * m % n_segment
+            exact = mpmath.sin(2 * mpmath.pi * phase / n_segment)
+            assert abs(mpmath.mpf(float(table[m])) - exact) <= 2.0**-52
+            if 2 * phase % n_segment == 0:
+                assert table[m] == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -138,11 +138,11 @@ GOLDEN = {
         "e094a56acc00dcc967d477c8ede14a5acafacdbf02028e3dc50e3fa69a7fde68",
     ),
     ("snr-equivalence", "csv"): (
-        "3a386e9bc9d44703e44ea52e0b444a589ad0907d0943f1e508762a4c4a88499c",
+        "65b6e051c691b9ec94a8cdb3428577132cc7173c62347c23b276094e8801352f",
         "e2aa727d0319eba4d8e48e153ed952ad55316ee47a49d315bda7894b94e5a0f0",
     ),
     ("snr-equivalence", "json"): (
-        "06e768bce94754cefd1d9284ac1937eb6ff010a26a26a5184eb3305be78d037d",
+        "fce680ebec27c57c8708dd62391b0192536d8e8181021a8a6e728f2550777841",
         "b94b5fb6339c46372baf02a222136dd2f2b8496b101bdf357a04a21cf1b600cf",
     ),
     ("noise-budget", "csv"): (
@@ -225,11 +225,11 @@ GOLDEN = {
         "52b78079b9f302f9ba37fad5a9e830b8bdc4dfa60479f6c50bbdd1e250b8582a",
     ),
     ("snr-equivalence-tail", "csv"): (
-        "4c3695e775fe37f62a629dd52d8ab427df756c3f018fab0ecc346b3be4cbbfe2",
+        "c8c2832bf23ceea4d49d42e847cd3dd8a9c5bc887a7174bc83f4203fb68331c9",
         "24e1cca1f9230df0dce5bcf4dc289ecdbe37b3ddf32a64911b3d0a8510c8fae5",
     ),
     ("snr-equivalence-tail", "json"): (
-        "891bfc95ac1c4a4137660cff445a5bd71c692235a6a5c4b64644c897188b8a5c",
+        "a72199285afe21a02a79d5e929a6c7188890c03844820527d81134e7dc984905",
         "5c1feeec3056f18a24ad62403f55753c51ff627dc48bc1605b7af17a6f4bc0ea",
     ),
 }

@@ -63,7 +63,6 @@ from .detection import (
     LightSource,
     MeasurementWindowing,
     _BLOCK_BYTES,
-    _add_tone,
     _bhd_samples,
     _psd_segment,
     _series_variance,
@@ -375,8 +374,9 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     ratio = params["signal_to_lo_power_ratio"]
 
     def arm_snr(state, case_depth, case_seed) -> float:
-        # Each buffer holds whole segments from a period's start, so its tone
-        # is the table on each row, and a prefix of the table on the tail.
+        # Each buffer holds whole segments from a period's start, so its tone,
+        # depth times the table, goes on each row and its prefix on the tail.
+        tone = np.multiply(table, case_depth)
         rng = np.random.default_rng(case_seed)
         welch = _WelchSum(n_segment, n_samples // n_segment)
         buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
@@ -384,8 +384,9 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
             part = buffer[: n_samples - start]
             _bhd_samples(state, 0.0, ratio, detector, part.size, rng, out=part)
             whole = part.size - part.size % n_segment
-            _add_tone(part[:whole].reshape(-1, n_segment), table, case_depth)
-            _add_tone(part[whole:], table[: part.size - whole], case_depth)
+            rows = part[:whole].reshape(-1, n_segment)
+            rows += tone
+            part[whole:] += tone[: part.size - whole]
             check_range("samples", part)
             welch.add(part[:whole])
         return _peak_snr(welch.spectrum(fs), f_signal)

@@ -81,7 +81,11 @@ class LossBudget:
 
 @dataclass(frozen=True)
 class SqueezeMeasurement:
-    """One point of a loss sweep: variances in dB at a known added loss."""
+    """One point of a loss sweep: variances in dB at a known added loss.
+
+    Each reading is bounded by the representable squeeze, 10 log10(max float)
+    or about 3082.55 dB, so that the fit's squared dB errors stay finite.
+    """
 
     added_loss: float
     squeeze_db: float
@@ -89,8 +93,8 @@ class SqueezeMeasurement:
 
     def __post_init__(self) -> None:
         check_range("added_loss", self.added_loss, ge=0.0, le=1.0)
-        check_range("squeeze_db", self.squeeze_db, le=0.0)
-        check_range("antisqueeze_db", self.antisqueeze_db, ge=0.0)
+        check_range("squeeze_db", self.squeeze_db, ge=-_MAX_SQUEEZE_DB, le=0.0)
+        check_range("antisqueeze_db", self.antisqueeze_db, ge=0.0, le=_MAX_SQUEEZE_DB)
 
 
 @dataclass(frozen=True)

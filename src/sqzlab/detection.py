@@ -7,7 +7,7 @@ direct detection, a local-oscillator phase and power ratio for balanced
 homodyne detection.  All sampling is driven by an explicit integer seed and
 is reproducible bit for bit; identical seeds give identical records no
 matter how the caller schedules the work, or in how many pieces a series is
-drawn, modulated and averaged.
+drawn and averaged.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
-# Draws are scaled, tones added, welch_psd's segments transformed and
-# _series_variance's deviations squared this many bytes at a time: no
-# temporary is as long as the series, and welch_psd stays under 1 MiB whenever
-# one segment fits a block.  A block and its scratch fit a 2 MiB L2 cache.
+# Draws are scaled, welch_psd's segments transformed and _series_variance's
+# deviations squared this many bytes at a time: none makes a temporary as long
+# as the series, and welch_psd stays under 1 MiB whenever one segment fits a
+# block.  A block and its scratch fit a 2 MiB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -383,26 +383,12 @@ def add_signal_modulation(
     ``depth`` is the modulation amplitude in the same shot-noise-relative
     units as the samples.  The frequency must sit below Nyquist.
     """
-    samples, step = series.samples.copy(), _BLOCK_BYTES // 8
-    for start in range(0, samples.size, step):
-        stop = min(start + step, samples.size)
-        phase = _tone_phase(stop, series.sample_rate, frequency, start)
-        _add_tone(samples[start:stop], np.sin(phase, out=phase), depth)
-    return TimeSeries(series.sample_rate, _Owned(samples), lo_phase=series.lo_phase)
-
-
-def _tone_phase(stop: int, sample_rate: float, frequency: float, start: int = 0):
-    """The phase ``2 pi f t`` on the times of samples ``[start, stop)``.
-
-    Its sine, taken in place, is the unit tone :func:`_add_tone` adds.  A
-    range holds exactly the whole array's values, so tones may go in chunks.
-    """
-    check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
-    # In place; float arange holds the integers exactly, as int arange does.
-    phase = np.arange(start, stop, dtype=float)
-    phase /= sample_rate
-    phase *= 2.0 * np.pi * frequency
-    return phase
+    fs = series.sample_rate
+    check_range("modulation frequency", frequency, gt=0.0, lt=fs / 2.0)
+    check_range("modulation depth", depth)
+    t = np.arange(series.samples.size) / fs
+    samples = series.samples + depth * np.sin(2.0 * np.pi * frequency * t)
+    return TimeSeries(fs, _Owned(samples), lo_phase=series.lo_phase)
 
 
 def _tone_table(n_segment: int, sample_rate: float, frequency: float) -> np.ndarray:
@@ -420,14 +406,6 @@ def _tone_table(n_segment: int, sample_rate: float, frequency: float) -> np.ndar
     angle = np.where(cosine, 2 * n_segment - phase, phase) * (np.pi / 4.0 / n_segment)
     table = np.where(cosine, np.cos(angle), np.sin(angle))
     return np.negative(table, out=table, where=negative)
-
-
-def _add_tone(samples: np.ndarray, tone: np.ndarray, depth: float) -> None:
-    """Add ``depth * tone`` to ``samples`` in place, ``sample + depth * tone`` bit
-    for bit.  ``tone`` is a block of a :func:`_tone_phase` sine, or a
-    :func:`_tone_table` that broadcasts over rows of whole periods."""
-    check_range("modulation depth", depth)
-    samples += np.multiply(tone, depth)
 
 
 def _series_variance(samples: np.ndarray) -> float:

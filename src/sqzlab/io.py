@@ -41,18 +41,10 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-# (row, cell separator, row separator) templates of the table renderer:
-# a table as ``json.dumps(indent=2)`` lays out a top-level entry's rows.
+# (row, cell separator, row separator) templates of a JSON table: a table
+# as ``json.dumps(indent=2)`` lays out a top-level entry's rows.
 _JSON_TABLE = ("    [\n      {}\n    ]", ",\n      ", ",\n")
 _JSON_ROWS_KEY = '\n  "rows": '
-
-
-def _table(
-    values: Sequence[Any], n_rows: int, width: int, row: str, cell: str, sep: str
-) -> str:
-    """``n_rows`` rows of ``width`` cells from one ``%``-format: ``cell``
-    joins a row's cells, ``row`` wraps them at ``{}``, ``sep`` joins rows."""
-    return sep.join([row.format(cell.join(["%s"] * width))] * n_rows) % tuple(values)
 
 
 def _int_cells(rows: np.ndarray, cell: str, end: str) -> str:
@@ -96,15 +88,16 @@ def _json_table(rows: np.ndarray) -> str | None:
     ``%s`` spells it (bool, empty or non-finite arrays)."""
     if rows.ndim != 2 or not rows.size or rows.dtype.kind not in "iuf":
         return None
+    row, cell, sep = _JSON_TABLE
     if rows.dtype.kind in "iu":
-        row, cell, sep = _JSON_TABLE
         head, tail = row.split("{}")
         # Digits and "-" hold neither "," nor "]", so each maps in one replace.
         text = _int_cells(rows, ",", "]")[:-1].replace(",", cell)
         return row.format(text.replace("]", tail + sep + head))
     if not np.isfinite(rows).all():
         return None
-    return _table(np.ravel(rows).tolist(), *rows.shape, *_JSON_TABLE)
+    text = sep.join([row.format(cell.join(["%s"] * rows.shape[1]))] * len(rows))
+    return text % tuple(np.ravel(rows).tolist())
 
 
 def _write_atomic(path: Path, text: str) -> None:

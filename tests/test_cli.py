@@ -310,7 +310,7 @@ def test_integer_too_long_for_python_is_config_error(tmp_path, capsys):
         (
             "fit-loss",
             '{"measurements": [[0.0, %s, 23.0], [0.1, -7.4, 22.6]]}',
-            "squeeze_db must be finite and <= 0",
+            "squeeze_db must be finite and >= -3082.55 and <= 0",
         ),
     ],
     ids=["escape_efficiency", "added_losses", "measurements"],

@@ -162,24 +162,19 @@ def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
 
 
 def test_snr_equivalence_builds_one_tone_period_once(tmp_path, monkeypatch):
-    # The three arms share one table of the segment's 4,096 values; a phase
-    # per sample, add_signal_modulation's included, would call _tone_phase.
-    phases, tables = [], []
-    tone_phase, tone_table = detection._tone_phase, detection._tone_table
-
-    def phase_spy(*args):
-        phases.append(args)
-        return tone_phase(*args)
+    # The three arms share one table of the segment's 4,096 values.  A phase
+    # per sample would take 8 bytes a sample, which the 4-bytes-a-sample
+    # peak test above catches.
+    tables = []
+    tone_table = detection._tone_table
 
     def table_spy(*args):
         tables.append(tone_table(*args))
         return tables[-1]
 
-    monkeypatch.setattr(detection, "_tone_phase", phase_spy)
     monkeypatch.setattr(detection, "_tone_table", table_spy)
     monkeypatch.setattr(cli, "_tone_table", table_spy)
     assert _run(tmp_path, {"experiment": "snr-equivalence", "seed": 92928119}) == 0
-    assert phases == []
     assert [table.shape for table in tables] == [(4096,)]
 
 
@@ -417,7 +412,7 @@ DERIVED_FAILURES = [
     (
         "fit-loss",
         {"measurements": [[0.0, 0.0, 0.0], [0.0, 0.0, 1e300]]},
-        "fit residual (sum of squared dB errors) must be finite",
+        "antisqueeze_db must be finite and >= 0 and <= 3082.55",
     ),
     ("noise-budget", {"arm_length_m": 1e300}, "arm_length**2 must be finite"),
     ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
@@ -425,8 +420,8 @@ DERIVED_FAILURES = [
 ]
 
 
-# The fit's squared dB errors overflow before the check sees their sum.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# Each run fails by name before numpy computes anything that could overflow.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "name, params, message",
     DERIVED_FAILURES,

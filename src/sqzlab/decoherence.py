@@ -143,10 +143,12 @@ def apply_phase_noise(
 
 def _jitter(v_squeeze, v_antisqueeze, variance):
     """Unchecked, broadcasting :func:`apply_phase_noise` at variance sigma**2."""
-    weight = 0.5 * (1.0 + np.exp(-2.0 * variance))
+    # 1 - w free of the cancellation that puts 1 - exp(-2 sigma**2) on a 1.1e-16 grid.
+    mixed = -0.5 * np.expm1(-2.0 * variance)
+    weight = 1.0 - mixed
     return (
-        weight * v_squeeze + (1.0 - weight) * v_antisqueeze,
-        weight * v_antisqueeze + (1.0 - weight) * v_squeeze,
+        weight * v_squeeze + mixed * v_antisqueeze,
+        weight * v_antisqueeze + mixed * v_squeeze,
     )
 
 
@@ -244,12 +246,14 @@ def _least_squares(residuals, start, lower, upper):
         h = 1e-8 * np.maximum(np.abs(params), 1e-2)
         stack = residuals(params + np.vstack([0.0 * h, np.diag(h)]))
         r, jac = stack[0], (stack[1:] - stack[0]) / h[:, np.newaxis]
-        grad, cost, trial_cost, moved = jac @ r, r @ r, np.inf, True
+        grad, cost, trial_cost, moved = (jac * r).sum(1), (r * r).sum(), np.inf, True
         frozen = (params <= lower) & (grad >= 0) | (params >= upper) & (grad <= 0)
-        hess = jac @ jac.T * np.outer(~frozen, ~frozen)
+        hess = (jac[:, np.newaxis] * jac).sum(2) * np.outer(~frozen, ~frozen)
         while not trial_cost < cost and moved and grad[~frozen].any():
-            system = hess + damping * np.diag(np.diag(hess)) + np.diag(frozen)
-            delta = np.linalg.lstsq(system, -grad * ~frozen, rcond=None)[0]
+            # The damped 2x2 system by Cramer's rule; a frozen row is the identity.
+            (a, b), (c, d) = hess + damping * np.diag(np.diag(hess)) + np.diag(frozen)
+            g0, g1 = -grad * ~frozen
+            delta = np.array([d * g0 - b * g1, a * g1 - c * g0]) / (a * d - b * c)
             trial = np.clip(params + delta, lower, upper)
             trial_cost = np.sum(residuals(trial[np.newaxis]) ** 2)
             moved = np.abs(trial - params).max() > 1e-16

@@ -94,12 +94,6 @@ def check_range(name: str, value, *, ge=None, gt=None, le=None, lt=None):
     raise ValueError(" and ".join([f"{name} must be finite", *bounds]))
 
 
-def _rotation(angle: float) -> np.ndarray:
-    """2x2 rotation matrix acting on (x, y) quadrature vectors."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 class _Owned:
     """An array the library itself just allocated and hands to a record.
 
@@ -261,8 +255,10 @@ def squeeze(state: GaussianState, setting: SqueezeSetting) -> GaussianState:
     p = (c * c * minor + s * s * major) * a * a
     u = (s * s * minor + c * c * major) * b * b
     axes = _principal_axes(p, u, c * s * (minor - major), minor * major)
-    rot = _rotation(setting.theta)
-    mean = rot @ np.diag([a, b]) @ rot.T @ state.mean
+    # Scale the mean along the squeezed and the stretched axis, then rotate back.
+    (x, y), c, s = state.mean, np.cos(setting.theta), np.sin(setting.theta)
+    along, across = a * (c * x + s * y), b * (c * y - s * x)
+    mean = np.array([c * along - s * across, s * along + c * across])
     return _from_axes(mean, axes[0], axes[1], setting.theta + axes[2])
 
 
@@ -272,7 +268,8 @@ def rotate(state: GaussianState, angle: float) -> GaussianState:
     minor, major, theta = state.axes
     # Reducing the angle first makes a half turn leave theta exactly as is.
     theta = theta + angle % np.pi
-    return _from_axes(_rotation(angle) @ state.mean, minor, major, theta)
+    (x, y), c, s = state.mean, np.cos(angle), np.sin(angle)
+    return _from_axes(np.array([c * x - s * y, s * x + c * y]), minor, major, theta)
 
 
 def apply_loss(state: GaussianState, loss: float) -> GaussianState:
@@ -318,7 +315,8 @@ def mean_photon_number(state: GaussianState) -> float:
     Equals ``|alpha|^2 + (minor + major - 2) / 4``; the vacuum gives 0 and a
     10 dB squeezed vacuum gives 2.025.
     """
-    displacement = float(state.mean @ state.mean) / 4.0
+    x, y = state.mean
+    displacement = float(x * x + y * y) / 4.0
     return displacement + (state.axes[0] + state.axes[1] - 2.0) / 4.0
 
 

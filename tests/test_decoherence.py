@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqzlab.decoherence import (
@@ -261,11 +261,29 @@ def test_improvement_validation():
     loss=st.floats(0.0, 0.2),
     jitter_deg=st.floats(0.0, 3.0),
 )
+# Jitters so small that 1 - w resolves them only in its expm1 form.
+@example(gain=93.5, loss=0.0, jitter_deg=1e-5)
+@example(gain=93.5, loss=1e-3, jitter_deg=1e-6)
 def test_fit_recovers_exact_sweeps(gain, loss, jitter_deg):
     fit = fit_loss_phase(_synthesize(gain, loss, jitter_deg), gain)
     assert fit.converged
     assert fit.intrinsic_loss == pytest.approx(loss, abs=1e-9)
     assert fit.phase_noise.degrees == pytest.approx(jitter_deg, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "gain, squeeze_db, antisqueeze_db",
+    [(63.0, 0.0, 0.0), (1.0, 0.0, 0.0), (63.0, 0.0, 15.0)],
+    ids=["all-0dB-gain-63", "all-0dB-gain-1", "0dB-15dB"],
+)
+def test_degenerate_sweeps_fit_finite(gain, squeeze_db, antisqueeze_db):
+    # No loss and jitter of the model match these sweeps: the damped 2x2
+    # system's determinant comes near zero, or at gain 1 no step is solved.
+    sweep = [SqueezeMeasurement(a, squeeze_db, antisqueeze_db) for a in SWEEP_LOSSES]
+    fit = fit_loss_phase(sweep, gain)
+    assert fit.converged
+    assert np.isfinite([fit.intrinsic_loss, fit.phase_noise.sigma, fit.residual]).all()
 
 
 @settings(max_examples=20, deadline=None)

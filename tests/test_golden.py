@@ -8,9 +8,12 @@ hashes equal the ``output_sha256`` that ``bench/run.py`` reports.  The other
 cases exercise the broadcasting model paths away from the defaults.
 
 Bit identity holds for a fixed numpy build; a numpy upgrade that changes a
-ufunc's last bit shows up here first.
+ufunc's last bit shows up here first.  sqzlab makes no BLAS call, so the
+bytes do not depend on the kernels that numpy's OpenBLAS picks for the CPU;
+the last test reruns every case under other kernels to check it.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -18,10 +21,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqzlab
 from sqzlab.cli import main
+from sqzlab.decoherence import PhaseNoise, SqueezeMeasurement, fit_loss_phase, forward_model
+from sqzlab.gaussian import SqueezeSetting, coherent, mean_photon_number, rotate, squeeze
 
 CASES = {
     "opo-spectrum": ("opo-spectrum", {}, 1116347426),
@@ -114,11 +120,11 @@ GOLDEN = {
         "0c34bb2f2533cb4bf176ff5f3c1f8bb0c01fd23dbaeeccc2ebfe073e122bff64",
     ),
     ("fit-loss", "csv"): (
-        "f84b2fc5371544c9ec7adba59957ca5cfd7075b81d976cfcff43bedd583ab71b",
+        "cfcbf1d2457d8cb61c8ab737f53026590726f265edb36609ec1abb9964cde083",
         "9a95ce4c24f0ee529e4e8c8304f9932af7513ee8767bac09b55654c07a9c228a",
     ),
     ("fit-loss", "json"): (
-        "460fd4caa8eb9802e9ad86aa81c6d9b48c22a1c5d284af298e04bbdcfbd42dfd",
+        "0f96115e756fc5e87db88ad20651ad438ba8ff536d893a48078079f327ef1875",
         "d10957640a03bc95e2781dcd85eab76351739aa1393f3848f060d25f71fe4f3a",
     ),
     ("photon-record", "csv"): (
@@ -170,19 +176,19 @@ GOLDEN = {
         "c750e4ae0916108d9efd907527a19a31fa18f89433b754fe6051a6ac6c127255",
     ),
     ("decohere-jitter-sideband", "csv"): (
-        "974e9be342f02405b3494535ab6ea573fddbb9862a1859fcd2a0ce4bd4b1c384",
+        "7f31ed8e2d598b87559961b152e037e985ea4a97f9175b640af56d9ccfcd0c9e",
         "1414e5e504a92005048bc5bae42f942bbc9d08ca661ac5b177235c69a4cc2e7a",
     ),
     ("decohere-jitter-sideband", "json"): (
-        "04e6c39b9109e9933be6ae3a70462c43fcffbb25cfa831e87ad5a4d252ce5c8c",
+        "ba871bd3d19fbd6768979ec4b19d6f6a2aa2d2157226aad476833641f1d750f5",
         "f635457f8f0279bf2509d2ee59325f6419830e09b90cbc941e66b0f8cacd49c4",
     ),
     ("fit-loss-fixed-jitter", "csv"): (
-        "1e547b57e367436f6a80c7bfb35bc4d7b984d73492a84cfa7f6e72cdbca157bd",
+        "361f2705a2f806cfa4ee74435dfd6ccb6f7b2e3f3f2238c7a95244aec8a0c9fd",
         "f9468038227763b9940e25468dbb7acb64751ee05ea20d8ef0a60754fddafdf8",
     ),
     ("fit-loss-fixed-jitter", "json"): (
-        "dc499159e77fe62664dcdeebf12db6b75e513ba2c224c69789c26a6e832c6f3b",
+        "e5261fb40ffd536a67cc91d697f0165999dc8687702b25491ec476be5eef3459",
         "5b58adb59e2b40d969386107dc2b058f163855eb9d816a1fece6a7fc2da70d08",
     ),
     ("noise-budget-tilted", "csv"): (
@@ -268,8 +274,8 @@ def test_output_bytes_are_pinned(tmp_path, case, output_format):
 def test_default_bytes_on_the_cold_path(tmp_path):
     # pytest has imported numpy before sqzlab.cli, so the runs above keep
     # OpenBLAS's thread pool.  A cold ``sqzlab run`` is the first to import
-    # numpy and starts it single-threaded; fit-loss's lstsq then takes that
-    # path.  One fresh interpreter runs every default case that way.
+    # numpy and starts it single-threaded.  One fresh interpreter runs every
+    # default case that way.
     runs = [
         (case, output_format, tmp_path / f"{case}-{output_format}")
         for case, (experiment, _, _) in CASES.items()
@@ -299,3 +305,88 @@ def test_default_bytes_on_the_cold_path(tmp_path):
     for case, output_format, directory in runs:
         hashes = output_hashes(directory, case, output_format)
         assert hashes == GOLDEN[case, output_format], (case, output_format)
+
+
+# OpenBLAS kernel sets that x86-64 CPUs without AVX-512 run; numpy's bundled
+# OpenBLAS takes one of them from OPENBLAS_CORETYPE at load.
+OPENBLAS_CORES = ("Haswell", "Sandybridge", "Nehalem", "Prescott")
+
+
+def openblas_core() -> str | None:
+    """Kernel set of the OpenBLAS that numpy loaded in this process, if any."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def library_digest() -> str:
+    """sha256 of seeded state means, photon numbers and one fit, as float64 bytes."""
+    values = []
+    for alpha_x, alpha_y, r, theta, angle in np.random.default_rng(23).uniform(
+        -5.0, 5.0, (2000, 5)
+    ):
+        state = coherent(alpha_x, alpha_y)
+        for moved in (squeeze(state, SqueezeSetting(abs(r), theta)), rotate(state, angle)):
+            values += [*moved.mean, mean_photon_number(moved)]
+        values.append(mean_photon_number(state))
+    losses = np.linspace(0.0, 0.5, 6)
+    readings = forward_model(63.0, 0.086, losses, PhaseNoise.from_degrees(1.0))
+    fit = fit_loss_phase([SqueezeMeasurement(*m) for m in zip(losses, *readings)], 63.0)
+    values += [fit.intrinsic_loss, fit.phase_noise.sigma, fit.residual]
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
+def kernel_report(directory: str) -> dict:
+    """This process's OpenBLAS core, the golden cases it misses, and its digest."""
+    missed = []
+    for case in CASES:
+        for output_format in ("csv", "json"):
+            case_dir = Path(directory) / f"{case}-{output_format}"
+            case_dir.mkdir()
+            if main(run_args(case_dir, case, output_format)) != 0 or (
+                output_hashes(case_dir, case, output_format) != GOLDEN[case, output_format]
+            ):
+                missed.append(f"{case}-{output_format}")
+    return {"core": openblas_core(), "missed": missed, "library": library_digest()}
+
+
+def test_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
+    default_core = openblas_core()
+    if default_core is None:
+        pytest.skip("numpy's OpenBLAS reports no kernel set here")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqzlab.__file__).resolve().parents[1]))
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_golden import kernel_report\n"
+        "print(json.dumps(kernel_report(sys.argv[1])))\n"
+    )
+    ran, digest = [], library_digest()
+    for core in OPENBLAS_CORES:
+        (tmp_path / core).mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / core)],
+            env=dict(env, OPENBLAS_CORETYPE=core),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        # OpenBLAS may name a core by an alias (Prescott reads "Katmai"), and
+        # ignores a setting the CPU cannot run: then it keeps the default.
+        if report["core"] == default_core and core.lower() != default_core.lower():
+            continue
+        ran.append(f"{core} ({report['core']})")
+        assert report["missed"] == [], (core, report["missed"])
+        assert report["library"] == digest, core
+    print(f"OpenBLAS kernels run besides {default_core}: {', '.join(ran) or 'none'}")
+    assert ran, f"no OPENBLAS_CORETYPE setting took effect over {default_core}"

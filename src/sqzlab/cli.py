@@ -62,12 +62,10 @@ from .detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
-    _BLOCK_BYTES,
-    _bhd_samples,
     _psd_segment,
     _series_variance,
+    _tone_spectrum,
     _tone_table,
-    _WelchSum,
     bhd_series,
     fano_factor,
     mean_photons_per_window,
@@ -288,6 +286,7 @@ def _run_photon_record(params: dict, seed: int | None) -> ExperimentOutcome:
     windowing = MeasurementWindowing(
         params["window_s"], params["window_shape"], params["n_windows"]
     )
+    check_range("n_windows", windowing.n_windows, ge=2)  # for the Fano factor
     record = sample_photon_record(state, source, windowing, seed)
     metadata = {
         "expected_mean_count": mean_photons_per_window(source, windowing),
@@ -368,28 +367,24 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         (vacuum(), depth * 2.0**0.5, seeds[2]),
     ]
     table = _tone_table(n_segment, fs, f_signal)
+    # _peak_snr's floor is every bin but the signal's and its two neighbours:
+    # of an 8-sample segment's 3 bins, a signal on bin 2 leaves none.
+    n_bins = (n_segment + 1) // 2 - 1
+    if n_bins <= 3 and 1 < round(bin_position) < n_bins:
+        raise ValueError(
+            "signal_frequency_hz must leave a noise-floor bin beyond its neighbours"
+        )
     # The largest depth, checked before any arm so that every arm fails alike.
     # A float, it overflows to inf without numpy's warning.
     check_range("modulation depth", cases[2][1])
     ratio = params["signal_to_lo_power_ratio"]
 
     def arm_snr(state, case_depth, case_seed) -> float:
-        # Each buffer holds whole segments from a period's start, so its tone,
-        # depth times the table, goes on each row and its prefix on the tail.
         tone = np.multiply(table, case_depth)
-        rng = np.random.default_rng(case_seed)
-        welch = _WelchSum(n_segment, n_samples // n_segment)
-        buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
-        for start in range(0, n_samples, buffer.size):
-            part = buffer[: n_samples - start]
-            _bhd_samples(state, 0.0, ratio, detector, part.size, rng, out=part)
-            whole = part.size - part.size % n_segment
-            rows = part[:whole].reshape(-1, n_segment)
-            rows += tone
-            part[whole:] += tone[: part.size - whole]
-            check_range("samples", part)
-            welch.add(part[:whole])
-        return _peak_snr(welch.spectrum(fs), f_signal)
+        spectrum = _tone_spectrum(
+            state, ratio, detector, n_samples, n_segment, tone, case_seed, fs
+        )
+        return _peak_snr(spectrum, f_signal)
 
     # The worker runs arm 2 and this thread arms 1 and 3.  Each arm has its own
     # generator and Welch sum and only reads the table, so the bytes are a

@@ -66,9 +66,10 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
 # Draws are scaled, welch_psd's segments transformed and _series_variance's
-# deviations squared this many bytes at a time: none makes a temporary as long
-# as the series, and welch_psd stays under 1 MiB whenever one segment fits a
-# block.  A block and its scratch fit a 2 MiB L2 cache.
+# deviations squared this many bytes at a time, and _tone_spectrum's buffer
+# holds as many whole segments as fit in it (at least one): none makes a
+# temporary as long as the series, and welch_psd stays under 1 MiB whenever
+# one segment fits a block.  A block and its scratch fit a 2 MiB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -328,43 +329,12 @@ def bhd_series(
         If the signal beam is not much weaker than the local oscillator
         (power ratio >= 0.01).
     """
-    samples = _bhd_samples(
-        signal_state,
-        lo_phase,
-        signal_to_lo_power_ratio,
-        detector,
-        n_samples,
-        seed,
-        lo_noise_variance,
-    )
-    return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
-
-
-def _bhd_samples(
-    signal_state: GaussianState,
-    lo_phase: float,
-    signal_to_lo_power_ratio: float,
-    detector: DetectorParams,
-    n_samples: int,
-    seed: int,
-    lo_noise_variance: float = 0.0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The samples of :func:`bhd_series`, in ``out`` or a new array the caller owns."""
     check_range("n_samples", n_samples, ge=1)
     check_range("lo_phase", lo_phase)
-    check_range(
-        "signal_to_lo_power_ratio",
-        signal_to_lo_power_ratio,
-        ge=0.0,
-        lt=_MAX_SIGNAL_TO_LO_RATIO,
-    )
+    efficiency = _homodyne_efficiency(signal_to_lo_power_ratio, detector)
     check_range("lo_noise_variance", lo_noise_variance, ge=0.0)
-    efficiency = detector.quantum_efficiency * visibility_efficiency(
-        detector.visibility
-    )
     samples, rng = _detected_draw(
-        signal_state, lo_phase, efficiency, detector, n_samples, seed, out
+        signal_state, lo_phase, efficiency, detector, n_samples, seed
     )
     leak_amplitude = 2.0 * detector.balance_asymmetry * np.sqrt(lo_noise_variance)
     if leak_amplitude > 0.0:
@@ -372,7 +342,36 @@ def _bhd_samples(
         leak = rng.normal(size=n_samples)
         leak *= leak_amplitude
         samples += leak
-    return samples
+    return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
+
+
+def _homodyne_efficiency(ratio: float, detector: DetectorParams) -> float:
+    """``quantum_efficiency * visibility**2``, once the power ratio is checked."""
+    check_range("signal_to_lo_power_ratio", ratio, ge=0.0, lt=_MAX_SIGNAL_TO_LO_RATIO)
+    return detector.quantum_efficiency * visibility_efficiency(detector.visibility)
+
+
+def _tone_spectrum(
+    state, ratio, detector, n_samples, n_segment, tone, seed, sample_rate
+) -> NoiseSpectrum:
+    """``welch_psd`` of ``bhd_series(state, 0.0, ratio, detector, n_samples, seed,
+    sample_rate)`` plus the ``n_segment``-sample ``tone`` tiled from the start, bit
+    for bit.  Each buffer holds whole segments from a period's start, so the tone
+    goes on each row and its prefix on the tail: no array as long as the series."""
+    efficiency = _homodyne_efficiency(ratio, detector)
+    rng = np.random.default_rng(seed)
+    welch = _WelchSum(n_segment, n_samples // n_segment)
+    buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
+    for start in range(0, n_samples, buffer.size):
+        part = buffer[: n_samples - start]
+        _detected_draw(state, 0.0, efficiency, detector, part.size, rng, out=part)
+        whole = part.size - part.size % n_segment
+        rows = part[:whole].reshape(-1, n_segment)
+        rows += tone
+        part[whole:] += tone[: part.size - whole]
+        check_range("samples", part)
+        welch.add(part[:whole])
+    return welch.spectrum(sample_rate)
 
 
 def add_signal_modulation(

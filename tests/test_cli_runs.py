@@ -179,7 +179,7 @@ def test_snr_equivalence_builds_one_tone_period_once(tmp_path, monkeypatch):
 
 
 def _failing_second_psd(monkeypatch):
-    spectrum = cli._WelchSum.spectrum
+    spectrum = detection._WelchSum.spectrum
     calls = []
 
     def fails_on_second_call(welch, sample_rate):
@@ -188,7 +188,7 @@ def _failing_second_psd(monkeypatch):
             raise RuntimeError("injected failure in the second spectrum")
         return spectrum(welch, sample_rate)
 
-    monkeypatch.setattr(cli._WelchSum, "spectrum", fails_on_second_call)
+    monkeypatch.setattr(detection._WelchSum, "spectrum", fails_on_second_call)
 
 
 # (parameters, fault injected, exit code, message): the message and code a
@@ -300,19 +300,19 @@ def test_snr_equivalence_arms_may_finish_in_either_order(monkeypatch, slow):
     _, params, seed, _, _ = _validate_config(payload)
     expected = _serial_snrs(params, seed)
     main_thread = threading.get_ident()
-    bhd_samples, peak_snr = cli._bhd_samples, cli._peak_snr
+    detected_draw, peak_snr = detection._detected_draw, cli._peak_snr
     finished = []
 
-    def delayed_samples(*args, **kwargs):
+    def delayed_draw(*args, **kwargs):
         if (threading.get_ident() == main_thread) == (slow == "main"):
             time.sleep(0.2)
-        return bhd_samples(*args, **kwargs)
+        return detected_draw(*args, **kwargs)
 
     def recorded_snr(*args):
         finished.append(threading.get_ident() == main_thread)
         return peak_snr(*args)
 
-    monkeypatch.setattr(cli, "_bhd_samples", delayed_samples)
+    monkeypatch.setattr(detection, "_detected_draw", delayed_draw)
     monkeypatch.setattr(cli, "_peak_snr", recorded_snr)
     result = cli._run_snr_equivalence(params, seed).result
     keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
@@ -363,9 +363,7 @@ def test_whole_arms_are_a_serial_run_bit_for_bit(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(cli, "_BLOCK_BYTES", 8 * block), mock.patch.object(
-            detection, "_BLOCK_BYTES", 8 * block
-        ):
+        with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
             result = cli._run_snr_equivalence(params, seed).result
     finally:
         sys.setswitchinterval(interval)
@@ -379,9 +377,9 @@ SEGMENT_ERROR = (
 SIGMA_SQUARED_ERROR = "phase-noise sigma**2 must be finite"
 COUNT_ERROR = "mean photons per window must be finite and <= 9.22337e+18"
 # (experiment, parameters, message): configs whose runs once divided by zero,
-# overflowed a float, exited 3 with numpy's words, or wrote an infinite fit
-# residual, because a quantity derived from the parameters was used before
-# anything checked it.
+# overflowed a float, exited 3 with numpy's words or with none of the
+# parameter's, or wrote an infinite fit residual or nan SNRs, because a
+# quantity derived from the parameters was used before anything checked it.
 DERIVED_FAILURES = [
     ("snr-equivalence", {"resolution_bandwidth_hz": 1e11}, SEGMENT_ERROR),
     (
@@ -417,6 +415,15 @@ DERIVED_FAILURES = [
     ("noise-budget", {"arm_length_m": 1e300}, "arm_length**2 must be finite"),
     ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
     ("photon-record", {"power_w": 1e6, "noise_squeeze_db": 3.0}, COUNT_ERROR),
+    # Drawn, the record exited 3 with a message that named no parameter.
+    ("photon-record", {"n_windows": 1}, "n_windows must be finite and >= 2"),
+    # An 8-sample segment has 3 bins; _peak_snr masked all of them and wrote
+    # nan SNRs, with numpy's "Mean of empty slice" warning, and exit 0.
+    (
+        "snr-equivalence",
+        {"resolution_bandwidth_hz": 8192.0, "signal_frequency_hz": 16384.0},
+        "signal_frequency_hz must leave a noise-floor bin beyond its neighbours",
+    ),
 ]
 
 
@@ -438,6 +445,8 @@ DERIVED_FAILURES = [
         "noise-budget-arm-length-squared",
         "photon-record-coherent-counts",
         "photon-record-squeezed-counts",
+        "photon-record-one-window",
+        "snr-no-off-signal-bin",
     ],
 )
 def test_a_derived_quantity_out_of_range_exits_3_by_name(
@@ -507,7 +516,6 @@ WORDED_ERRORS = {
     "filter cavity needs both half linewidth and detuning, or neither",
     "choose either a filter cavity or matched_rotation, not both",
     "mean count is zero, Fano factor undefined",
-    "need at least two windows for a variance",
 }
 
 

@@ -410,6 +410,50 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
     assert spectrum.psd.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    block=st.sampled_from([8, 24, 100, 1000, BLOCK // 8]),
+    n_segment=st.integers(8, 300),
+    n_runs=st.integers(1, 30),
+    tail=st.integers(0, 299),
+    db=st.floats(0.0, 20.0),
+    depth=st.sampled_from([0.0, 0.5, 1.0e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# At the real block size: a tail past the last segment in a partial fifth
+# buffer; exactly one buffer; a segment longer than a block, one to a buffer,
+# then a tail buffer.
+@example(
+    block=BLOCK // 8, n_segment=4096, n_runs=73, tail=977, db=3.0, depth=0.5, seed=13
+)
+@example(
+    block=BLOCK // 8, n_segment=4096, n_runs=16, tail=0, db=3.0, depth=0.5, seed=1
+)
+@example(
+    block=BLOCK // 8, n_segment=2**18, n_runs=2, tail=75000, db=10.0, depth=1.0, seed=3
+)
+def test_tone_spectrum_is_welch_psd_of_the_toned_series_bit_for_bit(
+    block, n_segment, n_runs, tail, db, depth, seed
+):
+    # Blocks of 8 to 1,000 samples give one buffer or many, segments shorter
+    # or longer than a block, and a partial last buffer.
+    fs = 65536.0
+    size = n_segment * n_runs + tail % n_segment
+    state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.3))
+    detector = DetectorParams(0.9, 0.25, 0.95)
+    tone = depth * np.random.default_rng(seed + 1).normal(size=n_segment)
+    series = bhd_series(state, 0.0, 0.005, detector, size, seed, fs)
+    toned = TimeSeries(fs, series.samples + np.resize(tone, size))
+    expected = welch_psd(toned, fs / n_segment)
+    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
+        spectrum = detection._tone_spectrum(
+            state, 0.005, detector, size, n_segment, tone, seed, fs
+        )
+    assert spectrum.psd.tobytes() == expected.psd.tobytes()
+    assert spectrum.frequencies.tobytes() == expected.frequencies.tobytes()
+    assert spectrum.resolution_bandwidth == expected.resolution_bandwidth
+
+
 SCRATCH = BLOCK // 8  # samples of float64 scratch
 
 

@@ -65,7 +65,6 @@ from .detection import (
     _psd_segment,
     _series_variance,
     _tone_spectrum,
-    _tone_table,
     bhd_series,
     fano_factor,
     mean_photons_per_window,
@@ -336,12 +335,10 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
     return ExperimentOutcome(metadata, columns, rows)
 
 
-def _peak_snr(spectrum, signal_frequency: float) -> float:
-    """Signal-bin PSD over the mean off-signal floor, inf beyond the float range."""
-    idx = int(np.argmin(np.abs(spectrum.frequencies - signal_frequency)))
-    mask = np.ones(spectrum.psd.size, dtype=bool)
-    mask[max(idx - 1, 0) : idx + 2] = False
-    return float(spectrum.psd[idx]) / float(spectrum.psd[mask].mean())
+def _peak_snr(spectrum, k: int, floor: np.ndarray) -> float:
+    """Bin ``k``'s PSD, ``psd[k - 1]`` as the PSD starts at bin 1, over the mean
+    of the bins the mask ``floor`` keeps; inf beyond the float range."""
+    return float(spectrum.psd[k - 1]) / float(spectrum.psd[floor].mean())
 
 
 def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
@@ -349,9 +346,19 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     f_signal = params["signal_frequency_hz"]
     n_samples = params["n_samples"]
     n_segment = _psd_segment(fs, params["resolution_bandwidth_hz"], n_samples)
-    bin_position = f_signal / (fs / n_segment)
-    if abs(bin_position - round(bin_position, 0)) > 1e-9:  # round(inf) raises
+    # welch_psd keeps bins 1 to n_bins: it drops DC and an even segment's Nyquist.
+    n_bins = (n_segment + 1) // 2 - 1
+    check_range("modulation frequency", f_signal, gt=0.0, lt=fs / 2.0)
+    bin_position = f_signal / (fs / n_segment)  # finite, so round() cannot raise
+    k = round(bin_position)
+    if not 1 <= k <= n_bins or abs(bin_position - k) > 1e-9:
         raise ValueError("signal_frequency_hz must sit on a spectrum bin")
+    # The noise floor: every bin but the signal's and its two neighbours.
+    floor = np.abs(np.arange(1, n_bins + 1) - k) > 1
+    if not floor.any():
+        raise ValueError(
+            "signal_frequency_hz must leave a noise-floor bin beyond its neighbours"
+        )
     detector = DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
         visibility=params["visibility"],
@@ -366,30 +373,21 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         # depth by sqrt(2) while the noise floor stays at shot noise.
         (vacuum(), depth * 2.0**0.5, seeds[2]),
     ]
-    table = _tone_table(n_segment, fs, f_signal)
-    # _peak_snr's floor is every bin but the signal's and its two neighbours:
-    # of an 8-sample segment's 3 bins, a signal on bin 2 leaves none.
-    n_bins = (n_segment + 1) // 2 - 1
-    if n_bins <= 3 and 1 < round(bin_position) < n_bins:
-        raise ValueError(
-            "signal_frequency_hz must leave a noise-floor bin beyond its neighbours"
-        )
     # The largest depth, checked before any arm so that every arm fails alike.
     # A float, it overflows to inf without numpy's warning.
     check_range("modulation depth", cases[2][1])
     ratio = params["signal_to_lo_power_ratio"]
 
     def arm_snr(state, case_depth, case_seed) -> float:
-        tone = np.multiply(table, case_depth)
         spectrum = _tone_spectrum(
-            state, ratio, detector, n_samples, n_segment, tone, case_seed, fs
+            state, ratio, detector, n_samples, n_segment, k, case_depth, case_seed, fs
         )
-        return _peak_snr(spectrum, f_signal)
+        return _peak_snr(spectrum, k, floor)
 
     # The worker runs arm 2 and this thread arms 1 and 3.  Each arm has its own
-    # generator and Welch sum and only reads the table, so the bytes are a
-    # serial run's however the threads are scheduled.  Leaving the block joins
-    # the worker, even on failure.  Imported here: no other run pays for it.
+    # generator, tone and Welch sum, so the bytes are a serial run's whatever the
+    # schedule.  Leaving the block joins the worker, even on failure.  Imported
+    # here: no other run pays for it.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -676,7 +674,7 @@ def _validate_config(config: dict) -> tuple[str, dict, int | None, str, str]:
     if "experiment" not in config:
         raise ConfigError("missing required key 'experiment'")
     name = config["experiment"]
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:  # a list is unhashable
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )

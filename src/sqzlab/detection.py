@@ -352,13 +352,14 @@ def _homodyne_efficiency(ratio: float, detector: DetectorParams) -> float:
 
 
 def _tone_spectrum(
-    state, ratio, detector, n_samples, n_segment, tone, seed, sample_rate
+    state, ratio, detector, n_samples, n_segment, k, depth, seed, sample_rate
 ) -> NoiseSpectrum:
     """``welch_psd`` of ``bhd_series(state, 0.0, ratio, detector, n_samples, seed,
-    sample_rate)`` plus the ``n_segment``-sample ``tone`` tiled from the start, bit
+    sample_rate)`` plus ``depth`` times :func:`_tone_table` on bin ``k``, tiled, bit
     for bit.  Each buffer holds whole segments from a period's start, so the tone
     goes on each row and its prefix on the tail: no array as long as the series."""
     efficiency = _homodyne_efficiency(ratio, detector)
+    tone = np.multiply(_tone_table(n_segment, k), depth)
     rng = np.random.default_rng(seed)
     welch = _WelchSum(n_segment, n_samples // n_segment)
     buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
@@ -390,13 +391,11 @@ def add_signal_modulation(
     return TimeSeries(fs, _Owned(samples), lo_phase=series.lo_phase)
 
 
-def _tone_table(n_segment: int, sample_rate: float, frequency: float) -> np.ndarray:
-    """One period of the unit tone on bin ``k = round(frequency * N / sample_rate)``
-    of N-sample segments: ``sin(2 pi ((k m) mod N) / N)`` for m in [0, N).  The
-    phase, in eighths of 1/N turn, is folded in integers to an angle in [0, pi/4]
-    for each sine or cosine; where ``2 (k m mod N)`` is a multiple of N it is 0.0."""
-    check_range("modulation frequency", frequency, gt=0.0, lt=sample_rate / 2.0)
-    k = round(frequency / (sample_rate / n_segment))
+def _tone_table(n_segment: int, k: int) -> np.ndarray:
+    """One period of the unit tone on integer bin ``k`` of N-sample segments:
+    ``sin(2 pi ((k m) mod N) / N)`` for m in [0, N).  The phase, in eighths of
+    1/N turn, is folded in integers to an angle in [0, pi/4] for each sine or
+    cosine; where ``2 (k m mod N)`` is a multiple of N it is 0.0."""
     phase = np.arange(n_segment, dtype=np.int64) * k % n_segment * 8
     negative = phase > 4 * n_segment  # sin(x) = -sin(x - pi)
     phase %= 4 * n_segment

@@ -387,6 +387,80 @@ def test_noise_budget_run_and_crossover_metadata(tmp_path):
     assert "# crossover_frequency_hz = 9.989503380970636" in text
 
 
+UNKNOWN_EXPERIMENT = "config error: unknown experiment {}; choose from " + str(
+    sorted(EXPERIMENTS)
+)
+# (config, extra arguments, exit code, the one stderr line).
+REJECTED_CONFIGS = [
+    ([1], [], 2, "config error: config root must be a JSON object"),
+    (
+        {"experiment": "decohere"},
+        ["--set", "gain"],
+        2,
+        "config error: override must look like key=value, got 'gain'",
+    ),
+    (
+        {"experiment": "decohere"},
+        ["--set", "experiment.gain=1"],
+        2,
+        "config error: cannot descend into 'experiment': not an object",
+    ),
+    ({}, [], 2, "config error: missing required key 'experiment'"),
+    (
+        {"experiment": "decohere", "parameters": [1]},
+        [],
+        2,
+        "config error: 'parameters' must be a JSON object",
+    ),
+    (
+        {"experiment": "decohere", "output_format": "xml"},
+        [],
+        2,
+        "config error: output_format must be 'csv' or 'json'",
+    ),
+    (
+        {"experiment": "decohere", "output_path": 3},
+        [],
+        2,
+        "config error: output_path must be a string",
+    ),
+    (
+        {"experiment": "fit-loss", "parameters": {"measurements": [[0.0, -10.4]]}},
+        [],
+        3,
+        "validation error: each measurement must be a 3-item list",
+    ),
+    # A name that is not a string exited 4: a list or an object is unhashable.
+    ({"experiment": ["x"]}, [], 2, UNKNOWN_EXPERIMENT.format("['x']")),
+    ({"experiment": {"x": 1}}, [], 2, UNKNOWN_EXPERIMENT.format("{'x': 1}")),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, extra, code, line",
+    REJECTED_CONFIGS,
+    ids=[
+        "root-not-object",
+        "override-without-equals",
+        "override-into-string",
+        "no-experiment",
+        "parameters-not-object",
+        "unknown-format",
+        "output-path-not-string",
+        "measurement-not-triple",
+        "experiment-list",
+        "experiment-object",
+    ],
+)
+def test_a_rejected_config_prints_one_line_and_writes_nothing(
+    tmp_path, capsys, payload, extra, code, line
+):
+    out_dir = tmp_path / "out"
+    assert _run(tmp_path, payload, *extra, "--out", str(out_dir)) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out_dir.exists()
+
+
 def test_snr_equivalence_rejects_off_bin_signal(tmp_path, capsys):
     code = _run(
         tmp_path,

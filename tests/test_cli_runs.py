@@ -1,5 +1,5 @@
 """Run-level guarantees of ``sqzlab run``: size limits checked before any
-allocation, one period of the modulation tone per ``snr-equivalence`` run,
+allocation, one period of the modulation tone per ``snr-equivalence`` arm,
 its arms equal to a serial run bit for bit, its worker thread joined whether
 the run succeeds or fails, and no config that passes config validation
 ending in an unexpected runtime failure."""
@@ -128,7 +128,7 @@ def test_a_default_bhd_psd_run_peaks_at_10_bytes_per_sample(tmp_path):
 
 def test_a_default_snr_equivalence_run_peaks_at_4_bytes_per_sample(tmp_path):
     # The two arms in flight each hold one buffer of whole segments, its Welch
-    # sum and their temporaries, and the tone is one period; it measured 2.6.
+    # sum and their temporaries, and each arm's tone one period; it measured 2.6.
     # A sine of every sample, even taken in chunks, took 7.3.  A small run
     # first imports the modules a first run would, whose objects tracemalloc
     # would count.
@@ -161,10 +161,10 @@ def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
     assert peak <= 79 * n_windows
 
 
-def test_snr_equivalence_builds_one_tone_period_once(tmp_path, monkeypatch):
-    # The three arms share one table of the segment's 4,096 values.  A phase
-    # per sample would take 8 bytes a sample, which the 4-bytes-a-sample
-    # peak test above catches.
+def test_snr_equivalence_builds_one_tone_period_per_arm(tmp_path, monkeypatch):
+    # Each of the three arms builds one table of the segment's 4,096 values.
+    # A phase per sample would take 8 bytes a sample, which the
+    # 4-bytes-a-sample peak test above catches.
     tables = []
     tone_table = detection._tone_table
 
@@ -173,9 +173,8 @@ def test_snr_equivalence_builds_one_tone_period_once(tmp_path, monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr(detection, "_tone_table", table_spy)
-    monkeypatch.setattr(cli, "_tone_table", table_spy)
     assert _run(tmp_path, {"experiment": "snr-equivalence", "seed": 92928119}) == 0
-    assert [table.shape for table in tables] == [(4096,)]
+    assert [table.shape for table in tables] == [(4096,)] * 3
 
 
 def _failing_second_psd(monkeypatch):
@@ -252,9 +251,8 @@ def _serial_snrs(params, seed):
     rbw = params["resolution_bandwidth_hz"]
     depth = params["modulation_depth"]
     n_segment = detection._psd_segment(fs, rbw, n)
-    tone = np.resize(
-        detection._tone_table(n_segment, fs, params["signal_frequency_hz"]), n
-    )
+    k = round(params["signal_frequency_hz"] / (fs / n_segment))
+    tone = np.resize(detection._tone_table(n_segment, k), n)
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
     detector = detection.DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
@@ -270,8 +268,10 @@ def _serial_snrs(params, seed):
             state, 0.0, params["signal_to_lo_power_ratio"], detector, n, case_seed, fs
         )
         series = detection.TimeSeries(fs, series.samples + tone * case_depth)
-        spectrum = detection.welch_psd(series, rbw)
-        snrs.append(cli._peak_snr(spectrum, params["signal_frequency_hz"]))
+        psd = detection.welch_psd(series, rbw).psd
+        # The floor drops bin k, at psd[k - 1], and its two neighbours.
+        floor = np.delete(psd, range(max(k - 2, 0), k + 1))
+        snrs.append(float(psd[k - 1]) / float(floor.mean()))
     return snrs
 
 
@@ -376,10 +376,12 @@ SEGMENT_ERROR = (
 )
 SIGMA_SQUARED_ERROR = "phase-noise sigma**2 must be finite"
 COUNT_ERROR = "mean photons per window must be finite and <= 9.22337e+18"
+OFF_BIN_ERROR = "signal_frequency_hz must sit on a spectrum bin"
 # (experiment, parameters, message): configs whose runs once divided by zero,
 # overflowed a float, exited 3 with numpy's words or with none of the
-# parameter's, or wrote an infinite fit residual or nan SNRs, because a
-# quantity derived from the parameters was used before anything checked it.
+# parameter's, or wrote an infinite fit residual or nan or off-bin SNRs,
+# because a quantity derived from the parameters was used before anything
+# checked it.
 DERIVED_FAILURES = [
     ("snr-equivalence", {"resolution_bandwidth_hz": 1e11}, SEGMENT_ERROR),
     (
@@ -424,6 +426,11 @@ DERIVED_FAILURES = [
         {"resolution_bandwidth_hz": 8192.0, "signal_frequency_hz": 16384.0},
         "signal_frequency_hz must leave a noise-floor bin beyond its neighbours",
     ),
+    # Within 1e-9 of bin 0 (DC) and of bin 2048 (Nyquist), both of which
+    # welch_psd drops: the tone was all zeros and _peak_snr read the nearest
+    # kept bin, so the run wrote SNRs of noise over noise with exit 0.
+    ("snr-equivalence", {"signal_frequency_hz": 1e-12}, OFF_BIN_ERROR),
+    ("snr-equivalence", {"signal_frequency_hz": 32767.99999999999}, OFF_BIN_ERROR),
 ]
 
 
@@ -447,6 +454,8 @@ DERIVED_FAILURES = [
         "photon-record-squeezed-counts",
         "photon-record-one-window",
         "snr-no-off-signal-bin",
+        "snr-signal-at-dc",
+        "snr-signal-at-nyquist",
     ],
 )
 def test_a_derived_quantity_out_of_range_exits_3_by_name(

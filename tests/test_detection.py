@@ -14,6 +14,7 @@ from sqzlab.detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
+    NoiseSpectrum,
     PhotonRecord,
     TimeSeries,
     add_signal_modulation,
@@ -368,6 +369,38 @@ def test_records_copy_caller_arrays_and_hand_out_read_only_ones():
             array[0] = 1
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: PhotonRecord(_windowing(3), np.array([3, 4]), 3.5, seed=0),
+            "counts length must equal n_windows",
+        ),
+        (
+            lambda: PhotonRecord(_windowing(2), np.array([3, 4]), 4.0, seed=0),
+            "stored mean inconsistent with counts",
+        ),
+        (
+            lambda: NoiseSpectrum(np.array([1.0, 2.0]), np.array([1.0]), 1.0),
+            "frequencies and psd must be matching 1-D arrays",
+        ),
+        (
+            lambda: NoiseSpectrum(np.array([2.0, 1.0]), np.ones(2), 1.0),
+            "frequencies must be positive and increasing",
+        ),
+        (
+            lambda: NoiseSpectrum(np.array([0.0, 1.0]), np.ones(2), 1.0),
+            "frequencies must be positive and increasing",
+        ),
+    ],
+    ids=["counts-short", "mean-off", "psd-short", "decreasing", "starts-at-zero"],
+)
+def test_records_and_spectra_reject_inconsistent_arrays(build, message):
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
+
+
 def test_a_library_owned_array_is_frozen_in_place():
     samples = np.zeros(8)
     assert TimeSeries(1.0, _Owned(samples)).samples is samples
@@ -416,6 +449,7 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
     n_segment=st.integers(8, 300),
     n_runs=st.integers(1, 30),
     tail=st.integers(0, 299),
+    k=st.integers(1, 150),
     db=st.floats(0.0, 20.0),
     depth=st.sampled_from([0.0, 0.5, 1.0e3]),
     seed=st.integers(0, 2**32 - 1),
@@ -424,30 +458,35 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
 # buffer; exactly one buffer; a segment longer than a block, one to a buffer,
 # then a tail buffer.
 @example(
-    block=BLOCK // 8, n_segment=4096, n_runs=73, tail=977, db=3.0, depth=0.5, seed=13
+    block=BLOCK // 8, n_segment=4096, n_runs=73, tail=977, k=511, db=3.0, depth=0.5,
+    seed=13,
 )
 @example(
-    block=BLOCK // 8, n_segment=4096, n_runs=16, tail=0, db=3.0, depth=0.5, seed=1
+    block=BLOCK // 8, n_segment=4096, n_runs=16, tail=0, k=512, db=3.0, depth=0.5,
+    seed=1,
 )
 @example(
-    block=BLOCK // 8, n_segment=2**18, n_runs=2, tail=75000, db=10.0, depth=1.0, seed=3
+    block=BLOCK // 8, n_segment=2**18, n_runs=2, tail=75000, k=32767, db=10.0,
+    depth=1.0, seed=3,
 )
 def test_tone_spectrum_is_welch_psd_of_the_toned_series_bit_for_bit(
-    block, n_segment, n_runs, tail, db, depth, seed
+    block, n_segment, n_runs, tail, k, db, depth, seed
 ):
     # Blocks of 8 to 1,000 samples give one buffer or many, segments shorter
-    # or longer than a block, and a partial last buffer.
+    # or longer than a block, and a partial last buffer.  A bin coprime to
+    # the segment length leaves the period no shorter one, so a tone tiled
+    # from the wrong sample shows.
     fs = 65536.0
     size = n_segment * n_runs + tail % n_segment
     state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.3))
     detector = DetectorParams(0.9, 0.25, 0.95)
-    tone = depth * np.random.default_rng(seed + 1).normal(size=n_segment)
+    tone = depth * detection._tone_table(n_segment, k)
     series = bhd_series(state, 0.0, 0.005, detector, size, seed, fs)
     toned = TimeSeries(fs, series.samples + np.resize(tone, size))
     expected = welch_psd(toned, fs / n_segment)
     with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
         spectrum = detection._tone_spectrum(
-            state, 0.005, detector, size, n_segment, tone, seed, fs
+            state, 0.005, detector, size, n_segment, k, depth, seed, fs
         )
     assert spectrum.psd.tobytes() == expected.psd.tobytes()
     assert spectrum.frequencies.tobytes() == expected.frequencies.tobytes()
@@ -491,7 +530,7 @@ def test_the_tone_table_is_the_exact_sine_within_an_ulp(bin_, indices):
     import mpmath
 
     n_segment, k = bin_
-    table = detection._tone_table(n_segment, float(n_segment), float(k))
+    table = detection._tone_table(n_segment, k)
     assert table.shape == (n_segment,)
     with mpmath.workdps(50):
         for m in [0, *indices]:

@@ -62,9 +62,11 @@ from .detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
+    _detected_variance,
+    _homodyne_efficiency,
     _psd_segment,
     _series_variance,
-    _tone_spectrum,
+    _tone_spectra,
     bhd_series,
     fano_factor,
     mean_photons_per_window,
@@ -157,12 +159,6 @@ def _float(value: int | float) -> float:
         return float(value)
     except OverflowError:
         return float("inf") if value > 0 else float("-inf")
-
-
-def _child_seeds(seed: int, count: int) -> list[int]:
-    """Independent substream seeds derived from the master seed."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in children]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +344,7 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     n_segment = _psd_segment(fs, params["resolution_bandwidth_hz"], n_samples)
     # welch_psd keeps bins 1 to n_bins: it drops DC and an even segment's Nyquist.
     n_bins = (n_segment + 1) // 2 - 1
-    check_range("modulation frequency", f_signal, gt=0.0, lt=fs / 2.0)
+    check_range("signal_frequency_hz", f_signal, gt=0.0, lt=fs / 2.0)
     bin_position = f_signal / (fs / n_segment)  # finite, so round() cannot raise
     k = round(bin_position)
     if not 1 <= k <= n_bins or abs(bin_position - k) > 1e-9:
@@ -365,36 +361,24 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
     )
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
     depth = params["modulation_depth"]
-    seeds = _child_seeds(seed, 3)
-    cases = [
-        (squeezed, depth, seeds[0]),
-        (vacuum(), depth, seeds[1]),
-        # Doubling the carrier power scales the shot-relative modulation
-        # depth by sqrt(2) while the noise floor stays at shot noise.
-        (vacuum(), depth * 2.0**0.5, seeds[2]),
-    ]
-    # The largest depth, checked before any arm so that every arm fails alike.
-    # A float, it overflows to inf without numpy's warning.
+    # Doubling the carrier power scales the shot-relative modulation depth by
+    # sqrt(2) while the noise floor stays at shot noise.
+    cases = [(squeezed, depth), (vacuum(), depth), (vacuum(), depth * 2.0**0.5)]
+    # The double-power arm's depth and its power on bin k, (depth N / 2)**2 / N
+    # summed over the segments, are checked before any arm runs.  As floats
+    # they overflow to inf without numpy's warning.
     check_range("modulation depth", cases[2][1])
-    ratio = params["signal_to_lo_power_ratio"]
-
-    def arm_snr(state, case_depth, case_seed) -> float:
-        spectrum = _tone_spectrum(
-            state, ratio, detector, n_samples, n_segment, k, case_depth, case_seed, fs
-        )
-        return _peak_snr(spectrum, k, floor)
-
-    # The worker runs arm 2 and this thread arms 1 and 3.  Each arm has its own
-    # generator, tone and Welch sum, so the bytes are a serial run's whatever the
-    # schedule.  Leaving the block joins the worker, even on failure.  Imported
-    # here: no other run pays for it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        equal = worker.submit(arm_snr, *cases[1])
-        squeezed_snr = arm_snr(*cases[0])
-        double_snr = arm_snr(*cases[2])
-        equal_snr = equal.result()
+    peak = cases[2][1] * n_segment / 2.0
+    check_range(
+        "modulation depth's power on the signal bin, summed over the PSD segments",
+        peak * peak / n_segment * (n_samples // n_segment),
+    )
+    efficiency = _homodyne_efficiency(params["signal_to_lo_power_ratio"], detector)
+    # A squeezer scales the vacuum quadrature it acts on, so each arm is one
+    # unit draw scaled by its own detected sigma.
+    arms = [(_detected_variance(s, 0.0, efficiency, detector), d) for s, d in cases]
+    spectra = _tone_spectra(arms, n_samples, n_segment, k, seed, fs)
+    squeezed_snr, equal_snr, double_snr = (_peak_snr(s, k, floor) for s in spectra)
     result = {
         "snr_squeezed": squeezed_snr,
         "snr_coherent_equal_power": equal_snr,

@@ -66,7 +66,7 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
 # Draws are scaled, welch_psd's segments transformed and _series_variance's
-# deviations squared this many bytes at a time, and _tone_spectrum's buffer
+# deviations squared this many bytes at a time, and _tone_spectra's buffer
 # holds as many whole segments as fit in it (at least one): none makes a
 # temporary as long as the series, and welch_psd stays under 1 MiB whenever
 # one segment fits a block.  A block and its scratch fit a 2 MiB L2 cache.
@@ -286,18 +286,24 @@ def single_pd_series(
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
 
 
-def _detected_draw(state, angle, efficiency, detector, n_samples, seed, out=None):
-    """Seeded draw at ``angle`` through ``efficiency``, plus dark noise, and its rng.
-
-    The draw fills ``out`` (a new array if None) with ``rng.normal(0.0, scale,
-    n_samples)`` bit for bit: numpy computes ``0.0 + scale * z``, and adding
-    0.0 turns a -0.0 into +0.0 as that sum does, a block at a time.  A
-    Generator passed as ``seed`` is used as is: successive draws continue it.
-    """
+def _detected_variance(state, angle, efficiency, detector) -> float:
+    """Variance of the quadrature at ``angle`` detected through ``efficiency``,
+    dark noise included: the variance of :func:`_detected_draw`'s samples."""
     detected = apply_loss(state, 1.0 - efficiency)
-    scale = np.sqrt(quadrature_variance(detected, angle) + detector.dark_noise_variance)
+    return quadrature_variance(detected, angle) + detector.dark_noise_variance
+
+
+def _detected_draw(state, angle, efficiency, detector, n_samples, seed):
+    """Seeded draw of the detected quadrature, and its rng.
+
+    The draw is ``rng.normal(0.0, scale, n_samples)`` bit for bit, with
+    ``scale`` the square root of :func:`_detected_variance`: numpy computes
+    ``0.0 + scale * z``, and adding 0.0 turns a -0.0 into +0.0 as that sum
+    does, a block at a time.
+    """
+    scale = np.sqrt(_detected_variance(state, angle, efficiency, detector))
     rng = np.random.default_rng(seed)
-    samples = np.empty(n_samples) if out is None else out
+    samples = np.empty(n_samples)
     for start in range(0, n_samples, _BLOCK_BYTES // 8):
         block = rng.standard_normal(out=samples[start : start + _BLOCK_BYTES // 8])
         block *= scale
@@ -351,28 +357,31 @@ def _homodyne_efficiency(ratio: float, detector: DetectorParams) -> float:
     return detector.quantum_efficiency * visibility_efficiency(detector.visibility)
 
 
-def _tone_spectrum(
-    state, ratio, detector, n_samples, n_segment, k, depth, seed, sample_rate
-) -> NoiseSpectrum:
-    """``welch_psd`` of ``bhd_series(state, 0.0, ratio, detector, n_samples, seed,
-    sample_rate)`` plus ``depth`` times :func:`_tone_table` on bin ``k``, tiled, bit
-    for bit.  Each buffer holds whole segments from a period's start, so the tone
-    goes on each row and its prefix on the tail: no array as long as the series."""
-    efficiency = _homodyne_efficiency(ratio, detector)
-    tone = np.multiply(_tone_table(n_segment, k), depth)
+def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
+    """Per ``(variance, depth)`` arm, the :func:`welch_psd` of ``sqrt(variance)
+    * z + depth * sin(2 pi k m / N)``, N = ``n_segment``, for one unit white
+    draw ``z`` from ``default_rng(seed)`` that every arm shares.
+
+    With no window, a segment's rFFT of the tone is ``-i depth N / 2`` on bin
+    ``k`` and 0 elsewhere.  So an arm's PSD is ``variance`` times the draw's,
+    but on bin ``k`` the mean over segments of ``|sqrt(variance) F - i depth N
+    / 2|**2 / N``, ``F`` being the draw's rFFT there.  The draw is streamed in
+    buffers of whole segments: no array is as long as the series.
+    """
     rng = np.random.default_rng(seed)
-    welch = _WelchSum(n_segment, n_samples // n_segment)
+    welch = _WelchSum(n_segment, n_samples // n_segment, k)
     buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
     for start in range(0, n_samples, buffer.size):
-        part = buffer[: n_samples - start]
-        _detected_draw(state, 0.0, efficiency, detector, part.size, rng, out=part)
-        whole = part.size - part.size % n_segment
-        rows = part[:whole].reshape(-1, n_segment)
-        rows += tone
-        part[whole:] += tone[: part.size - whole]
-        check_range("samples", part)
-        welch.add(part[:whole])
-    return welch.spectrum(sample_rate)
+        part = rng.standard_normal(out=buffer[: n_samples - start])
+        welch.add(part[: part.size - part.size % n_segment])
+    unit = welch.spectrum(sample_rate)
+    spectra = []
+    for variance, depth in arms:
+        phasor = np.sqrt(variance) * welch.on_bin - 1j * (depth * n_segment / 2.0)
+        psd = variance * unit.psd
+        psd[k - 1] = np.mean(np.square(np.abs(phasor)) / n_segment)
+        spectra.append(NoiseSpectrum(unit.frequencies, psd, unit.resolution_bandwidth))
+    return spectra
 
 
 def add_signal_modulation(
@@ -389,21 +398,6 @@ def add_signal_modulation(
     t = np.arange(series.samples.size) / fs
     samples = series.samples + depth * np.sin(2.0 * np.pi * frequency * t)
     return TimeSeries(fs, _Owned(samples), lo_phase=series.lo_phase)
-
-
-def _tone_table(n_segment: int, k: int) -> np.ndarray:
-    """One period of the unit tone on integer bin ``k`` of N-sample segments:
-    ``sin(2 pi ((k m) mod N) / N)`` for m in [0, N).  The phase, in eighths of
-    1/N turn, is folded in integers to an angle in [0, pi/4] for each sine or
-    cosine; where ``2 (k m mod N)`` is a multiple of N it is 0.0."""
-    phase = np.arange(n_segment, dtype=np.int64) * k % n_segment * 8
-    negative = phase > 4 * n_segment  # sin(x) = -sin(x - pi)
-    phase %= 4 * n_segment
-    phase = np.minimum(phase, 4 * n_segment - phase)  # sin(x) = sin(pi - x)
-    cosine = phase > n_segment  # sin(x) = cos(pi/2 - x)
-    angle = np.where(cosine, 2 * n_segment - phase, phase) * (np.pi / 4.0 / n_segment)
-    table = np.where(cosine, np.cos(angle), np.sin(angle))
-    return np.negative(table, out=table, where=negative)
 
 
 def _series_variance(samples: np.ndarray) -> float:
@@ -471,13 +465,15 @@ class _WelchSum:
 
     Row 0 of ``power`` carries it, so each reduce adds the segments in their
     order: the mean is ``spectra.mean(axis=0)`` bit for bit however they
-    arrive, without every segment's spectrum held at once.
+    arrive, without every segment's spectrum held at once.  Given a bin
+    ``k``, ``on_bin`` keeps each segment's complex rFFT value there.
     """
 
-    def __init__(self, n_segment: int, max_segments: int) -> None:
-        self.n_segment, self.n_runs = n_segment, 0
+    def __init__(self, n_segment: int, max_segments: int, k: int | None = None):
+        self.n_segment, self.n_runs, self.k = n_segment, 0, k
         rows = min(max_segments, max(1, _BLOCK_BYTES // (8 * n_segment)))
         self.power = np.zeros((rows + 1, n_segment // 2 + 1))
+        self.on_bin = np.empty(0 if k is None else max_segments, complex)
 
     def add(self, samples: np.ndarray) -> None:
         """Add the segments of ``samples``, whose length is a multiple of one."""
@@ -485,6 +481,9 @@ class _WelchSum:
         block_rows = self.power.shape[0] - 1
         for start in range(0, len(segments), block_rows):
             spectra = np.fft.rfft(segments[start : start + block_rows], axis=1)
+            if self.k is not None:
+                first = self.n_runs + start
+                self.on_bin[first : first + len(spectra)] = spectra[:, self.k]
             block = self.power[1 : len(spectra) + 1]
             np.abs(spectra, out=block)
             np.square(block, out=block)

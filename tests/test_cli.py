@@ -430,6 +430,17 @@ REJECTED_CONFIGS = [
         3,
         "validation error: each measurement must be a 3-item list",
     ),
+    (
+        {
+            "experiment": "snr-equivalence",
+            "seed": 1,
+            "parameters": {"n_samples": 65536, "signal_to_lo_power_ratio": 0.02},
+        },
+        [],
+        3,
+        "validation error: signal_to_lo_power_ratio must be finite and >= 0 "
+        "and < 0.01",
+    ),
     # A name that is not a string exited 4: a list or an object is unhashable.
     ({"experiment": ["x"]}, [], 2, UNKNOWN_EXPERIMENT.format("['x']")),
     ({"experiment": {"x": 1}}, [], 2, UNKNOWN_EXPERIMENT.format("{'x': 1}")),
@@ -448,6 +459,7 @@ REJECTED_CONFIGS = [
         "unknown-format",
         "output-path-not-string",
         "measurement-not-triple",
+        "snr-lo-power-ratio",
         "experiment-list",
         "experiment-object",
     ],
@@ -547,35 +559,29 @@ def test_fit_loss_runs_without_scipy(tmp_path):
     assert (out_dir / "fit-loss.csv").stat().st_size > 0
 
 
-def test_only_snr_equivalence_imports_concurrent_futures(tmp_path):
-    # A fresh interpreter runs every other default experiment; the import
-    # cost of concurrent.futures must stay with the one run that uses it.
+def test_no_default_run_starts_a_thread(tmp_path):
+    # A fresh interpreter runs every default experiment in turn: none imports
+    # concurrent.futures or leaves a second Python thread behind.
     configs = []
     for name, experiment in EXPERIMENTS.items():
-        if name != "snr-equivalence":
-            payload = {"experiment": name, "seed": 1 if experiment.stochastic else None}
-            if name == "photon-record":
-                payload["parameters"] = {"power_w": 1e-12}
-            configs.append(_write_config(tmp_path / f"{name}.json", payload))
-    # The control: the one run that uses the module does import it.
-    snr_config = _write_config(
-        tmp_path / "snr.json",
-        {"experiment": "snr-equivalence", "seed": 1, "parameters": {"n_samples": 65536}},
-    )
+        payload = {"experiment": name, "seed": 1 if experiment.stochastic else None}
+        if name == "photon-record":
+            payload["parameters"] = {"power_w": 1e-12}
+        configs.append(_write_config(tmp_path / f"{name}.json", payload))
     out = str(tmp_path / "out")
     script = (
-        "import sys\n"
+        "import sys, threading\n"
         "from sqzlab.cli import main\n"
-        f"for config in {configs + [snr_config]!r}:\n"
-        "    if config.endswith('snr.json') and 'concurrent.futures' in sys.modules:\n"
-        "        sys.exit('concurrent.futures imported before snr-equivalence')\n"
+        f"for config in {configs!r}:\n"
         f"    if main(['run', '--config', config, '--out', {out!r}]) != 0:\n"
         "        sys.exit('run failed: ' + config)\n"
-        "if 'concurrent.futures' not in sys.modules:\n"
-        "    sys.exit('snr-equivalence did not import concurrent.futures')\n"
+        "    if 'concurrent.futures' in sys.modules:\n"
+        "        sys.exit('concurrent.futures imported by ' + config)\n"
+        "    if threading.active_count() != 1:\n"
+        "        sys.exit(f'{threading.active_count()} threads after ' + config)\n"
     )
     _fresh_interpreter(script)
-    assert len(configs) == len(EXPERIMENTS) - 1
+    assert len(configs) == len(EXPERIMENTS) == 7
 
 
 def test_import_sqzlab_leaves_numpy_to_first_use():

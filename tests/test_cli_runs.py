@@ -1,18 +1,14 @@
 """Run-level guarantees of ``sqzlab run``: size limits checked before any
-allocation, one period of the modulation tone per ``snr-equivalence`` arm,
-its arms equal to a serial run bit for bit, its worker thread joined whether
-the run succeeds or fails, and no config that passes config validation
-ending in an unexpected runtime failure."""
+allocation, ``snr-equivalence``'s streamed arms equal to a whole-array
+reference bit for bit and its SNRs right at any squeeze, and no config that
+passes config validation ending in an unexpected runtime failure."""
 
 import contextlib
 import dataclasses
 import io
 import json
 import math
-import sys
 import tempfile
-import threading
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,7 +22,13 @@ from hypothesis import strategies as st
 import sqzlab.cli as cli
 import sqzlab.detection as detection
 from sqzlab.cli import EXPERIMENTS, MAX_RUN_BYTES, _validate_config, main
-from sqzlab.gaussian import SqueezeSetting, squeeze, vacuum
+from sqzlab.gaussian import (
+    SqueezeSetting,
+    apply_loss,
+    quadrature_variance,
+    squeeze,
+    vacuum,
+)
 
 # Power putting 1000 photons into a 0.1 ms window at 1064 nm.
 REQUIRED = {"photon-record": {"power_w": 1.8669603920572637e-12}}
@@ -127,11 +129,11 @@ def test_a_default_bhd_psd_run_peaks_at_10_bytes_per_sample(tmp_path):
 
 
 def test_a_default_snr_equivalence_run_peaks_at_4_bytes_per_sample(tmp_path):
-    # The two arms in flight each hold one buffer of whole segments, its Welch
-    # sum and their temporaries, and each arm's tone one period; it measured 2.6.
-    # A sine of every sample, even taken in chunks, took 7.3.  A small run
-    # first imports the modules a first run would, whose objects tracemalloc
-    # would count.
+    # One buffer of whole segments is in flight, with the Welch sum, its
+    # spectra and each segment's value on the signal bin; it measured 1.3.
+    # Two arms' buffers and tone periods in flight took 2.6, and a sine of
+    # every sample 7.3.  A small run first imports the modules a first run
+    # would, whose objects tracemalloc would count.
     n_samples = EXPERIMENTS["snr-equivalence"].params["n_samples"].default
     (tmp_path / "warm").mkdir()
     assert _run(tmp_path / "warm", _config("snr-equivalence", "n_samples", 65536)) == 0
@@ -161,213 +163,125 @@ def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
     assert peak <= 79 * n_windows
 
 
-def test_snr_equivalence_builds_one_tone_period_per_arm(tmp_path, monkeypatch):
-    # Each of the three arms builds one table of the segment's 4,096 values.
-    # A phase per sample would take 8 bytes a sample, which the
-    # 4-bytes-a-sample peak test above catches.
-    tables = []
-    tone_table = detection._tone_table
-
-    def table_spy(*args):
-        tables.append(tone_table(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(detection, "_tone_table", table_spy)
-    assert _run(tmp_path, {"experiment": "snr-equivalence", "seed": 92928119}) == 0
-    assert [table.shape for table in tables] == [(4096,)] * 3
-
-
-def _failing_second_psd(monkeypatch):
-    spectrum = detection._WelchSum.spectrum
-    calls = []
-
-    def fails_on_second_call(welch, sample_rate):
-        calls.append(sample_rate)
-        if len(calls) == 2:
-            raise RuntimeError("injected failure in the second spectrum")
-        return spectrum(welch, sample_rate)
-
-    monkeypatch.setattr(detection._WelchSum, "spectrum", fails_on_second_call)
-
-
-# (parameters, fault injected, exit code, message): the message and code a
-# serial run gives.  The first fails on this thread before the worker starts,
-# the second on whichever thread takes the second spectrum, the last on both
-# threads, in the first draw of each arm.
-WORKER_FAILURES = [
-    (
-        {"resolution_bandwidth_hz": 16384.0, "signal_frequency_hz": 16384.0},
-        None,
-        3,
-        "validation error: samples per PSD segment (sample_rate / "
-        "resolution_bandwidth) must be finite and >= 8 and <= 65536",
-    ),
-    (
-        {},
-        _failing_second_psd,
-        4,
-        "runtime error: injected failure in the second spectrum",
-    ),
-    (
-        {"signal_to_lo_power_ratio": 0.02},
-        None,
-        3,
-        "validation error: signal_to_lo_power_ratio must be finite and >= 0 "
-        "and < 0.01",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "params, inject, code, message",
-    WORKER_FAILURES,
-    ids=["psd-rejects-segment", "psd-raises", "draw-rejects-ratio"],
-)
-def test_snr_equivalence_failure_joins_its_worker(
-    tmp_path, monkeypatch, capsys, params, inject, code, message
-):
-    if inject is not None:
-        inject(monkeypatch)
-    threads = threading.active_count()
-    payload = _config("snr-equivalence", "n_samples", 65536)
-    payload["parameters"].update(params)
-    assert _run(tmp_path, payload) == code
-    assert capsys.readouterr().err == message + "\n"
-    assert not (tmp_path / "out").exists()
-    assert threading.active_count() == threads
-
-
-def test_snr_equivalence_success_joins_its_worker(tmp_path):
-    threads = threading.active_count()
-    assert _run(tmp_path, _config("snr-equivalence", "n_samples", 65536)) == 0
-    assert threading.active_count() == threads
-
-
-def _serial_snrs(params, seed):
-    """The three arms drawn, modulated and analysed in turn on one thread, each
-    series whole, with the tone's period tiled over all of it."""
-    fs = params["sample_rate_hz"]
-    n = params["n_samples"]
-    rbw = params["resolution_bandwidth_hz"]
-    depth = params["modulation_depth"]
-    n_segment = detection._psd_segment(fs, rbw, n)
+def _whole_array_snrs(params, seed):
+    """The three SNRs from whole arrays: one unit draw, every segment's rFFT at
+    once, and each arm's PSD as its variance times the unit PSD, but on bin k
+    the mean of |sqrt(variance) F_k - i depth N / 2|**2 / N."""
+    fs, n = params["sample_rate_hz"], params["n_samples"]
+    n_segment = round(fs / params["resolution_bandwidth_hz"])
     k = round(params["signal_frequency_hz"] / (fs / n_segment))
-    tone = np.resize(detection._tone_table(n_segment, k), n)
+    z = np.random.default_rng(seed).standard_normal(n)
+    spectra = np.fft.rfft(z[: n - n % n_segment].reshape(-1, n_segment), axis=1)
+    unit = (np.abs(spectra) ** 2 / n_segment).mean(axis=0)[1 : (n_segment + 1) // 2]
+    visibility = params["visibility"]
+    efficiency = params["quantum_efficiency"] * (visibility * visibility)
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
-    detector = detection.DetectorParams(
-        quantum_efficiency=params["quantum_efficiency"],
-        visibility=params["visibility"],
-    )
+    depth = params["modulation_depth"]
+    arms = [(squeezed, depth), (vacuum(), depth), (vacuum(), depth * 2**0.5)]
     snrs = []
-    for state, case_depth, case_seed in zip(
-        [squeezed, vacuum(), vacuum()],
-        [depth, depth, depth * np.sqrt(2.0)],
-        cli._child_seeds(seed, 3),
-    ):
-        series = detection.bhd_series(
-            state, 0.0, params["signal_to_lo_power_ratio"], detector, n, case_seed, fs
-        )
-        series = detection.TimeSeries(fs, series.samples + tone * case_depth)
-        psd = detection.welch_psd(series, rbw).psd
+    for state, arm_depth in arms:
+        variance = quadrature_variance(apply_loss(state, 1.0 - efficiency), 0.0)
+        phasor = np.sqrt(variance) * spectra[:, k] - 1j * (arm_depth * n_segment / 2.0)
+        psd = variance * unit
+        psd[k - 1] = (np.abs(phasor) ** 2 / n_segment).mean()
         # The floor drops bin k, at psd[k - 1], and its two neighbours.
-        floor = np.delete(psd, range(max(k - 2, 0), k + 1))
+        floor = np.concatenate([psd[: max(k - 2, 0)], psd[k + 1 :]])
         snrs.append(float(psd[k - 1]) / float(floor.mean()))
     return snrs
 
 
-def test_snr_equivalence_matches_a_serial_run_whatever_the_switch_interval():
-    # A 1 us switch interval makes the two threads trade the interpreter
-    # lock far more often than the default 5 ms does.
-    payload = _config("snr-equivalence", "n_samples", 65536)
-    _, params, seed, _, _ = _validate_config(payload)
-    expected = _serial_snrs(params, seed)
-    keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
-    interval = sys.getswitchinterval()
-    try:
-        for switch in [interval, 1e-6, 1e-6, 1e-6]:
-            sys.setswitchinterval(switch)
-            result = cli._run_snr_equivalence(params, seed).result
-            assert [result[key] for key in keys] == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("slow", ["worker", "main"])
-def test_snr_equivalence_arms_may_finish_in_either_order(monkeypatch, slow):
-    # The slow thread sleeps before each of its draws, so the other thread's
-    # arm finishes first.
-    payload = _config("snr-equivalence", "n_samples", 65536)
-    _, params, seed, _, _ = _validate_config(payload)
-    expected = _serial_snrs(params, seed)
-    main_thread = threading.get_ident()
-    detected_draw, peak_snr = detection._detected_draw, cli._peak_snr
-    finished = []
-
-    def delayed_draw(*args, **kwargs):
-        if (threading.get_ident() == main_thread) == (slow == "main"):
-            time.sleep(0.2)
-        return detected_draw(*args, **kwargs)
-
-    def recorded_snr(*args):
-        finished.append(threading.get_ident() == main_thread)
-        return peak_snr(*args)
-
-    monkeypatch.setattr(detection, "_detected_draw", delayed_draw)
-    monkeypatch.setattr(cli, "_peak_snr", recorded_snr)
-    result = cli._run_snr_equivalence(params, seed).result
-    keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
-    assert [result[key] for key in keys] == expected
-    assert sorted(finished) == [False, True, True]
-    assert finished[0] == (slow == "worker")
-
-
-# Samples per block: each arm's buffer holds as many whole segments as fit
-# one, and at least one; the default's.
+# Samples per block: the buffer holds as many whole segments as fit one, and
+# at least one; the default's.
 DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    block=st.sampled_from([8, 24, 100, 1000]),
+    block=st.sampled_from([8, 24, 100, 1000, DEFAULT_BLOCK]),
     n_segment=st.integers(16, 300),
     runs=st.integers(1, 30),
     tail=st.integers(0, 299),
-    bin_index=st.integers(2, 6),
+    bin_index=st.integers(1, 150),
+    db=st.floats(0.0, 100.0),
+    depth=st.sampled_from([0.0, 0.5, 1.0e3]),
     seed=st.integers(0, 2**32 - 1),
 )
 # At the default block: a tail past the last segment in a partial fifth
 # buffer; exactly one buffer; the default run's 16 buffers; a segment longer
 # than a block (resolution 0.25 Hz), one to a buffer, then a tail buffer.
-@example(block=DEFAULT_BLOCK, n_segment=4096, runs=73, tail=977, bin_index=512, seed=13)
-@example(block=DEFAULT_BLOCK, n_segment=4096, runs=16, tail=0, bin_index=512, seed=1)
-@example(block=DEFAULT_BLOCK, n_segment=4096, runs=256, tail=0, bin_index=512, seed=2)
-@example(block=DEFAULT_BLOCK, n_segment=2**18, runs=2, tail=75000, bin_index=32768, seed=3)
-def test_whole_arms_are_a_serial_run_bit_for_bit(
-    block, n_segment, runs, tail, bin_index, seed
+# Bins 511 and 32767 are coprime to the segment.
+@example(
+    block=DEFAULT_BLOCK, n_segment=4096, runs=73, tail=977, bin_index=512, db=3.0103,
+    depth=0.5, seed=13,
+)
+@example(
+    block=DEFAULT_BLOCK, n_segment=4096, runs=73, tail=977, bin_index=511, db=3.0,
+    depth=0.5, seed=13,
+)
+@example(
+    block=DEFAULT_BLOCK, n_segment=4096, runs=16, tail=0, bin_index=512, db=3.0,
+    depth=0.5, seed=1,
+)
+@example(
+    block=DEFAULT_BLOCK, n_segment=4096, runs=256, tail=0, bin_index=512, db=3.0103,
+    depth=0.5, seed=2,
+)
+@example(
+    block=DEFAULT_BLOCK, n_segment=2**18, runs=2, tail=75000, bin_index=32768,
+    db=3.0103, depth=0.5, seed=3,
+)
+@example(
+    block=DEFAULT_BLOCK, n_segment=2**18, runs=2, tail=75000, bin_index=32767,
+    db=10.0, depth=1.0, seed=3,
+)
+def test_streamed_snr_equivalence_is_the_whole_array_reference_bit_for_bit(
+    block, n_segment, runs, tail, bin_index, db, depth, seed
 ):
     # Blocks of 8 to 1,000 samples give one buffer or many, segments shorter
     # or longer than a block, and a partial last buffer.
-    # A 1 us switch interval makes the threads trade the interpreter lock
-    # far more often than the default 5 ms does.
     fs = 65536.0
     n_samples = n_segment * runs + tail % n_segment
+    k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)
     payload = _config("snr-equivalence", "n_samples", n_samples)
     payload["seed"] = seed
     payload["parameters"].update(
         resolution_bandwidth_hz=fs / n_segment,
-        signal_frequency_hz=bin_index * fs / n_segment,
+        signal_frequency_hz=k * fs / n_segment,
+        squeeze_db=db,
+        modulation_depth=depth,
+        quantum_efficiency=0.9,
+        visibility=0.95,
     )
     _, params, seed, _, _ = _validate_config(payload)
-    expected = _serial_snrs(params, seed)
+    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
+        result = cli._run_snr_equivalence(params, seed).result
     keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
-            result = cli._run_snr_equivalence(params, seed).result
-    finally:
-        sys.setswitchinterval(interval)
-    assert [result[key] for key in keys] == expected
+    assert [result[key] for key in keys] == _whole_array_snrs(params, seed)
+
+
+def _snr_result(seed, **parameters):
+    payload = {"experiment": "snr-equivalence", "seed": seed, "parameters": parameters}
+    _, params, seed, _, _ = _validate_config(payload)
+    return cli._run_snr_equivalence(params, seed).result
+
+
+# Beyond about 320 dB the squeezed noise was below half an ulp of the toned
+# sample and rounded away, and the improvement read 4e40 at 400 dB.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("db", [400.0, 3040.0])
+def test_the_improvement_follows_the_squeeze_beyond_320_db(db):
+    improvement = _snr_result(11, squeeze_db=db)["improvement_over_equal_power"]
+    assert improvement == pytest.approx(10.0 ** (db / 10.0), rel=0.03)
+
+
+# At 10 log10(2) dB the squeezed arm is the double-power arm over sqrt(2), up
+# to rounding: the paper's claim holds on every sample path (2 ulp seen).
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64))
+@example(seed=92928119)
+def test_three_db_of_squeezing_is_doubled_power_on_every_sample_path(seed):
+    result = _snr_result(seed, squeeze_db=10.0 * math.log10(2.0))
+    assert abs(result["ratio_to_double_power"] - 1.0) <= 4 * np.spacing(1.0)
 
 
 SEGMENT_ERROR = (
@@ -398,13 +312,21 @@ DERIVED_FAILURES = [
             "resolution_bandwidth_hz": 1e-12,
             "signal_frequency_hz": 1e300,
         },
-        "modulation frequency must be finite and > 0 and < 5e-10",
+        "signal_frequency_hz must be finite and > 0 and < 5e-10",
     ),
     # The double-power arm's depth, sqrt(2) times this, overflows.
     (
         "snr-equivalence",
         {"modulation_depth": 1.3e308},
         "modulation depth must be finite",
+    ),
+    # The double-power arm's depth is finite, but its power on bin k,
+    # (depth sqrt(2) N / 2)**2 / N, overflows.
+    (
+        "snr-equivalence",
+        {"modulation_depth": 1e154},
+        "modulation depth's power on the signal bin, summed over the PSD segments "
+        "must be finite",
     ),
     ("bhd-psd", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
     ("decohere", {"phase_noise_deg": 1e300}, SIGMA_SQUARED_ERROR),
@@ -445,6 +367,7 @@ DERIVED_FAILURES = [
         "snr-rbw-subnormal",
         "snr-signal-infinite-bins-up",
         "snr-depth-times-sqrt-2",
+        "snr-depth-power-on-its-bin",
         "bhd-rbw-subnormal",
         "decohere-sigma-squared",
         "fit-loss-sigma-squared",

@@ -144,11 +144,11 @@ GOLDEN = {
         "e094a56acc00dcc967d477c8ede14a5acafacdbf02028e3dc50e3fa69a7fde68",
     ),
     ("snr-equivalence", "csv"): (
-        "65b6e051c691b9ec94a8cdb3428577132cc7173c62347c23b276094e8801352f",
+        "87ed24ccb3c3a060c2b0013d444a947d68186d8adb61a450e5f66e786de20e20",
         "e2aa727d0319eba4d8e48e153ed952ad55316ee47a49d315bda7894b94e5a0f0",
     ),
     ("snr-equivalence", "json"): (
-        "fce680ebec27c57c8708dd62391b0192536d8e8181021a8a6e728f2550777841",
+        "43312959752a66ce730de7d55d5b397d18b55c41cc1a7cc41c937eea2045fbc4",
         "b94b5fb6339c46372baf02a222136dd2f2b8496b101bdf357a04a21cf1b600cf",
     ),
     ("noise-budget", "csv"): (
@@ -231,11 +231,11 @@ GOLDEN = {
         "52b78079b9f302f9ba37fad5a9e830b8bdc4dfa60479f6c50bbdd1e250b8582a",
     ),
     ("snr-equivalence-tail", "csv"): (
-        "c8c2832bf23ceea4d49d42e847cd3dd8a9c5bc887a7174bc83f4203fb68331c9",
+        "56f99ffd0426a53d4db2a1aa55e17577614918fba8d2fa2fd3b10a6aab55caea",
         "24e1cca1f9230df0dce5bcf4dc289ecdbe37b3ddf32a64911b3d0a8510c8fae5",
     ),
     ("snr-equivalence-tail", "json"): (
-        "a72199285afe21a02a79d5e929a6c7188890c03844820527d81134e7dc984905",
+        "7bdb0bdfe66b1b18ddc942ea7318360c30fccb3f9cc338544f21ea74998c6c9e",
         "5c1feeec3056f18a24ad62403f55753c51ff627dc48bc1605b7af17a6f4bc0ea",
     ),
 }

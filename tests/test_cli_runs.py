@@ -234,11 +234,12 @@ DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
     block=DEFAULT_BLOCK, n_segment=2**18, runs=2, tail=75000, bin_index=32767,
     db=10.0, depth=1.0, seed=3,
 )
-def test_streamed_snr_equivalence_is_the_whole_array_reference_bit_for_bit(
+def test_whole_arms_are_a_serial_run_bit_for_bit(
     block, n_segment, runs, tail, bin_index, db, depth, seed
 ):
-    # Blocks of 8 to 1,000 samples give one buffer or many, segments shorter
-    # or longer than a block, and a partial last buffer.
+    # The streamed run against the whole-array reference.  Blocks of 8 to
+    # 1,000 samples give one buffer or many, segments shorter or longer than a
+    # block, and a partial last buffer.
     fs = 65536.0
     n_samples = n_segment * runs + tail % n_segment
     k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)

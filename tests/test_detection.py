@@ -445,6 +445,58 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
 
 @settings(max_examples=60, deadline=None)
 @given(
+    block=st.sampled_from([8, 24, 100, 1000, BLOCK // 8]),
+    n_segment=st.integers(8, 300),
+    n_runs=st.integers(1, 30),
+    tail=st.integers(0, 299),
+    bin_index=st.integers(1, 150),
+    db=st.floats(0.0, 20.0),
+    depth=st.sampled_from([0.0, 0.5, 1.0e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# At the real block size: a tail past the last segment in a partial fifth
+# buffer; exactly one buffer; a segment longer than a block, one to a buffer,
+# then a tail buffer.
+@example(
+    block=BLOCK // 8, n_segment=4096, n_runs=73, tail=977, bin_index=511, db=3.0,
+    depth=0.5, seed=13,
+)
+@example(
+    block=BLOCK // 8, n_segment=4096, n_runs=16, tail=0, bin_index=512, db=3.0,
+    depth=0.5, seed=1,
+)
+@example(
+    block=BLOCK // 8, n_segment=2**18, n_runs=2, tail=75000, bin_index=32767,
+    db=10.0, depth=1.0, seed=3,
+)
+def test_tone_spectrum_is_welch_psd_of_the_toned_series_bit_for_bit(
+    block, n_segment, n_runs, tail, bin_index, db, depth, seed
+):
+    # Blocks of 8 to 1,000 samples give one buffer or many, segments shorter
+    # or longer than a block, and a partial last buffer.  The reference is the
+    # Welch PSD of the toned series as its segments' rFFT sees it, from whole
+    # arrays: off bin k each arm's variance times welch_psd of the shared draw,
+    # and on bin k the mean of |sqrt(variance) F_k - i depth N / 2|**2 / N.
+    fs = 65536.0
+    size = n_segment * n_runs + tail % n_segment
+    k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)
+    arms = [(10.0 ** (-db / 10.0), depth), (1.0, depth), (1.0, depth * 2**0.5)]
+    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
+        spectra = detection._tone_spectra(arms, size, n_segment, k, seed, fs)
+    z = np.random.default_rng(seed).standard_normal(size)
+    unit = welch_psd(TimeSeries(fs, z), fs / n_segment)
+    on_bin = np.fft.rfft(z[: size - size % n_segment].reshape(-1, n_segment))[:, k]
+    for spectrum, (variance, arm_depth) in zip(spectra, arms, strict=True):
+        phasor = np.sqrt(variance) * on_bin - 1j * (arm_depth * n_segment / 2.0)
+        psd = variance * unit.psd
+        psd[k - 1] = np.mean(np.abs(phasor) ** 2 / n_segment)
+        assert spectrum.psd.tobytes() == psd.tobytes()
+        assert spectrum.frequencies.tobytes() == unit.frequencies.tobytes()
+        assert spectrum.resolution_bandwidth == unit.resolution_bandwidth
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     n_segment=st.integers(16, 300),
     n_runs=st.integers(1, 30),
     tail=st.integers(0, 299),

@@ -65,11 +65,11 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
-# Draws are scaled, welch_psd's segments transformed and _series_variance's
-# deviations squared this many bytes at a time, and _tone_spectra's buffer
-# holds as many whole segments as fit in it (at least one): none makes a
-# temporary as long as the series, and welch_psd stays under 1 MiB whenever
-# one segment fits a block.  A block and its scratch fit a 2 MiB L2 cache.
+# welch_psd's segments are transformed and _series_variance's deviations
+# squared this many bytes at a time, and _tone_spectra's buffer holds as many
+# whole segments as fit in it (at least one): none makes a temporary as long
+# as the series, and welch_psd stays under 1 MiB whenever one segment fits a
+# block.  A block and its scratch fit a 2 MiB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -294,21 +294,11 @@ def _detected_variance(state, angle, efficiency, detector) -> float:
 
 
 def _detected_draw(state, angle, efficiency, detector, n_samples, seed):
-    """Seeded draw of the detected quadrature, and its rng.
-
-    The draw is ``rng.normal(0.0, scale, n_samples)`` bit for bit, with
-    ``scale`` the square root of :func:`_detected_variance`: numpy computes
-    ``0.0 + scale * z``, and adding 0.0 turns a -0.0 into +0.0 as that sum
-    does, a block at a time.
-    """
+    """Seeded draw of the detected quadrature, and its rng: ``rng.normal(0.0,
+    scale, n_samples)``, ``scale`` the square root of :func:`_detected_variance`."""
     scale = np.sqrt(_detected_variance(state, angle, efficiency, detector))
     rng = np.random.default_rng(seed)
-    samples = np.empty(n_samples)
-    for start in range(0, n_samples, _BLOCK_BYTES // 8):
-        block = rng.standard_normal(out=samples[start : start + _BLOCK_BYTES // 8])
-        block *= scale
-        block += 0.0
-    return samples, rng
+    return rng.normal(0.0, scale, n_samples), rng
 
 
 def bhd_series(
@@ -396,7 +386,10 @@ def add_signal_modulation(
     check_range("modulation frequency", frequency, gt=0.0, lt=fs / 2.0)
     check_range("modulation depth", depth)
     t = np.arange(series.samples.size) / fs
-    samples = series.samples + depth * np.sin(2.0 * np.pi * frequency * t)
+    # The phase in cycles is reduced mod 1 before the multiply by 2 pi, so the
+    # angle passed to sin rounds by an ulp of 2 pi however long the series.
+    cycles = (frequency * t) % 1.0
+    samples = series.samples + depth * np.sin(2.0 * np.pi * cycles)
     return TimeSeries(fs, _Owned(samples), lo_phase=series.lo_phase)
 
 

@@ -3,13 +3,9 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import sqzlab
 from sqzlab.cli import EXPERIMENTS, build_parser, main
 
 
@@ -21,24 +17,6 @@ def _write_config(path, payload):
 def _run(tmp_path, payload, *extra):
     config = _write_config(tmp_path / "config.json", payload)
     return main(["run", "--config", config, *extra])
-
-
-def _fresh_interpreter(script, **environ):
-    """Run ``script`` in a new interpreter that imports sqzlab from this tree.
-
-    OPENBLAS_NUM_THREADS is unset there unless ``environ`` sets it.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(sqzlab.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**env, **environ},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return result
 
 
 def test_list_names_every_experiment(capsys):
@@ -390,47 +368,47 @@ def test_noise_budget_run_and_crossover_metadata(tmp_path):
 UNKNOWN_EXPERIMENT = "config error: unknown experiment {}; choose from " + str(
     sorted(EXPERIMENTS)
 )
-# (config, extra arguments, exit code, the one stderr line).
-REJECTED_CONFIGS = [
-    ([1], [], 2, "config error: config root must be a JSON object"),
-    (
+# id -> (config, extra arguments, exit code, the one stderr line).
+REJECTED_CONFIGS = {
+    "root-not-object": ([1], [], 2, "config error: config root must be a JSON object"),
+    "override-without-equals": (
         {"experiment": "decohere"},
         ["--set", "gain"],
         2,
         "config error: override must look like key=value, got 'gain'",
     ),
-    (
+    "override-into-string": (
         {"experiment": "decohere"},
         ["--set", "experiment.gain=1"],
         2,
         "config error: cannot descend into 'experiment': not an object",
     ),
-    ({}, [], 2, "config error: missing required key 'experiment'"),
-    (
+    "no-experiment": ({}, [], 2, "config error: missing required key 'experiment'"),
+    "parameters-not-object": (
         {"experiment": "decohere", "parameters": [1]},
         [],
         2,
         "config error: 'parameters' must be a JSON object",
     ),
-    (
+    "unknown-format": (
         {"experiment": "decohere", "output_format": "xml"},
         [],
         2,
         "config error: output_format must be 'csv' or 'json'",
     ),
-    (
+    "output-path-not-string": (
         {"experiment": "decohere", "output_path": 3},
         [],
         2,
         "config error: output_path must be a string",
     ),
-    (
+    "measurement-not-triple": (
         {"experiment": "fit-loss", "parameters": {"measurements": [[0.0, -10.4]]}},
         [],
         3,
         "validation error: each measurement must be a 3-item list",
     ),
-    (
+    "snr-lo-power-ratio": (
         {
             "experiment": "snr-equivalence",
             "seed": 1,
@@ -442,27 +420,25 @@ REJECTED_CONFIGS = [
         "and < 0.01",
     ),
     # A name that is not a string exited 4: a list or an object is unhashable.
-    ({"experiment": ["x"]}, [], 2, UNKNOWN_EXPERIMENT.format("['x']")),
-    ({"experiment": {"x": 1}}, [], 2, UNKNOWN_EXPERIMENT.format("{'x': 1}")),
-]
+    "experiment-list": (
+        {"experiment": ["x"]},
+        [],
+        2,
+        UNKNOWN_EXPERIMENT.format("['x']"),
+    ),
+    "experiment-object": (
+        {"experiment": {"x": 1}},
+        [],
+        2,
+        UNKNOWN_EXPERIMENT.format("{'x': 1}"),
+    ),
+}
 
 
 @pytest.mark.parametrize(
     "payload, extra, code, line",
-    REJECTED_CONFIGS,
-    ids=[
-        "root-not-object",
-        "override-without-equals",
-        "override-into-string",
-        "no-experiment",
-        "parameters-not-object",
-        "unknown-format",
-        "output-path-not-string",
-        "measurement-not-triple",
-        "snr-lo-power-ratio",
-        "experiment-list",
-        "experiment-object",
-    ],
+    list(REJECTED_CONFIGS.values()),
+    ids=list(REJECTED_CONFIGS),
 )
 def test_a_rejected_config_prints_one_line_and_writes_nothing(
     tmp_path, capsys, payload, extra, code, line
@@ -546,7 +522,7 @@ def test_fit_loss_rejects_measurements_that_are_not_numbers(
     assert not out_dir.exists()
 
 
-def test_fit_loss_runs_without_scipy(tmp_path):
+def test_fit_loss_runs_without_scipy(tmp_path, fresh_python):
     config = _write_config(tmp_path / "config.json", {"experiment": "fit-loss"})
     out_dir = tmp_path / "out"
     script = (
@@ -555,11 +531,11 @@ def test_fit_loss_runs_without_scipy(tmp_path):
         "from sqzlab.cli import main\n"
         f"sys.exit(main(['run', '--config', {config!r}, '--out', {str(out_dir)!r}]))\n"
     )
-    _fresh_interpreter(script)
+    fresh_python("-c", script)
     assert (out_dir / "fit-loss.csv").stat().st_size > 0
 
 
-def test_no_default_run_starts_a_thread(tmp_path):
+def test_no_default_run_starts_a_thread(tmp_path, fresh_python):
     # A fresh interpreter runs every default experiment in turn: none imports
     # concurrent.futures or leaves a second Python thread behind.
     configs = []
@@ -580,11 +556,11 @@ def test_no_default_run_starts_a_thread(tmp_path):
         "    if threading.active_count() != 1:\n"
         "        sys.exit(f'{threading.active_count()} threads after ' + config)\n"
     )
-    _fresh_interpreter(script)
+    fresh_python("-c", script)
     assert len(configs) == len(EXPERIMENTS) == 7
 
 
-def test_import_sqzlab_leaves_numpy_to_first_use():
+def test_import_sqzlab_leaves_numpy_to_first_use(fresh_python):
     script = (
         "import json, sys\n"
         "import sqzlab\n"
@@ -599,7 +575,7 @@ def test_import_sqzlab_leaves_numpy_to_first_use():
         "    'gaussian': sqzlab.gaussian.__name__,\n"
         "}))\n"
     )
-    report = json.loads(_fresh_interpreter(script).stdout)
+    report = json.loads(fresh_python("-c", script).stdout)
     assert report["numpy_at_import"] is False
     assert len(report["all"]) == 52
     assert report["resolved"] == report["all"]
@@ -635,9 +611,11 @@ print(json.dumps({{
 
 
 @pytest.mark.parametrize("statement", ["import sqzlab.cli", "from sqzlab import cli"])
-def test_cli_import_starts_one_blas_thread_and_restores_environ(statement):
+def test_cli_import_starts_one_blas_thread_and_restores_environ(
+    fresh_python, statement
+):
     script = _CLI_IMPORT_REPORT.format(first="", statement=statement)
-    report = json.loads(_fresh_interpreter(script).stdout)
+    report = json.loads(fresh_python("-c", script).stdout)
     assert report["environ_kept"]
     assert report["blas_threads_set"] == ["1"]
     assert report["openblas"] is None
@@ -646,17 +624,17 @@ def test_cli_import_starts_one_blas_thread_and_restores_environ(statement):
     assert report["threads"] == 1
 
 
-def test_cli_import_keeps_a_user_set_blas_thread_count():
+def test_cli_import_keeps_a_user_set_blas_thread_count(fresh_python):
     script = _CLI_IMPORT_REPORT.format(first="", statement="import sqzlab.cli")
-    report = json.loads(_fresh_interpreter(script, OPENBLAS_NUM_THREADS="2").stdout)
+    report = json.loads(fresh_python("-c", script, OPENBLAS_NUM_THREADS="2").stdout)
     assert report["environ_kept"]
     assert report["blas_threads_set"] == []
     assert report["openblas"] == "2"
 
 
-def test_cli_import_after_numpy_leaves_environ_alone():
+def test_cli_import_after_numpy_leaves_environ_alone(fresh_python):
     script = _CLI_IMPORT_REPORT.format(first="import numpy", statement="import sqzlab.cli")
-    report = json.loads(_fresh_interpreter(script).stdout)
+    report = json.loads(fresh_python("-c", script).stdout)
     assert report["environ_kept"]
     assert report["blas_threads_set"] == []
     assert report["openblas"] is None

@@ -29,6 +29,7 @@ from sqzlab.gaussian import (
     squeeze,
     vacuum,
 )
+from test_cli import REJECTED_CONFIGS
 
 # Power putting 1000 photons into a 0.1 ms window at 1064 nm.
 REQUIRED = {"photon-record": {"power_w": 1.8669603920572637e-12}}
@@ -292,21 +293,29 @@ SEGMENT_ERROR = (
 SIGMA_SQUARED_ERROR = "phase-noise sigma**2 must be finite"
 COUNT_ERROR = "mean photons per window must be finite and <= 9.22337e+18"
 OFF_BIN_ERROR = "signal_frequency_hz must sit on a spectrum bin"
-# (experiment, parameters, message): configs whose runs once divided by zero,
-# overflowed a float, exited 3 with numpy's words or with none of the
+# id -> (experiment, parameters, message): configs whose runs once divided by
+# zero, overflowed a float, exited 3 with numpy's words or with none of the
 # parameter's, or wrote an infinite fit residual or nan or off-bin SNRs,
 # because a quantity derived from the parameters was used before anything
 # checked it.
-DERIVED_FAILURES = [
-    ("snr-equivalence", {"resolution_bandwidth_hz": 1e11}, SEGMENT_ERROR),
-    (
+DERIVED_FAILURES = {
+    "snr-rbw-above-sample-rate": (
+        "snr-equivalence",
+        {"resolution_bandwidth_hz": 1e11},
+        SEGMENT_ERROR,
+    ),
+    "snr-rbw-negative-zero": (
         "snr-equivalence",
         {"resolution_bandwidth_hz": -0.0},
         "resolution_bandwidth must be finite and > 0",
     ),
-    ("snr-equivalence", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
+    "snr-rbw-subnormal": (
+        "snr-equivalence",
+        {"resolution_bandwidth_hz": 5e-324},
+        SEGMENT_ERROR,
+    ),
     # The signal sits an infinite number of bins up.
-    (
+    "snr-signal-infinite-bins-up": (
         "snr-equivalence",
         {
             "sample_rate_hz": 1e-9,
@@ -316,35 +325,55 @@ DERIVED_FAILURES = [
         "signal_frequency_hz must be finite and > 0 and < 5e-10",
     ),
     # The double-power arm's depth, sqrt(2) times this, overflows.
-    (
+    "snr-depth-times-sqrt-2": (
         "snr-equivalence",
         {"modulation_depth": 1.3e308},
         "modulation depth must be finite",
     ),
     # The double-power arm's depth is finite, but its power on bin k,
     # (depth sqrt(2) N / 2)**2 / N, overflows.
-    (
+    "snr-depth-power-on-its-bin": (
         "snr-equivalence",
         {"modulation_depth": 1e154},
         "modulation depth's power on the signal bin, summed over the PSD segments "
         "must be finite",
     ),
-    ("bhd-psd", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
-    ("decohere", {"phase_noise_deg": 1e300}, SIGMA_SQUARED_ERROR),
-    ("fit-loss", {"fixed_phase_noise_deg": 1e303}, SIGMA_SQUARED_ERROR),
-    (
+    "bhd-rbw-subnormal": ("bhd-psd", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
+    "decohere-sigma-squared": (
+        "decohere",
+        {"phase_noise_deg": 1e300},
+        SIGMA_SQUARED_ERROR,
+    ),
+    "fit-loss-sigma-squared": (
+        "fit-loss",
+        {"fixed_phase_noise_deg": 1e303},
+        SIGMA_SQUARED_ERROR,
+    ),
+    "fit-loss-residual": (
         "fit-loss",
         {"measurements": [[0.0, 0.0, 0.0], [0.0, 0.0, 1e300]]},
         "antisqueeze_db must be finite and >= 0 and <= 3082.55",
     ),
-    ("noise-budget", {"arm_length_m": 1e300}, "arm_length**2 must be finite"),
-    ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
-    ("photon-record", {"power_w": 1e6, "noise_squeeze_db": 3.0}, COUNT_ERROR),
+    "noise-budget-arm-length-squared": (
+        "noise-budget",
+        {"arm_length_m": 1e300},
+        "arm_length**2 must be finite",
+    ),
+    "photon-record-coherent-counts": ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
+    "photon-record-squeezed-counts": (
+        "photon-record",
+        {"power_w": 1e6, "noise_squeeze_db": 3.0},
+        COUNT_ERROR,
+    ),
     # Drawn, the record exited 3 with a message that named no parameter.
-    ("photon-record", {"n_windows": 1}, "n_windows must be finite and >= 2"),
+    "photon-record-one-window": (
+        "photon-record",
+        {"n_windows": 1},
+        "n_windows must be finite and >= 2",
+    ),
     # An 8-sample segment has 3 bins; _peak_snr masked all of them and wrote
     # nan SNRs, with numpy's "Mean of empty slice" warning, and exit 0.
-    (
+    "snr-no-off-signal-bin": (
         "snr-equivalence",
         {"resolution_bandwidth_hz": 8192.0, "signal_frequency_hz": 16384.0},
         "signal_frequency_hz must leave a noise-floor bin beyond its neighbours",
@@ -352,35 +381,21 @@ DERIVED_FAILURES = [
     # Within 1e-9 of bin 0 (DC) and of bin 2048 (Nyquist), both of which
     # welch_psd drops: the tone was all zeros and _peak_snr read the nearest
     # kept bin, so the run wrote SNRs of noise over noise with exit 0.
-    ("snr-equivalence", {"signal_frequency_hz": 1e-12}, OFF_BIN_ERROR),
-    ("snr-equivalence", {"signal_frequency_hz": 32767.99999999999}, OFF_BIN_ERROR),
-]
+    "snr-signal-at-dc": ("snr-equivalence", {"signal_frequency_hz": 1e-12}, OFF_BIN_ERROR),
+    "snr-signal-at-nyquist": (
+        "snr-equivalence",
+        {"signal_frequency_hz": 32767.99999999999},
+        OFF_BIN_ERROR,
+    ),
+}
 
 
 # Each run fails by name before numpy computes anything that could overflow.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "name, params, message",
-    DERIVED_FAILURES,
-    ids=[
-        "snr-rbw-above-sample-rate",
-        "snr-rbw-negative-zero",
-        "snr-rbw-subnormal",
-        "snr-signal-infinite-bins-up",
-        "snr-depth-times-sqrt-2",
-        "snr-depth-power-on-its-bin",
-        "bhd-rbw-subnormal",
-        "decohere-sigma-squared",
-        "fit-loss-sigma-squared",
-        "fit-loss-residual",
-        "noise-budget-arm-length-squared",
-        "photon-record-coherent-counts",
-        "photon-record-squeezed-counts",
-        "photon-record-one-window",
-        "snr-no-off-signal-bin",
-        "snr-signal-at-dc",
-        "snr-signal-at-nyquist",
-    ],
+    list(DERIVED_FAILURES.values()),
+    ids=list(DERIVED_FAILURES),
 )
 def test_a_derived_quantity_out_of_range_exits_3_by_name(
     tmp_path, capsys, name, params, message
@@ -388,37 +403,84 @@ def test_a_derived_quantity_out_of_range_exits_3_by_name(
     _assert_exits_3(tmp_path, capsys, name, params, message)
 
 
-def _assert_exits_3(tmp_path, capsys, name, params, message):
-    """The run exits 3 with ``message`` as its one stderr line, and no output."""
+def _failing_config(name, params):
+    """The config of a run that :func:`_assert_exits_3` expects to fail."""
     # The segment bound in SEGMENT_ERROR is n_samples.
     size = {"n_samples": 65536} if "n_samples" in EXPERIMENTS[name].params else {}
     parameters = {**REQUIRED.get(name, {}), **size, **params}
-    assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 3
+    return {"experiment": name, "seed": 1, "parameters": parameters}
+
+
+def _assert_exits_3(tmp_path, capsys, name, params, message):
+    """The run exits 3 with ``message`` as its one stderr line, and no output."""
+    assert _run(tmp_path, _failing_config(name, params)) == 3
     assert capsys.readouterr().err == f"validation error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
-# Squeezes whose anti-squeezed variance exp(2 r) overflows a float.  Their
-# runs warned of numpy's overflow, then exited 3 naming the state covariance
-# (5,000 dB) or the state mean (1e4 dB and up) instead of the squeeze.
-SQUEEZE_FAILURES = [
-    ("bhd-psd", {"squeeze_db": 5000.0}),
-    ("bhd-psd", {"squeeze_db": 1e12}),
-    ("snr-equivalence", {"squeeze_db": 1e4}),
-    ("photon-record", {"noise_squeeze_db": 5000.0}),
-    ("noise-budget", {"squeeze_db": 5000.0}),
-]
+# id -> (experiment, parameters): squeezes whose anti-squeezed variance
+# exp(2 r) overflows a float.  Their runs warned of numpy's overflow, then
+# exited 3 naming the state covariance (5,000 dB) or the state mean (1e4 dB
+# and up) instead of the squeeze.
+SQUEEZE_FAILURES = {
+    "bhd-5000-db": ("bhd-psd", {"squeeze_db": 5000.0}),
+    "bhd-1e12-db": ("bhd-psd", {"squeeze_db": 1e12}),
+    "snr-1e4-db": ("snr-equivalence", {"squeeze_db": 1e4}),
+    "photon-5000-db": ("photon-record", {"noise_squeeze_db": 5000.0}),
+    "budget-5000-db": ("noise-budget", {"squeeze_db": 5000.0}),
+}
+SQUEEZE_ERROR = "squeeze_db must be finite and >= 0 and <= 3082.55"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "name, params",
-    SQUEEZE_FAILURES,
-    ids=["bhd-5000-db", "bhd-1e12-db", "snr-1e4-db", "photon-5000-db", "budget-5000-db"],
+    "name, params", list(SQUEEZE_FAILURES.values()), ids=list(SQUEEZE_FAILURES)
 )
 def test_a_squeeze_beyond_the_float_range_exits_3_by_name(tmp_path, capsys, name, params):
-    message = "squeeze_db must be finite and >= 0 and <= 3082.55"
-    _assert_exits_3(tmp_path, capsys, name, params, message)
+    _assert_exits_3(tmp_path, capsys, name, params, SQUEEZE_ERROR)
+
+
+def _rejection(key):
+    """A DERIVED_FAILURES or SQUEEZE_FAILURES run, laid out as REJECTED_CONFIGS."""
+    if key in DERIVED_FAILURES:
+        name, params, message = DERIVED_FAILURES[key]
+    else:
+        (name, params), message = SQUEEZE_FAILURES[key], SQUEEZE_ERROR
+    return _failing_config(name, params), [], 3, f"validation error: {message}"
+
+
+# A config error and exit-3 runs of each kind above, by their ids, that a
+# fresh interpreter repeats.
+COLD_REJECTIONS = {"experiment-list": REJECTED_CONFIGS["experiment-list"]} | {
+    key: _rejection(key)
+    for key in [
+        "snr-rbw-above-sample-rate",
+        "snr-depth-times-sqrt-2",
+        "fit-loss-residual",
+        "snr-no-off-signal-bin",
+        "snr-signal-at-dc",
+        "bhd-5000-db",
+    ]
+}
+
+
+# Each run by ``python -m sqzlab.cli``, on the package outside src/, where a
+# RuntimeWarning is an error too (see tests/conftest.py).
+@pytest.mark.parametrize(
+    "payload, extra, code, line",
+    list(COLD_REJECTIONS.values()),
+    ids=list(COLD_REJECTIONS),
+)
+def test_a_cold_rejected_run_prints_one_line_and_writes_nothing(
+    tmp_path, fresh_python, payload, extra, code, line
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out_dir = tmp_path / "out"
+    args = ["run", "--config", str(config), *extra, "--out", str(out_dir)]
+    result = fresh_python("-m", "sqzlab.cli", *args, check=False)
+    assert (result.returncode, result.stderr) == (code, line + "\n")
+    assert not out_dir.exists()
 
 
 # 10 log10(max float) is about 3082.547 dB.

@@ -16,15 +16,11 @@ the last test reruns every case under other kernels to check it.
 import ctypes
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sqzlab
 from sqzlab.cli import main
 from sqzlab.decoherence import PhaseNoise, SqueezeMeasurement, fit_loss_phase, forward_model
 from sqzlab.gaussian import SqueezeSetting, coherent, mean_photon_number, rotate, squeeze
@@ -271,11 +267,12 @@ def test_output_bytes_are_pinned(tmp_path, case, output_format):
     assert output_hashes(tmp_path, case, output_format) == GOLDEN[case, output_format]
 
 
-def test_default_bytes_on_the_cold_path(tmp_path):
+def test_default_bytes_on_the_cold_path(tmp_path, fresh_python):
     # pytest has imported numpy before sqzlab.cli, so the runs above keep
     # OpenBLAS's thread pool.  A cold ``sqzlab run`` is the first to import
     # numpy and starts it single-threaded.  One fresh interpreter runs every
-    # default case that way.
+    # default case that way, on the package outside src/, bundled data
+    # included.
     runs = [
         (case, output_format, tmp_path / f"{case}-{output_format}")
         for case, (experiment, _, _) in CASES.items()
@@ -295,16 +292,34 @@ def test_default_bytes_on_the_cold_path(tmp_path):
         "    if main(args) != 0:\n"
         "        sys.exit(f'run failed: {args}')\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(sqzlab.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert result.returncode == 0, result.stderr
+    fresh_python("-c", script)
     assert len(runs) == 14
     for case, output_format, directory in runs:
         hashes = output_hashes(directory, case, output_format)
         assert hashes == GOLDEN[case, output_format], (case, output_format)
+
+
+def _not_json(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_csv_and_json_hold_the_same_rows(tmp_path, case):
+    # The JSON parses strictly (``json.tool`` takes Infinity), and its rows
+    # equal the CSV's data rows.  Those are read as one JSON array, so an
+    # integer table reads as ints and a flag as a boolean, and compared as
+    # JSON text, where an int and a float of one value differ.
+    text = {}
+    for output_format in ("csv", "json"):
+        directory = tmp_path / output_format
+        directory.mkdir()
+        assert main(run_args(directory, case, output_format)) == 0
+        name = f"{CASES[case][0]}.{output_format}"
+        text[output_format] = (directory / "out" / name).read_text()
+    rows = json.loads(text["json"], parse_constant=_not_json)["rows"]
+    lines = [line for line in text["csv"].splitlines() if not line.startswith("#")]
+    cells = json.loads("[[" + "],[".join(lines[1:]) + "]]", parse_constant=_not_json)
+    assert rows and json.dumps(rows) == json.dumps(cells)
 
 
 # OpenBLAS kernel sets that x86-64 CPUs without AVX-512 run; numpy's bundled
@@ -358,11 +373,10 @@ def kernel_report(directory: str) -> dict:
     return {"core": openblas_core(), "missed": missed, "library": library_digest()}
 
 
-def test_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
+def test_bytes_do_not_depend_on_the_openblas_kernel(tmp_path, fresh_python):
     default_core = openblas_core()
     if default_core is None:
         pytest.skip("numpy's OpenBLAS reports no kernel set here")
-    env = dict(os.environ, PYTHONPATH=str(Path(sqzlab.__file__).resolve().parents[1]))
     script = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
@@ -372,14 +386,9 @@ def test_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
     ran, digest = [], library_digest()
     for core in OPENBLAS_CORES:
         (tmp_path / core).mkdir()
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / core)],
-            env=dict(env, OPENBLAS_CORETYPE=core),
-            capture_output=True,
-            text=True,
-            timeout=300,
+        result = fresh_python(
+            "-c", script, str(tmp_path / core), OPENBLAS_CORETYPE=core
         )
-        assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout.splitlines()[-1])
         # OpenBLAS may name a core by an alias (Prescott reads "Katmai"), and
         # ignores a setting the CPU cannot run: then it keeps the default.

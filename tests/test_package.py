@@ -1,4 +1,7 @@
-"""The package surface: exported names, version and JSON output text."""
+"""The package surface: exported names, version, JSON output text, and the
+layout that fresh interpreters import."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -96,3 +99,10 @@ def test_write_json_renders_numpy_floats_and_tuple_rows(tmp_path):
         "  ]\n"
         "}\n"
     )
+
+
+def test_fresh_interpreters_import_sqzlab_from_outside_src(fresh_python):
+    script = "import os, sqzlab; print(os.path.realpath(sqzlab.__file__))"
+    package = Path(fresh_python("-c", script).stdout.strip()).parent
+    assert not package.is_relative_to(Path(__file__).resolve().parents[1] / "src")
+    assert (package / "data" / "synthetic_loss_sweep.json").is_file()

@@ -149,7 +149,7 @@ def _frequency_grid(params: Mapping[str, Any]) -> np.ndarray:
 def _check_numbers(name: str, values: list) -> None:
     """Reject entries that are not JSON numbers; bool is an int subclass."""
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise ValueError(f"{name} must contain numbers")
+        raise ConfigError(f"{name} must contain numbers")
 
 
 def _float(value: int | float) -> float:
@@ -227,7 +227,7 @@ def _run_fit_loss(params: dict, seed: int | None) -> ExperimentOutcome:
     origin = "config"
     if isinstance(triples, str):
         if triples != "bundled":
-            raise ValueError(
+            raise ConfigError(
                 "measurements must be a list of [added_loss, squeeze_db, "
                 "antisqueeze_db] triples or the string 'bundled'"
             )
@@ -244,7 +244,7 @@ def _run_fit_loss(params: dict, seed: int | None) -> ExperimentOutcome:
         origin = "bundled"
     gain = params["gain"]
     if any(not isinstance(t, (list, tuple)) or len(t) != 3 for t in triples):
-        raise ValueError("each measurement must be a 3-item list")
+        raise ConfigError("measurements must contain 3-item lists")
     _check_numbers("measurements", [value for triple in triples for value in triple])
     measurements = [SqueezeMeasurement(*map(_float, triple)) for triple in triples]
     fixed = params["fixed_phase_noise_deg"]

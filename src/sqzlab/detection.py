@@ -12,6 +12,7 @@ drawn and averaged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,11 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
-# welch_psd's segments are transformed and _series_variance's deviations
-# squared this many bytes at a time, and _tone_spectra's buffer holds as many
-# whole segments as fit in it (at least one): none makes a temporary as long
-# as the series, and welch_psd stays under 1 MiB whenever one segment fits a
-# block.  A block and its scratch fit a 2 MiB L2 cache.
+# welch_psd's segments are transformed and _series_variance's squared
+# deviations summed this many bytes at a time, and _tone_spectra's buffer
+# holds as many whole segments as fit in it (at least one): none makes a
+# temporary as long as the series, and welch_psd stays under 1 MiB whenever
+# one segment fits a block.  A block and its scratch fit a 2 MiB L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -394,31 +395,20 @@ def add_signal_modulation(
 
 
 def _series_variance(samples: np.ndarray) -> float:
-    """``samples.var()`` bit for bit, without its temporary as long as the series.
+    """The two-pass variance, without a temporary as long as the series.
 
-    numpy sums the squared deviations from the mean pairwise: it splits a
-    run of ``n`` items at ``n // 2``, rounded down to a multiple of 8, until
-    a run holds at most 128.  This makes the same splits down to runs that
-    fit the scratch (which must hold at least 128), squares each run's
-    deviations in it and lets numpy sum it, so every addition is the one
-    ``var`` makes.
+    numpy sums each block's squared deviations from ``samples.mean()`` in the
+    scratch, and ``math.fsum`` adds the block sums exactly, so the result is
+    within a few ulp of the exact variance of the samples.
     """
+    mean = samples.mean()
     scratch = np.empty(min(samples.size, _BLOCK_BYTES // 8))
-    return float(_squared_deviations(samples, samples.mean(), scratch) / samples.size)
-
-
-def _squared_deviations(samples: np.ndarray, mean, scratch: np.ndarray):
-    """The pairwise sum of ``(samples - mean)**2``; see :func:`_series_variance`."""
-    n = samples.size
-    if n <= scratch.size:
-        part = scratch[:n]
-        np.subtract(samples, mean, out=part)
-        np.square(part, out=part)
-        return np.add.reduce(part)
-    half = n // 2 - n // 2 % 8
-    return _squared_deviations(samples[:half], mean, scratch) + _squared_deviations(
-        samples[half:], mean, scratch
-    )
+    sums = []
+    for start in range(0, samples.size, scratch.size):
+        part = scratch[: samples.size - start]
+        np.subtract(samples[start : start + scratch.size], mean, out=part)
+        sums.append(np.add.reduce(np.square(part, out=part)))
+    return math.fsum(sums) / samples.size
 
 
 def _psd_segment(sample_rate: float, rbw: float, n_samples: int) -> int:

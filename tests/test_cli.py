@@ -405,8 +405,27 @@ REJECTED_CONFIGS = {
     "measurement-not-triple": (
         {"experiment": "fit-loss", "parameters": {"measurements": [[0.0, -10.4]]}},
         [],
+        2,
+        "config error: measurements must contain 3-item lists",
+    ),
+    "measurements-other-string": (
+        {"experiment": "fit-loss", "parameters": {"measurements": "mine"}},
+        [],
+        2,
+        "config error: measurements must be a list of [added_loss, squeeze_db, "
+        "antisqueeze_db] triples or the string 'bundled'",
+    ),
+    "added-loss-not-number": (
+        {"experiment": "decohere", "parameters": {"added_losses": [0.0, "x"]}},
+        [],
+        2,
+        "config error: added_losses must contain numbers",
+    ),
+    "neither-gain-nor-pump-ratio": (
+        {"experiment": "opo-spectrum", "parameters": {"gain": None}},
+        [],
         3,
-        "validation error: each measurement must be a 3-item list",
+        "validation error: set either gain or pump_ratio",
     ),
     "snr-lo-power-ratio": (
         {
@@ -515,10 +534,9 @@ def test_fit_loss_rejects_measurements_that_are_not_numbers(
             "output_path": str(out_dir),
         },
     )
-    assert code == 3
-    assert "validation error: measurements must contain numbers" in (
-        capsys.readouterr().err
-    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: measurements must contain numbers\n"
     assert not out_dir.exists()
 
 

@@ -449,9 +449,11 @@ def _rejection(key):
     return _failing_config(name, params), [], 3, f"validation error: {message}"
 
 
-# A config error and exit-3 runs of each kind above, by their ids, that a
+# Config errors and exit-3 runs of each kind above, by their ids, that a
 # fresh interpreter repeats.
-COLD_REJECTIONS = {"experiment-list": REJECTED_CONFIGS["experiment-list"]} | {
+COLD_REJECTIONS = {
+    key: REJECTED_CONFIGS[key] for key in ["experiment-list", "added-loss-not-number"]
+} | {
     key: _rejection(key)
     for key in [
         "snr-rbw-above-sample-rate",

@@ -9,6 +9,7 @@ from sqzlab.decoherence import (
     LossBudget,
     PhaseNoise,
     SqueezeMeasurement,
+    _least_squares,
     apply_phase_noise,
     effective_improvement,
     fit_loss_phase,
@@ -151,6 +152,24 @@ def test_fixed_jitter_fit():
     assert fit.converged
     assert fit.intrinsic_loss == pytest.approx(0.056, abs=1e-6)
     assert fit.phase_noise.degrees == pytest.approx(1.2)
+
+
+def test_the_search_stops_unconverged_after_100_iterations():
+    # exp(-p) falls toward 0 with no minimum, so every step lowers the cost
+    # by more than the stall tolerance: two residual calls per iteration.
+    calls = []
+
+    def residuals(params):
+        calls.append(params)
+        return np.exp(-params)
+
+    params, cost, converged = _least_squares(
+        residuals, np.ones(2), np.zeros(2), np.full(2, np.inf)
+    )
+    assert not converged
+    assert len(calls) == 200
+    assert cost == pytest.approx(np.sum(np.exp(-2.0 * params)))
+    assert np.all(params > 100.0)
 
 
 def test_fit_needs_two_measurements():

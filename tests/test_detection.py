@@ -1,13 +1,14 @@
 """Unit tests for photon counting, homodyne sampling, and the PSD."""
 
 import hashlib
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import signal
 
 import sqzlab.detection as detection
 from sqzlab.detection import (
@@ -277,6 +278,8 @@ def test_psd_mean_tracks_variance():
 
 
 def test_psd_matches_scipy_welch():
+    from scipy import signal
+
     rng = np.random.default_rng(57)
     fs, nperseg = 2048.0, 256
     samples = rng.normal(size=2**16)
@@ -546,25 +549,40 @@ def test_a_tone_spectrum_is_the_welch_psd_of_its_toned_series(
     assert np.abs(floor).max() <= 1e-6 * variance
 
 
-SCRATCH = BLOCK // 8  # samples of float64 scratch
+def _exact_variance(samples):
+    """The variance of ``samples`` as an exact fraction.
+
+    Every float is an integer times a power of two, so scaling by a common
+    ``2**s`` turns the samples into integers, whose sums Python forms exactly.
+    """
+    s = 53 - int(np.frexp(samples[samples != 0.0])[1].min())
+    ints = [int(value) for value in np.ldexp(samples, s).tolist()]
+    n, total, squares = samples.size, sum(ints), sum(i * i for i in ints)
+    return Fraction(n * squares - total * total, n * n) / Fraction(4) ** s
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.integers(0, 21).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))),
-    leaf=st.sampled_from(sorted({128, 129, 1000, 4096, 65536, 131072, SCRATCH})),
+    block=st.integers(1, 8),
     decade=st.integers(-140, 140),
     offset=st.sampled_from([0.0, 1.0, -3.5, 1.0e3]),
     seed=st.integers(0, 2**32 - 1),
 )
-# The default bhd-psd series, and an odd size above 4M at the smallest leaf.
-@example(size=2**21, leaf=SCRATCH, decade=0, offset=0.0, seed=0)
-@example(size=2**22 + 1, leaf=128, decade=-3, offset=1.0, seed=1)
-def test_leafwise_variance_is_numpys_var_bit_for_bit(size, leaf, decade, offset, seed):
+# The default bhd-psd series in its default blocks, and an odd size above 4M.
+@example(size=2**21, block=2048, decade=0, offset=0.0, seed=0)
+@example(size=2**22 + 1, block=1, decade=-3, offset=1.0, seed=1)
+def test_series_variance_is_within_4_ulp_of_the_exact_variance(
+    size, block, decade, offset, seed
+):
+    # Blocks of 1 to 8 samples, scaled up past 65,536 samples so that no
+    # series is split into more than 65,536 blocks.
+    block *= -(-size // 2**16)
     samples = 10.0**decade * (offset + np.random.default_rng(seed).normal(size=size))
-    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * leaf):
+    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
         variance = detection._series_variance(samples)
-    assert np.float64(variance).tobytes() == samples.var().tobytes()
+    exact = _exact_variance(samples)
+    assert abs(Fraction(variance) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -62,6 +62,7 @@ from .detection import (
     DetectorParams,
     LightSource,
     MeasurementWindowing,
+    _bhd_noise,
     _detected_variance,
     _homodyne_efficiency,
     _psd_segment,
@@ -308,16 +309,16 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
         visibility=params["visibility"],
         balance_asymmetry=params["balance_asymmetry"],
     )
-    series = bhd_series(
-        state,
-        np.deg2rad(params["lo_phase_deg"]),
-        params["signal_to_lo_power_ratio"],
-        detector,
-        params["n_samples"],
-        seed,
-        params["sample_rate_hz"],
-        params["lo_noise_variance"],
-    )
+    lo_phase = np.deg2rad(params["lo_phase_deg"])
+    ratio, lo_noise = params["signal_to_lo_power_ratio"], params["lo_noise_variance"]
+    n_samples, fs = params["n_samples"], params["sample_rate_hz"]
+    # A segment's |rFFT|**2 passes 1024 n_segment times the variance with odds
+    # e**-1024; welch_psd's and _series_variance's sums reach n_samples times it.
+    *_, variance = _bhd_noise(state, lo_phase, ratio, detector, lo_noise)
+    name = "max(n_samples, 1024 samples per PSD segment) times the detected variance"
+    name += " (squeeze_db at squeeze_angle_deg)"
+    check_range(name, max(n_samples, 1024 * n_segment) * variance)
+    series = bhd_series(state, lo_phase, ratio, detector, n_samples, seed, fs, lo_noise)
     spectrum = welch_psd(series, params["resolution_bandwidth_hz"])
     rows = np.column_stack(
         [spectrum.frequencies, spectrum.psd, db_from_variance(spectrum.psd)]
@@ -325,7 +326,7 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
     metadata = {
         "series_variance": _series_variance(series.samples),
         "resolution_bandwidth_hz": spectrum.resolution_bandwidth,
-        "n_averages": params["n_samples"] // n_segment,
+        "n_averages": n_samples // n_segment,
     }
     columns = ["frequency_hz", "psd_rel_shot", "psd_db"]
     return ExperimentOutcome(metadata, columns, rows)

@@ -207,6 +207,11 @@ def power_for_mean_photons(
     return mean_photons * PLANCK * LIGHT_SPEED / (wavelength * window_duration)
 
 
+def _rng(seed) -> np.random.Generator:
+    """Every seeded draw's generator: numpy's SFC64, seeded through ``SeedSequence``."""
+    return np.random.Generator(np.random.SFC64(seed))
+
+
 def sample_photon_record(
     state: GaussianState,
     source: LightSource,
@@ -235,7 +240,7 @@ def sample_photon_record(
     n_bar = mean_photons_per_window(source, windowing)
     check_range("mean photons per window", n_bar, le=_MAX_MEAN_COUNT)
     v_amp = quadrature_variance(state, 0.0)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if abs(v_amp - 1.0) <= _POISSON_VARIANCE_TOL:
         counts = rng.poisson(n_bar, size=windowing.n_windows).astype(
             np.int64, copy=False
@@ -283,7 +288,7 @@ def single_pd_series(
         ge=_BRIGHT_CARRIER_MIN_PHOTONS,
     )
     efficiency = detector.quantum_efficiency
-    samples, _ = _detected_draw(state, 0.0, efficiency, detector, n_samples, seed)
+    samples = _detected_draw(state, 0.0, efficiency, detector, n_samples, seed)
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
 
 
@@ -295,11 +300,10 @@ def _detected_variance(state, angle, efficiency, detector) -> float:
 
 
 def _detected_draw(state, angle, efficiency, detector, n_samples, seed):
-    """Seeded draw of the detected quadrature, and its rng: ``rng.normal(0.0,
-    scale, n_samples)``, ``scale`` the square root of :func:`_detected_variance`."""
+    """Seeded draw of the detected quadrature: ``_rng(seed).normal(0.0, scale,
+    n_samples)``, ``scale`` the square root of :func:`_detected_variance`."""
     scale = np.sqrt(_detected_variance(state, angle, efficiency, detector))
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, scale, n_samples), rng
+    return _rng(seed).normal(0.0, scale, n_samples)
 
 
 def bhd_series(
@@ -327,19 +331,28 @@ def bhd_series(
         (power ratio >= 0.01).
     """
     check_range("n_samples", n_samples, ge=1)
-    check_range("lo_phase", lo_phase)
-    efficiency = _homodyne_efficiency(signal_to_lo_power_ratio, detector)
-    check_range("lo_noise_variance", lo_noise_variance, ge=0.0)
-    samples, rng = _detected_draw(
-        signal_state, lo_phase, efficiency, detector, n_samples, seed
+    efficiency, leak_amplitude, _ = _bhd_noise(
+        signal_state, lo_phase, signal_to_lo_power_ratio, detector, lo_noise_variance
     )
-    leak_amplitude = 2.0 * detector.balance_asymmetry * np.sqrt(lo_noise_variance)
+    samples = _detected_draw(signal_state, lo_phase, efficiency, detector, n_samples, seed)
     if leak_amplitude > 0.0:
-        # samples + leak_amplitude * leak, bit for bit, in place.
-        leak = rng.normal(size=n_samples)
+        # samples + leak_amplitude * leak, bit for bit, in place.  The leak is
+        # its own SeedSequence child, so it does not follow the main draw.
+        leak = _rng(np.random.SeedSequence(seed).spawn(1)[0]).normal(size=n_samples)
         leak *= leak_amplitude
         samples += leak
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
+
+
+def _bhd_noise(state, lo_phase, ratio, detector, lo_noise_variance):
+    """:func:`bhd_series`'s homodyne efficiency, LO-leak amplitude ``2 eps
+    sqrt(lo_noise_variance)`` and samples' variance, once its inputs are checked."""
+    check_range("lo_phase", lo_phase)
+    efficiency = _homodyne_efficiency(ratio, detector)
+    check_range("lo_noise_variance", lo_noise_variance, ge=0.0)
+    leak = 2.0 * detector.balance_asymmetry * math.sqrt(lo_noise_variance)
+    variance = _detected_variance(state, lo_phase, efficiency, detector) + leak * leak
+    return efficiency, leak, variance
 
 
 def _homodyne_efficiency(ratio: float, detector: DetectorParams) -> float:
@@ -351,7 +364,7 @@ def _homodyne_efficiency(ratio: float, detector: DetectorParams) -> float:
 def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
     """Per ``(variance, depth)`` arm, the :func:`welch_psd` of ``sqrt(variance)
     * z + depth * sin(2 pi k m / N)``, N = ``n_segment``, for one unit white
-    draw ``z`` from ``default_rng(seed)`` that every arm shares.
+    draw ``z`` from ``_rng(seed)`` that every arm shares.
 
     With no window, a segment's rFFT of the tone is ``-i depth N / 2`` on bin
     ``k`` and 0 elsewhere.  So an arm's PSD is ``variance`` times the draw's,
@@ -359,7 +372,7 @@ def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
     / 2|**2 / N``, ``F`` being the draw's rFFT there.  The draw is streamed in
     buffers of whole segments: no array is as long as the series.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     welch = _WelchSum(n_segment, n_samples // n_segment, k)
     buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
     for start in range(0, n_samples, buffer.size):

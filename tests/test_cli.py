@@ -451,6 +451,23 @@ REJECTED_CONFIGS = {
         2,
         UNKNOWN_EXPERIMENT.format("{'x': 1}"),
     ),
+    # A quarter of the anti-squeezed variance, about 1e308, reaches the
+    # measured quadrature, so the PSD's sums of squares leave the float range.
+    "bhd-3082-db-at-30-deg": (
+        {
+            "experiment": "bhd-psd",
+            "seed": 1,
+            "parameters": {
+                "squeeze_db": 3082.5,
+                "squeeze_angle_deg": 30.0,
+                "n_samples": 65536,
+            },
+        },
+        [],
+        3,
+        "validation error: max(n_samples, 1024 samples per PSD segment) times "
+        "the detected variance (squeeze_db at squeeze_angle_deg) must be finite",
+    ),
 }
 
 

@@ -171,7 +171,7 @@ def _whole_array_snrs(params, seed):
     fs, n = params["sample_rate_hz"], params["n_samples"]
     n_segment = round(fs / params["resolution_bandwidth_hz"])
     k = round(params["signal_frequency_hz"] / (fs / n_segment))
-    z = np.random.default_rng(seed).standard_normal(n)
+    z = detection._rng(seed).standard_normal(n)
     spectra = np.fft.rfft(z[: n - n % n_segment].reshape(-1, n_segment), axis=1)
     unit = (np.abs(spectra) ** 2 / n_segment).mean(axis=0)[1 : (n_segment + 1) // 2]
     visibility = params["visibility"]
@@ -452,7 +452,8 @@ def _rejection(key):
 # Config errors and exit-3 runs of each kind above, by their ids, that a
 # fresh interpreter repeats.
 COLD_REJECTIONS = {
-    key: REJECTED_CONFIGS[key] for key in ["experiment-list", "added-loss-not-number"]
+    key: REJECTED_CONFIGS[key]
+    for key in ["experiment-list", "added-loss-not-number", "bhd-3082-db-at-30-deg"]
 } | {
     key: _rejection(key)
     for key in [
@@ -485,7 +486,10 @@ def test_a_cold_rejected_run_prints_one_line_and_writes_nothing(
     assert not out_dir.exists()
 
 
-# 10 log10(max float) is about 3082.547 dB.
+# 10 log10(max float) is about 3082.547 dB.  At 30 degrees, a quarter of the
+# anti-squeezed variance reaches the measured quadrature: at 3,030 dB, about
+# 2.5e302, 1024 segments of 128 samples times it stays finite (at 3082.5 dB
+# see REJECTED_CONFIGS).
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "name, params",
@@ -493,10 +497,34 @@ def test_a_cold_rejected_run_prints_one_line_and_writes_nothing(
         ("bhd-psd", {"squeeze_db": 3082.5, "n_samples": 65536}),
         ("snr-equivalence", {"squeeze_db": 3082.5, "n_samples": 65536}),
         ("photon-record", {"noise_squeeze_db": 3082.5}),
+        ("bhd-psd", {"squeeze_db": 1545.0, "squeeze_angle_deg": 30.0}),
+        (
+            "bhd-psd",
+            {"squeeze_db": 3030.0, "squeeze_angle_deg": 30.0, "n_samples": 65536},
+        ),
     ],
-    ids=["bhd", "snr", "photon"],
+    ids=["bhd", "snr", "photon", "bhd-1545-db-at-30-deg", "bhd-3030-db-at-30-deg"],
 )
 def test_a_squeeze_just_inside_the_float_range_runs(tmp_path, name, params):
+    parameters = {**REQUIRED.get(name, {}), **params}
+    assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 0
+
+
+# Every seeded draw comes from detection._rng, numpy's SFC64 generator.
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("bhd-psd", {}),
+        ("bhd-psd", {"lo_noise_variance": 4.0, "balance_asymmetry": 0.25}),
+        ("snr-equivalence", {}),
+        ("photon-record", {}),
+        ("photon-record", {"noise_squeeze_db": 3.0}),
+    ],
+    ids=["bhd", "bhd-lo-leak", "snr", "photon-poisson", "photon-squeezed"],
+)
+def test_no_seeded_run_calls_numpys_default_rng(tmp_path, monkeypatch, name, params):
+    fail = "a seeded draw called numpy.random.default_rng"
+    monkeypatch.setattr(np.random, "default_rng", lambda *_, **__: pytest.fail(fail))
     parameters = {**REQUIRED.get(name, {}), **params}
     assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 0
 

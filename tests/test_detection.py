@@ -153,13 +153,13 @@ def test_single_pd_variance():
             6.0,
             DetectorParams(0.9, 0.05, 0.7),
             5,
-            "5f09ddc1e665842d1b221f9a673a3a3fe56226ff50763bffb6cf8345df02a7e7",
+            "329e8c036d9ab3968ebf7c7fb9b9ec6a4357ce912981cd22c33cc25b704ab8a7",
         ),
         (
             0.0,
             DetectorParams(),
             6,
-            "12a708ace6a4607c74b3209e07b098f9ecc64acba32f77df2c67b818846553f6",
+            "76e6d483564911216f796ad5090c732e89a11edc48de924ce3ca3348aaabf2a5",
         ),
     ],
     ids=["6db-lossy-dark", "vacuum"],
@@ -168,6 +168,15 @@ def test_single_pd_series_bytes_are_pinned(db, detector, seed, digest):
     state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.3))
     series = single_pd_series(state, _source(), detector, 4097, seed=seed)
     assert hashlib.sha256(series.samples.tobytes()).hexdigest() == digest
+
+
+def test_single_pd_series_draws_without_default_rng(monkeypatch):
+    # Every seeded draw comes from detection._rng, numpy's SFC64 generator.
+    fail = "a seeded draw called numpy.random.default_rng"
+    monkeypatch.setattr(np.random, "default_rng", lambda *_, **__: pytest.fail(fail))
+    state = squeeze(vacuum(), SqueezeSetting.from_db(6.0, 0.3))
+    series = single_pd_series(state, _source(), DetectorParams(), 4097, seed=5)
+    assert series.samples.size == 4097
 
 
 def test_single_pd_needs_bright_carrier():
@@ -216,6 +225,18 @@ def test_unbalanced_lo_noise_leaks():
     )
     # leak amplitude 2 * 0.25 * 2 = 1 adds unit variance on top of shot noise
     assert noisy.samples.var() == pytest.approx(2.0, rel=0.02)
+
+
+def test_the_lo_leak_is_the_seeds_first_child_bit_for_bit():
+    # The main draw is the leak-free series, and the leak the first
+    # SeedSequence child's draw, scaled by 2 eps sqrt(lo_noise_variance).
+    detector = DetectorParams(0.9, balance_asymmetry=0.25)
+    state = squeeze(vacuum(), SqueezeSetting.from_db(6.0))
+    plain = bhd_series(state, 0.3, 0.005, detector, 1001, seed=9)
+    leaky = bhd_series(state, 0.3, 0.005, detector, 1001, 9, lo_noise_variance=9.0)
+    child = np.random.SeedSequence(9).spawn(1)[0]
+    leak = 1.5 * detection._rng(child).normal(size=1001)
+    assert leaky.samples.tobytes() == (plain.samples + leak).tobytes()
 
 
 def test_bhd_rejects_bright_signal():
@@ -486,7 +507,7 @@ def test_tone_spectrum_is_welch_psd_of_the_toned_series_bit_for_bit(
     arms = [(10.0 ** (-db / 10.0), depth), (1.0, depth), (1.0, depth * 2**0.5)]
     with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
         spectra = detection._tone_spectra(arms, size, n_segment, k, seed, fs)
-    z = np.random.default_rng(seed).standard_normal(size)
+    z = detection._rng(seed).standard_normal(size)
     unit = welch_psd(TimeSeries(fs, z), fs / n_segment)
     on_bin = np.fft.rfft(z[: size - size % n_segment].reshape(-1, n_segment))[:, k]
     for spectrum, (variance, arm_depth) in zip(spectra, arms, strict=True):
@@ -538,7 +559,7 @@ def test_a_tone_spectrum_is_the_welch_psd_of_its_toned_series(
     variance = 10.0 ** (-db / 10.0)
     arm = [(variance, depth)]
     (spectrum,) = detection._tone_spectra(arm, size, n_segment, k, seed, fs)
-    z = np.random.default_rng(seed).standard_normal(size)
+    z = detection._rng(seed).standard_normal(size)
     series = TimeSeries(fs, np.sqrt(variance) * z)
     toned = add_signal_modulation(series, k * fs / n_segment, depth)
     expected = welch_psd(toned, fs / n_segment)
@@ -605,8 +626,6 @@ def test_the_detected_draw_is_rng_normal_bit_for_bit(
     state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.2))
     detector = DetectorParams(0.5, dark)
     variance = quadrature_variance(apply_loss(state, 1.0 - efficiency), angle) + dark
-    expected = np.random.default_rng(seed).normal(0.0, np.sqrt(variance), size)
-    samples, _ = detection._detected_draw(
-        state, angle, efficiency, detector, size, seed
-    )
+    expected = detection._rng(seed).normal(0.0, np.sqrt(variance), size)
+    samples = detection._detected_draw(state, angle, efficiency, detector, size, seed)
     assert samples.tobytes() == expected.tobytes()

@@ -7,6 +7,10 @@ seeds and the ``photon-record`` power of the benchmark's reference configs
 hashes equal the ``output_sha256`` that ``bench/run.py`` reports.  The other
 cases exercise the broadcasting model paths away from the defaults.
 
+The sampled cases (``photon-record``, ``bhd-psd`` and ``snr-equivalence``)
+draw from numpy's SFC64 generator, seeded through ``SeedSequence``
+(``detection._rng``), so their hashes pin that stream for each seed too.
+
 Bit identity holds for a fixed numpy build; a numpy upgrade that changes a
 ufunc's last bit shows up here first.  sqzlab makes no BLAS call, so the
 bytes do not depend on the kernels that numpy's OpenBLAS picks for the CPU;
@@ -124,27 +128,27 @@ GOLDEN = {
         "d10957640a03bc95e2781dcd85eab76351739aa1393f3848f060d25f71fe4f3a",
     ),
     ("photon-record", "csv"): (
-        "a4f056bd01369caf1926c774fc2b91e4699a63dfab17df3949cc8693fb8483b5",
+        "87d92730869dff9c9f6c4605979b97ae28c441747df85d4e797492b79dbdd68e",
         "6c34282a59a551dba0a041a8026b202c1e202b4c0e44312ae6b5f2f44343ca85",
     ),
     ("photon-record", "json"): (
-        "95066644a965e73d4e2bbcab0fb6107f142e1864565c4c6baa3330249a64727e",
+        "8e4630c9f1d84e4588a47d6edcf8d70a24815aef2dc76471f1dbb40b4f3194de",
         "2ef89c1b36f09540551fb4c87bbf86f39bf25613addb7343aa4594301e27f3d4",
     ),
     ("bhd-psd", "csv"): (
-        "ee6ee0d1f2c406171ae001a4d7b02f0c7bde5c176d8f21415590f3ce1e8a99ca",
+        "31e1f6900acb43ab185314ed4af864d4576f8b3710391bbf780821b1a19b77d6",
         "6ab05d7483cea42854d66c6448a8105df85e0299ce1c2c8477bd8dfb69d3f632",
     ),
     ("bhd-psd", "json"): (
-        "24f86f594277095382f95567a361ed0081b3d0c39e4b1837e55ba5abc8c49b31",
+        "53e03a2497684a5dbae97a96c8cc6896abbce8996a53ac80c91fc750e24a1e1b",
         "e094a56acc00dcc967d477c8ede14a5acafacdbf02028e3dc50e3fa69a7fde68",
     ),
     ("snr-equivalence", "csv"): (
-        "87ed24ccb3c3a060c2b0013d444a947d68186d8adb61a450e5f66e786de20e20",
+        "2a270edd8e033c10b28d2597d53ddc784e500e76ccfa9634c65d676ac5e4bbe6",
         "e2aa727d0319eba4d8e48e153ed952ad55316ee47a49d315bda7894b94e5a0f0",
     ),
     ("snr-equivalence", "json"): (
-        "43312959752a66ce730de7d55d5b397d18b55c41cc1a7cc41c937eea2045fbc4",
+        "34a923b1ed0e79ce91a7589273bf516c53fa86d3b27c71aa0b48e40fc7a43faf",
         "b94b5fb6339c46372baf02a222136dd2f2b8496b101bdf357a04a21cf1b600cf",
     ),
     ("noise-budget", "csv"): (
@@ -156,11 +160,11 @@ GOLDEN = {
         "776134b539cadadef99deeb940a49159513ce4d94c596bab5bc20e3af3a036f6",
     ),
     ("photon-record-1000-photons", "csv"): (
-        "b004c7134e81087ac931709d4f692d1993cf2bc670c0f39576af6caeec67714b",
+        "f4648b8d816f4ee35fbcc21138469df3c4294c4e1527cff7235fdf3cd6eb8e02",
         "fc125b6f0d7378477637e8cc2ab2200a42f865772cac2cd9643acd9a8f37cb3d",
     ),
     ("photon-record-1000-photons", "json"): (
-        "ddc807924e68c76b3f4362a80842aae707b67f7ba10ad06abc809ab004424df7",
+        "a3e823666b3765ca2150fbbfd8feafbaa97c038969671b4f3947e1b3d370309a",
         "bf9ec67c84927b36c2c79e2503250ad7961ab035f7de003a16a5333f4b20333e",
     ),
     ("opo-spectrum-pump-linear", "csv"): (
@@ -210,28 +214,29 @@ GOLDEN = {
     ("noise-budget-matched", "json"): (
         "5219d3556a7fde5bcf9448cee73515a88ba51581e444e0dc1a72591562bef069",
         "ce0b933a6d339e18d28bc0d2a423247f864d78adc4459633c432347955c78d2e",
-    ),    ("bhd-psd-lo-leak-tail", "csv"): (
-        "26fb592f22ef32cdeded0501fa79396f93ec82e2be07252619a53420ad6bd0b5",
+    ),
+    ("bhd-psd-lo-leak-tail", "csv"): (
+        "871d00ee02314c502f75d4e294cf5071b7602c350dfd572c4a51e3aba0c7789a",
         "7549ed86121a84f573f505edc209db75d899c23a126f757a04a1a2974c1fa51e",
     ),
     ("bhd-psd-lo-leak-tail", "json"): (
-        "daa49440924d1cbf00000d50cef5722aaedc1c85fd087f9851564793faa7028d",
+        "813246aacfed0086f9116c6e610feb7b9637edff175a5352c059abf9e32e76de",
         "82137aea75e9d32384b05f09fb547adccec34fffb4788c20c1dde7295e0478d7",
     ),
     ("bhd-psd-long-segment", "csv"): (
-        "c42f1b48ebf61be9ca184d11e4e5eb7abf0af91c0436ce7692e71330f9e380f2",
+        "77851c9437cf48af5b01a8b5a75545229e6264867f047bbfd893e5d025fb849a",
         "26ce6fac36e73ab70f801c29da21b97abfb954821404b9d70bf244ac0366dc69",
     ),
     ("bhd-psd-long-segment", "json"): (
-        "601bb55d4950ef0d478a9440fc632eab3d4534818e447fce07ac3f1a9f087d81",
+        "b378905f385e3bd3ece3832bff7060c3c553047cc25917d700ccff93be10c705",
         "52b78079b9f302f9ba37fad5a9e830b8bdc4dfa60479f6c50bbdd1e250b8582a",
     ),
     ("snr-equivalence-tail", "csv"): (
-        "56f99ffd0426a53d4db2a1aa55e17577614918fba8d2fa2fd3b10a6aab55caea",
+        "04c7ee353dcbd7549c1d7e3d0d85a6710db5fae63c5ee9ecca01b27870def263",
         "24e1cca1f9230df0dce5bcf4dc289ecdbe37b3ddf32a64911b3d0a8510c8fae5",
     ),
     ("snr-equivalence-tail", "json"): (
-        "7bdb0bdfe66b1b18ddc942ea7318360c30fccb3f9cc338544f21ea74998c6c9e",
+        "228ab8284a76576b84e2d95cdf902cab1c1fdf1d1b74544824eb14f84eabab11",
         "5c1feeec3056f18a24ad62403f55753c51ff627dc48bc1605b7af17a6f4bc0ea",
     ),
 }

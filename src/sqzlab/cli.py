@@ -63,8 +63,6 @@ from .detection import (
     LightSource,
     MeasurementWindowing,
     _bhd_noise,
-    _detected_variance,
-    _homodyne_efficiency,
     _psd_segment,
     _series_variance,
     _tone_spectra,
@@ -314,9 +312,10 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
     n_samples, fs = params["n_samples"], params["sample_rate_hz"]
     # A segment's |rFFT|**2 passes 1024 n_segment times the variance with odds
     # e**-1024; welch_psd's and _series_variance's sums reach n_samples times it.
-    *_, variance = _bhd_noise(state, lo_phase, ratio, detector, lo_noise)
-    name = "max(n_samples, 1024 samples per PSD segment) times the detected variance"
-    name += " (squeeze_db at squeeze_angle_deg)"
+    variance = _bhd_noise(state, lo_phase, ratio, detector, lo_noise)
+    name = "max(n_samples, 1024 samples per PSD segment) times the homodyne variance"
+    name += " (squeeze_db at squeeze_angle_deg and lo_phase_deg + dark_noise_variance"
+    name += " + (2 balance_asymmetry)**2 lo_noise_variance)"
     check_range(name, max(n_samples, 1024 * n_segment) * variance)
     series = bhd_series(state, lo_phase, ratio, detector, n_samples, seed, fs, lo_noise)
     spectrum = welch_psd(series, params["resolution_bandwidth_hz"])
@@ -374,10 +373,10 @@ def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
         "modulation depth's power on the signal bin, summed over the PSD segments",
         peak * peak / n_segment * (n_samples // n_segment),
     )
-    efficiency = _homodyne_efficiency(params["signal_to_lo_power_ratio"], detector)
+    ratio = params["signal_to_lo_power_ratio"]
     # A squeezer scales the vacuum quadrature it acts on, so each arm is one
-    # unit draw scaled by its own detected sigma.
-    arms = [(_detected_variance(s, 0.0, efficiency, detector), d) for s, d in cases]
+    # unit draw scaled by its own homodyne sigma.
+    arms = [(_bhd_noise(s, 0.0, ratio, detector, 0.0), d) for s, d in cases]
     spectra = _tone_spectra(arms, n_samples, n_segment, k, seed, fs)
     squeezed_snr, equal_snr, double_snr = (_peak_snr(s, k, floor) for s in spectra)
     result = {

@@ -287,23 +287,15 @@ def single_pd_series(
         photon_flux(source) / sample_rate,
         ge=_BRIGHT_CARRIER_MIN_PHOTONS,
     )
-    efficiency = detector.quantum_efficiency
-    samples = _detected_draw(state, 0.0, efficiency, detector, n_samples, seed)
+    variance = _detected_variance(state, 0.0, detector.quantum_efficiency, detector)
+    samples = _rng(seed).normal(0.0, np.sqrt(variance), n_samples)
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
 
 
 def _detected_variance(state, angle, efficiency, detector) -> float:
-    """Variance of the quadrature at ``angle`` detected through ``efficiency``,
-    dark noise included: the variance of :func:`_detected_draw`'s samples."""
+    """Variance of the quadrature at ``angle`` through ``efficiency``, plus dark noise."""
     detected = apply_loss(state, 1.0 - efficiency)
-    return quadrature_variance(detected, angle) + detector.dark_noise_variance
-
-
-def _detected_draw(state, angle, efficiency, detector, n_samples, seed):
-    """Seeded draw of the detected quadrature: ``_rng(seed).normal(0.0, scale,
-    n_samples)``, ``scale`` the square root of :func:`_detected_variance`."""
-    scale = np.sqrt(_detected_variance(state, angle, efficiency, detector))
-    return _rng(seed).normal(0.0, scale, n_samples)
+    return quadrature_variance(detected, angle) + float(detector.dark_noise_variance)
 
 
 def bhd_series(
@@ -322,43 +314,37 @@ def bhd_series(
     Classical local-oscillator noise cancels in the balanced difference
     current; a splitter asymmetry ``eps`` lets an amplitude fraction
     ``2 * eps`` of it leak through, so ``lo_noise_variance`` contributes
-    ``(2 * eps)**2`` times itself to the output variance.
+    ``(2 * eps)**2`` times itself to the output variance.  The leak is white
+    and independent of the quantum noise, so the series is one draw at the sum.
 
     Raises
     ------
     ValueError
         If the signal beam is not much weaker than the local oscillator
-        (power ratio >= 0.01).
+        (power ratio >= 0.01), or if the summed variance overflows.
     """
     check_range("n_samples", n_samples, ge=1)
-    efficiency, leak_amplitude, _ = _bhd_noise(
+    variance = _bhd_noise(
         signal_state, lo_phase, signal_to_lo_power_ratio, detector, lo_noise_variance
     )
-    samples = _detected_draw(signal_state, lo_phase, efficiency, detector, n_samples, seed)
-    if leak_amplitude > 0.0:
-        # samples + leak_amplitude * leak, bit for bit, in place.  The leak is
-        # its own SeedSequence child, so it does not follow the main draw.
-        leak = _rng(np.random.SeedSequence(seed).spawn(1)[0]).normal(size=n_samples)
-        leak *= leak_amplitude
-        samples += leak
+    samples = _rng(seed).normal(0.0, np.sqrt(variance), n_samples)
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
 
 
-def _bhd_noise(state, lo_phase, ratio, detector, lo_noise_variance):
-    """:func:`bhd_series`'s homodyne efficiency, LO-leak amplitude ``2 eps
-    sqrt(lo_noise_variance)`` and samples' variance, once its inputs are checked."""
+def _bhd_noise(state, lo_phase, ratio, detector, lo_noise_variance) -> float:
+    """The homodyne variance, once its inputs are checked: the quadrature at
+    ``lo_phase`` detected through ``quantum_efficiency * visibility**2``, plus
+    dark noise, plus the LO leak ``(2 eps)**2 lo_noise_variance``.  The terms
+    add as Python floats, so a sum beyond the float range fails by name, unwarned."""
     check_range("lo_phase", lo_phase)
-    efficiency = _homodyne_efficiency(ratio, detector)
-    check_range("lo_noise_variance", lo_noise_variance, ge=0.0)
-    leak = 2.0 * detector.balance_asymmetry * math.sqrt(lo_noise_variance)
-    variance = _detected_variance(state, lo_phase, efficiency, detector) + leak * leak
-    return efficiency, leak, variance
-
-
-def _homodyne_efficiency(ratio: float, detector: DetectorParams) -> float:
-    """``quantum_efficiency * visibility**2``, once the power ratio is checked."""
     check_range("signal_to_lo_power_ratio", ratio, ge=0.0, lt=_MAX_SIGNAL_TO_LO_RATIO)
-    return detector.quantum_efficiency * visibility_efficiency(detector.visibility)
+    efficiency = detector.quantum_efficiency * visibility_efficiency(detector.visibility)
+    check_range("lo_noise_variance", lo_noise_variance, ge=0.0)
+    leak = float((2.0 * detector.balance_asymmetry) ** 2 * lo_noise_variance)
+    variance = _detected_variance(state, lo_phase, efficiency, detector) + leak
+    name = "homodyne variance (quadrature at lo_phase + dark_noise_variance"
+    name += " + (2 balance_asymmetry)**2 lo_noise_variance)"
+    return check_range(name, variance)
 
 
 def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):

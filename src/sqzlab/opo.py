@@ -111,8 +111,12 @@ def opo_spectrum(params: OpoParams, frequency) -> SqueezeSpectrumPoint:
     frequency = check_range("sideband frequency", frequency, ge=0.0)
     x = params.pump_ratio
     eta = params.escape_efficiency
+    # Past 2**60 linewidths both variances round to exactly 1.0, so capping the
+    # frequency there changes no value and keeps the ratio and its square finite.
+    cap = 2.0**60 * float(params.half_linewidth)
+    capped = np.minimum(frequency, cap) if np.ndim(frequency) else min(frequency, cap)
+    ratio = capped / params.half_linewidth
     # A product, not ** 2, so scalar and array calls round alike.
-    ratio = frequency / params.half_linewidth
     detuning = ratio * ratio
     v_squeeze = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + detuning)
     v_antisqueeze = 1.0 + eta * 4.0 * x / ((1.0 - x) ** 2 + detuning)

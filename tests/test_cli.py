@@ -466,7 +466,9 @@ REJECTED_CONFIGS = {
         [],
         3,
         "validation error: max(n_samples, 1024 samples per PSD segment) times "
-        "the detected variance (squeeze_db at squeeze_angle_deg) must be finite",
+        "the homodyne variance (squeeze_db at squeeze_angle_deg and lo_phase_deg "
+        "+ dark_noise_variance + (2 balance_asymmetry)**2 lo_noise_variance) "
+        "must be finite",
     ),
 }
 

@@ -293,6 +293,11 @@ SEGMENT_ERROR = (
 SIGMA_SQUARED_ERROR = "phase-noise sigma**2 must be finite"
 COUNT_ERROR = "mean photons per window must be finite and <= 9.22337e+18"
 OFF_BIN_ERROR = "signal_frequency_hz must sit on a spectrum bin"
+BHD_VARIANCE_ERROR = (
+    "max(n_samples, 1024 samples per PSD segment) times the homodyne variance "
+    "(squeeze_db at squeeze_angle_deg and lo_phase_deg + dark_noise_variance + "
+    "(2 balance_asymmetry)**2 lo_noise_variance) must be finite"
+)
 # id -> (experiment, parameters, message): configs whose runs once divided by
 # zero, overflowed a float, exited 3 with numpy's words or with none of the
 # parameter's, or wrote an infinite fit residual or nan or off-bin SNRs,
@@ -339,6 +344,18 @@ DERIVED_FAILURES = {
         "must be finite",
     ),
     "bhd-rbw-subnormal": ("bhd-psd", {"resolution_bandwidth_hz": 5e-324}, SEGMENT_ERROR),
+    # A finite homodyne variance whose PSD sums overflow: the run exited 3
+    # naming the squeeze, which was not at fault.
+    "bhd-dark-noise-variance": (
+        "bhd-psd",
+        {"dark_noise_variance": 1e308},
+        BHD_VARIANCE_ERROR,
+    ),
+    "bhd-lo-leak": (
+        "bhd-psd",
+        {"lo_noise_variance": 1e308, "balance_asymmetry": 0.5},
+        BHD_VARIANCE_ERROR,
+    ),
     "decohere-sigma-squared": (
         "decohere",
         {"phase_noise_deg": 1e300},
@@ -510,7 +527,29 @@ def test_a_squeeze_just_inside_the_float_range_runs(tmp_path, name, params):
     assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 0
 
 
-# Every seeded draw comes from detection._rng, numpy's SFC64 generator.
+# Beyond about 1.3e154 linewidths the detuning's square overflowed, and with a
+# subnormal linewidth the ratio itself: the run warned of numpy's overflow,
+# or exited 4 under -W error::RuntimeWarning.  Past 2**60 linewidths both
+# variances round to exactly 1.0.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"frequency_start_hz": 1e300, "frequency_stop_hz": 1.7e308},
+        {"half_linewidth_hz": 5e-324},
+    ],
+    ids=["up-to-1.7e308-hz", "subnormal-linewidth"],
+)
+def test_an_opo_spectrum_far_outside_its_linewidth_reads_shot_noise(tmp_path, params):
+    parameters = {"frequency_points": 5, **params}
+    payload = {"experiment": "opo-spectrum", "parameters": parameters, "output_format": "json"}
+    assert _run(tmp_path, payload) == 0
+    rows = json.loads((tmp_path / "out" / "opo-spectrum.json").read_text())["rows"]
+    assert [row[1:] for row in rows] == [[1.0, 1.0, 0.0, 0.0]] * 5
+
+
+# Every seeded run builds one generator, detection._rng (numpy's SFC64), from
+# its seed: the LO leak is part of bhd-psd's one draw.
 @pytest.mark.parametrize(
     "name, params",
     [
@@ -525,8 +564,11 @@ def test_a_squeeze_just_inside_the_float_range_runs(tmp_path, name, params):
 def test_no_seeded_run_calls_numpys_default_rng(tmp_path, monkeypatch, name, params):
     fail = "a seeded draw called numpy.random.default_rng"
     monkeypatch.setattr(np.random, "default_rng", lambda *_, **__: pytest.fail(fail))
+    seeds, rng = [], detection._rng
+    monkeypatch.setattr(detection, "_rng", lambda seed: seeds.append(seed) or rng(seed))
     parameters = {**REQUIRED.get(name, {}), **params}
     assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 0
+    assert seeds == [1]
 
 
 # Boundary floats, and values just inside the bounds the models state:

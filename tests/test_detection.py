@@ -227,16 +227,27 @@ def test_unbalanced_lo_noise_leaks():
     assert noisy.samples.var() == pytest.approx(2.0, rel=0.02)
 
 
-def test_the_lo_leak_is_the_seeds_first_child_bit_for_bit():
-    # The main draw is the leak-free series, and the leak the first
-    # SeedSequence child's draw, scaled by 2 eps sqrt(lo_noise_variance).
-    detector = DetectorParams(0.9, balance_asymmetry=0.25)
-    state = squeeze(vacuum(), SqueezeSetting.from_db(6.0))
-    plain = bhd_series(state, 0.3, 0.005, detector, 1001, seed=9)
-    leaky = bhd_series(state, 0.3, 0.005, detector, 1001, 9, lo_noise_variance=9.0)
-    child = np.random.SeedSequence(9).spawn(1)[0]
-    leak = 1.5 * detection._rng(child).normal(size=1001)
-    assert leaky.samples.tobytes() == (plain.samples + leak).tobytes()
+# The anti-squeezed quadrature of 3082.5 dB, about 1.8e308, plus a leak or a
+# dark noise of 1e308 leaves the float range: the one draw would be infinite.
+# numpy scalars add without numpy's overflow warning too.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "detector, lo_noise",
+    [
+        (DetectorParams(balance_asymmetry=0.5), 1e308),
+        (DetectorParams(balance_asymmetry=np.float64(0.5)), np.float64(1e308)),
+        (DetectorParams(dark_noise_variance=np.float64(1e308)), 0.0),
+    ],
+    ids=["lo-leak", "numpy-lo-leak", "numpy-dark-noise"],
+)
+def test_a_homodyne_variance_beyond_the_float_range_fails_by_name(detector, lo_noise):
+    state = squeeze(vacuum(), SqueezeSetting.from_db(3082.5))
+    with pytest.raises(ValueError) as error:
+        bhd_series(state, np.pi / 2, 0.005, detector, 16, 1, lo_noise_variance=lo_noise)
+    assert str(error.value) == (
+        "homodyne variance (quadrature at lo_phase + dark_noise_variance + "
+        "(2 balance_asymmetry)**2 lo_noise_variance) must be finite"
+    )
 
 
 def test_bhd_rejects_bright_signal():
@@ -612,20 +623,48 @@ def test_series_variance_is_within_4_ulp_of_the_exact_variance(
     db=st.floats(0.0, 60.0),
     angle=st.floats(0.0, np.pi),
     efficiency=st.floats(0.01, 1.0),
+    visibility=st.floats(0.1, 1.0),
     dark=st.sampled_from([0.0, 0.25, 1.0e-12, 1.0e6]),
+    eps=st.floats(0.0, 0.5),
+    lo_noise=st.sampled_from([0.0, 4.0, 1.0e-12, 1.0e6]),
     seed=st.integers(0, 2**32 - 1),
 )
-# One sample; an odd size; the largest size, odd and even.
-@example(size=1, db=3.0, angle=0.0, efficiency=1.0, dark=0.0, seed=0)
-@example(size=300001, db=10.0, angle=0.3, efficiency=0.9, dark=0.25, seed=1)
-@example(size=2**21 - 1, db=0.0, angle=0.0, efficiency=1.0, dark=0.0, seed=2)
-@example(size=2**21, db=60.0, angle=1.5, efficiency=0.5, dark=1.0e6, seed=3)
+# One sample; an odd size with an LO leak; the largest size, odd and even.
+@example(
+    size=1, db=3.0, angle=0.0, efficiency=1.0, visibility=1.0, dark=0.0, eps=0.0,
+    lo_noise=0.0, seed=0,
+)
+@example(
+    size=300001, db=10.0, angle=0.3, efficiency=0.9, visibility=0.99, dark=0.25,
+    eps=0.25, lo_noise=4.0, seed=1,
+)
+@example(
+    size=2**21 - 1, db=0.0, angle=0.0, efficiency=1.0, visibility=1.0, dark=0.0,
+    eps=0.5, lo_noise=1.0e6, seed=2,
+)
+@example(
+    size=2**21, db=60.0, angle=1.5, efficiency=0.5, visibility=0.5, dark=1.0e6,
+    eps=0.0, lo_noise=4.0, seed=3,
+)
 def test_the_detected_draw_is_rng_normal_bit_for_bit(
-    size, db, angle, efficiency, dark, seed
+    size, db, angle, efficiency, visibility, dark, eps, lo_noise, seed
 ):
+    # Each series is one draw at its summed variance; the LO leak is part of
+    # the homodyne variance, not a second stream.
     state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.2))
-    detector = DetectorParams(0.5, dark)
-    variance = quadrature_variance(apply_loss(state, 1.0 - efficiency), angle) + dark
-    expected = detection._rng(seed).normal(0.0, np.sqrt(variance), size)
-    samples = detection._detected_draw(state, angle, efficiency, detector, size, seed)
-    assert samples.tobytes() == expected.tobytes()
+    detector = DetectorParams(efficiency, dark, visibility, eps)
+    homodyne = efficiency * (visibility * visibility)
+    leak = (2.0 * eps) ** 2 * lo_noise
+    draws = [
+        (
+            bhd_series(state, angle, 0.005, detector, size, seed, 1.0, lo_noise),
+            quadrature_variance(apply_loss(state, 1.0 - homodyne), angle) + dark + leak,
+        ),
+        (
+            single_pd_series(state, _source(), detector, size, seed),
+            quadrature_variance(apply_loss(state, 1.0 - efficiency), 0.0) + dark,
+        ),
+    ]
+    for series, variance in draws:
+        expected = detection._rng(seed).normal(0.0, np.sqrt(variance), size)
+        assert series.samples.tobytes() == expected.tobytes()

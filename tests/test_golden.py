@@ -216,11 +216,11 @@ GOLDEN = {
         "ce0b933a6d339e18d28bc0d2a423247f864d78adc4459633c432347955c78d2e",
     ),
     ("bhd-psd-lo-leak-tail", "csv"): (
-        "871d00ee02314c502f75d4e294cf5071b7602c350dfd572c4a51e3aba0c7789a",
+        "5f845ccf7770b83f2b4c79245a675f88c693c8dec23d38c2a39b235b5902ff16",
         "7549ed86121a84f573f505edc209db75d899c23a126f757a04a1a2974c1fa51e",
     ),
     ("bhd-psd-lo-leak-tail", "json"): (
-        "813246aacfed0086f9116c6e610feb7b9637edff175a5352c059abf9e32e76de",
+        "d51007643ffff1e137624f6da5515b8ed78bb8934889be1dc5fbac5b8b196b51",
         "82137aea75e9d32384b05f09fb547adccec34fffb4788c20c1dde7295e0478d7",
     ),
     ("bhd-psd-long-segment", "csv"): (

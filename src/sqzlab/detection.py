@@ -13,6 +13,7 @@ drawn and averaged.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,10 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
 # welch_psd's segments are transformed and _series_variance's squared
-# deviations summed this many bytes at a time, and _tone_spectra's buffer
-# holds as many whole segments as fit in it (at least one): none makes a
-# temporary as long as the series, and welch_psd stays under 1 MiB whenever
-# one segment fits a block.  A block and its scratch fit a 2 MiB L2 cache.
+# deviations summed this many bytes at a time; each of _tone_spectra's two
+# buffers, drawn and added in turn, holds as many whole segments as fit (at
+# least one).  None makes a temporary as long as the series, welch_psd stays
+# under 1 MiB whenever one segment fits a block, and a block fits a 2 MiB L2.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -288,7 +289,8 @@ def single_pd_series(
         ge=_BRIGHT_CARRIER_MIN_PHOTONS,
     )
     variance = _detected_variance(state, 0.0, detector.quantum_efficiency, detector)
-    samples = _rng(seed).normal(0.0, np.sqrt(variance), n_samples)
+    samples = _rng(seed).standard_normal(n_samples)
+    samples *= np.sqrt(variance)
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
 
 
@@ -327,7 +329,8 @@ def bhd_series(
     variance = _bhd_noise(
         signal_state, lo_phase, signal_to_lo_power_ratio, detector, lo_noise_variance
     )
-    samples = _rng(seed).normal(0.0, np.sqrt(variance), n_samples)
+    samples = _rng(seed).standard_normal(n_samples)
+    samples *= np.sqrt(variance)
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
 
 
@@ -355,15 +358,42 @@ def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
     With no window, a segment's rFFT of the tone is ``-i depth N / 2`` on bin
     ``k`` and 0 elsewhere.  So an arm's PSD is ``variance`` times the draw's,
     but on bin ``k`` the mean over segments of ``|sqrt(variance) F - i depth N
-    / 2|**2 / N``, ``F`` being the draw's rFFT there.  The draw is streamed in
-    buffers of whole segments: no array is as long as the series.
+    / 2|**2 / N``, ``F`` being the draw's rFFT there.  Two buffers of whole
+    segments stream the draw: a worker thread adds one to the Welch sum while
+    this thread draws the other, in order, so the bytes are a serial run's.
     """
     rng = _rng(seed)
     welch = _WelchSum(n_segment, n_samples // n_segment, k)
-    buffer = np.empty(n_segment * max(1, _BLOCK_BYTES // 8 // n_segment))
-    for start in range(0, n_samples, buffer.size):
-        part = rng.standard_normal(out=buffer[: n_samples - start])
-        welch.add(part[: part.size - part.size % n_segment])
+    whole = n_samples - n_samples % n_segment
+    size = n_segment * max(1, _BLOCK_BYTES // 8 // n_segment)
+    buffers = np.empty((2, size))
+    parts = [buffers[i % 2, : whole - s] for i, s in enumerate(range(0, whole, size))]
+    turn, failed = threading.Barrier(2), []
+
+    def add_each_drawn():
+        try:
+            for part in parts:
+                turn.wait()
+                welch.add(part)
+        except BaseException as error:
+            failed.append(error)
+            turn.abort()
+
+    worker = threading.Thread(target=add_each_drawn)
+    worker.start()
+    try:
+        for part in parts:
+            rng.standard_normal(out=part)
+            turn.wait()  # the worker has added the part before and takes this one
+    except threading.BrokenBarrierError:
+        pass  # the worker failed, and its error is raised below
+    except BaseException:
+        turn.abort()
+        raise
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     unit = welch.spectrum(sample_rate)
     spectra = []
     for variance, depth in arms:

@@ -597,6 +597,18 @@ def test_no_default_run_starts_a_thread(tmp_path, fresh_python):
     assert len(configs) == len(EXPERIMENTS) == 7
 
 
+def test_a_cold_cli_import_loads_no_thread_machinery(fresh_python):
+    # snr-equivalence's worker needs only threading.  concurrent.futures
+    # costs a cold start about 10 ms, because it imports logging, and queue
+    # about 1.5 ms.
+    script = (
+        "import sys\n"
+        "import sqzlab.cli\n"
+        "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])\n"
+    )
+    assert json.loads(fresh_python("-c", script).stdout) == []
+
+
 def test_import_sqzlab_leaves_numpy_to_first_use(fresh_python):
     script = (
         "import json, sys\n"

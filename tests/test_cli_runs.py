@@ -9,7 +9,9 @@ import io
 import json
 import math
 import tempfile
+import threading
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -93,6 +95,35 @@ def test_requests_up_to_the_limit_pass_config_validation(name, pname, param):
     sizes += [SWEEP_SIZES[name, pname]] if (name, pname) in SWEEP_SIZES else []
     for value in sizes:
         assert _validate_config(_config(name, pname, value))[1][pname] == value
+
+
+def test_every_traced_call_runs_on_the_main_thread(tmp_path, monkeypatch):
+    # The benchmark's spans wrap each sqzlab.cli global that is a function
+    # from another sqzlab module, and keep one open-span stack per process:
+    # a wrapped call off the main thread would be filed under whatever span
+    # the main thread has open.  Every default experiment runs here with
+    # those functions wrapped.
+    called = []
+
+    def on_the_main_thread(function):
+        def wrapped(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread()
+            called.append(function.__name__)
+            return function(*args, **kwargs)
+
+        return wrapped
+
+    for attr, value in list(vars(cli).items()):
+        module = getattr(value, "__module__", "")
+        if isinstance(value, types.FunctionType) and module.startswith("sqzlab."):
+            if module != cli.__name__:
+                monkeypatch.setattr(cli, attr, on_the_main_thread(value))
+    for name, experiment in EXPERIMENTS.items():
+        payload = {"experiment": name, "seed": 1 if experiment.stochastic else None}
+        payload["parameters"] = REQUIRED.get(name, {})
+        (tmp_path / name).mkdir()
+        assert _run(tmp_path / name, payload) == 0
+    assert {"_tone_spectra", "bhd_series", "welch_psd", "write_csv"} <= set(called)
 
 
 # Modest sizes, large enough that the per-unit cost dominates fixed costs.

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import sys
+import threading
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -668,3 +671,114 @@ def test_the_detected_draw_is_rng_normal_bit_for_bit(
     for series, variance in draws:
         expected = detection._rng(seed).normal(0.0, np.sqrt(variance), size)
         assert series.samples.tobytes() == expected.tobytes()
+
+
+def _counted(function, calls, fail_on, error):
+    """``function``, noting the thread of each call in ``calls``; call number
+    ``fail_on`` raises ``error`` instead."""
+
+    def counted(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if len(calls) == fail_on:
+            raise error
+        return function(*args, **kwargs)
+
+    return counted
+
+
+def _raised_off_the_main_thread(call):
+    """What ``call()`` raised, from a helper thread joined with a timeout, so
+    that a deadlock fails the test instead of hanging it.  Every thread the
+    call started must be gone once it returns."""
+    before, raised = threading.active_count(), []
+
+    def target():
+        try:
+            call()
+        except BaseException as error:
+            raised.append(error)
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive(), "the call deadlocked"
+    assert threading.active_count() == before
+    return raised
+
+
+@pytest.mark.parametrize(
+    "failing, error",
+    [
+        ("add", RuntimeError("the third add")),
+        ("draw", RuntimeError("the third draw")),
+        ("draw", KeyboardInterrupt()),
+    ],
+    ids=["add-raises-on-the-worker", "draw-raises", "draw-interrupted"],
+)
+def test_a_failed_tone_run_raises_its_error_and_joins_its_worker(failing, error):
+    # Six buffers of two segments each; the third add or the third draw
+    # raises.  The error reaches the caller unchanged, the other thread stops
+    # within two buffers, and the worker is joined.  The call runs on a helper
+    # thread, where a KeyboardInterrupt is raised like any other exception.
+    adds, draws, rng = [], [], detection._rng
+    add = _counted(detection._WelchSum.add, adds, 3 if failing == "add" else 0, error)
+    fail_draw = 3 if failing == "draw" else 0
+
+    def counted_rng(seed):
+        draw = _counted(rng(seed).standard_normal, draws, fail_draw, error)
+        return types.SimpleNamespace(standard_normal=draw)
+
+    def run():
+        detection._tone_spectra([(1.0, 0.5)], 192, 16, 3, 1, 1.0)
+
+    with (
+        mock.patch.object(detection, "_BLOCK_BYTES", 8 * 32),
+        mock.patch.object(detection._WelchSum, "add", add),
+        mock.patch.object(detection, "_rng", counted_rng),
+    ):
+        raised = _raised_off_the_main_thread(run)
+    assert len(raised) == 1 and raised[0] is error
+    if failing == "add":
+        # The fifth draw waits for the failed third add, so the draws stop by 4.
+        assert len(adds) == 3 and 3 <= len(draws) <= 4
+    else:
+        # The third draw waited for the first add; the second may be added or not.
+        assert len(draws) == 3 and 1 <= len(adds) <= 2
+    assert len(set(adds)) == 1 and set(adds).isdisjoint(draws)
+
+
+def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs():
+    # Four callers at once, each with its worker, while the interpreter
+    # switches threads every microsecond.  Each run hands 65 small buffers
+    # to its worker; drawing into a buffer before its last add returned
+    # would change the spectrum.  With one buffer nothing overlaps.
+    seeds, results, errors = range(20), {}, []
+
+    def run(seed):
+        return detection._tone_spectra([(0.5, 1.0), (1.0, 0.0)], 2085, 16, 3, seed, 1.0)
+
+    def caller(part):
+        try:
+            for seed in seeds[part::4]:
+                results[seed] = run(seed)
+        except BaseException as error:
+            errors.append(error)
+
+    expected = {seed: run(seed) for seed in seeds}
+    interval = sys.getswitchinterval()
+    callers = [
+        threading.Thread(target=caller, args=(i,), daemon=True) for i in range(4)
+    ]
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(detection, "_BLOCK_BYTES", 8 * 32):
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers) and errors == []
+    for seed in seeds:
+        for got, want in zip(results[seed], expected[seed], strict=True):
+            assert got.psd.tobytes() == want.psd.tobytes()

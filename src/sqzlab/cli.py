@@ -65,7 +65,7 @@ from .detection import (
     _bhd_noise,
     _psd_segment,
     _series_variance,
-    _tone_spectra,
+    _tone_snrs,
     bhd_series,
     fano_factor,
     mean_photons_per_window,
@@ -331,54 +331,24 @@ def _run_bhd_psd(params: dict, seed: int | None) -> ExperimentOutcome:
     return ExperimentOutcome(metadata, columns, rows)
 
 
-def _peak_snr(spectrum, k: int, floor: np.ndarray) -> float:
-    """Bin ``k``'s PSD, ``psd[k - 1]`` as the PSD starts at bin 1, over the mean
-    of the bins the mask ``floor`` keeps; inf beyond the float range."""
-    return float(spectrum.psd[k - 1]) / float(spectrum.psd[floor].mean())
-
-
 def _run_snr_equivalence(params: dict, seed: int | None) -> ExperimentOutcome:
-    fs = params["sample_rate_hz"]
-    f_signal = params["signal_frequency_hz"]
-    n_samples = params["n_samples"]
-    n_segment = _psd_segment(fs, params["resolution_bandwidth_hz"], n_samples)
-    # welch_psd keeps bins 1 to n_bins: it drops DC and an even segment's Nyquist.
-    n_bins = (n_segment + 1) // 2 - 1
-    check_range("signal_frequency_hz", f_signal, gt=0.0, lt=fs / 2.0)
-    bin_position = f_signal / (fs / n_segment)  # finite, so round() cannot raise
-    k = round(bin_position)
-    if not 1 <= k <= n_bins or abs(bin_position - k) > 1e-9:
-        raise ValueError("signal_frequency_hz must sit on a spectrum bin")
-    # The noise floor: every bin but the signal's and its two neighbours.
-    floor = np.abs(np.arange(1, n_bins + 1) - k) > 1
-    if not floor.any():
-        raise ValueError(
-            "signal_frequency_hz must leave a noise-floor bin beyond its neighbours"
-        )
     detector = DetectorParams(
         quantum_efficiency=params["quantum_efficiency"],
         visibility=params["visibility"],
     )
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
-    depth = params["modulation_depth"]
+    depth, ratio = params["modulation_depth"], params["signal_to_lo_power_ratio"]
     # Doubling the carrier power scales the shot-relative modulation depth by
     # sqrt(2) while the noise floor stays at shot noise.
     cases = [(squeezed, depth), (vacuum(), depth), (vacuum(), depth * 2.0**0.5)]
-    # The double-power arm's depth and its power on bin k, (depth N / 2)**2 / N
-    # summed over the segments, are checked before any arm runs.  As floats
-    # they overflow to inf without numpy's warning.
-    check_range("modulation depth", cases[2][1])
-    peak = cases[2][1] * n_segment / 2.0
-    check_range(
-        "modulation depth's power on the signal bin, summed over the PSD segments",
-        peak * peak / n_segment * (n_samples // n_segment),
-    )
-    ratio = params["signal_to_lo_power_ratio"]
     # A squeezer scales the vacuum quadrature it acts on, so each arm is one
     # unit draw scaled by its own homodyne sigma.
     arms = [(_bhd_noise(s, 0.0, ratio, detector, 0.0), d) for s, d in cases]
-    spectra = _tone_spectra(arms, n_samples, n_segment, k, seed, fs)
-    squeezed_snr, equal_snr, double_snr = (_peak_snr(s, k, floor) for s in spectra)
+    f_signal, fs = params["signal_frequency_hz"], params["sample_rate_hz"]
+    rbw = params["resolution_bandwidth_hz"]
+    squeezed_snr, equal_snr, double_snr = _tone_snrs(
+        arms, params["n_samples"], fs, rbw, f_signal, seed
+    )
     result = {
         "snr_squeezed": squeezed_snr,
         "snr_coherent_equal_power": equal_snr,

@@ -404,6 +404,32 @@ def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
     return spectra
 
 
+def _tone_snrs(arms, n_samples, sample_rate, resolution_bandwidth, frequency, seed):
+    """Per ``(variance, depth)`` arm, the SNR ``psd[k - 1] / mean(psd[floor])``
+    of its :func:`_tone_spectra` PSD, once ``detection``'s signal-bin rules hold:
+    bin ``k`` is one :func:`welch_psd` keeps (not DC, not Nyquist), a floor bin
+    lies beyond its two neighbours, and the largest depth's power on bin ``k``,
+    summed over the segments, is finite.  Each fails by name before any draw."""
+    n_segment = _psd_segment(sample_rate, resolution_bandwidth, n_samples)
+    n_bins = (n_segment + 1) // 2 - 1  # welch_psd keeps bins 1 to n_bins
+    check_range("signal_frequency_hz", frequency, gt=0.0, lt=sample_rate / 2.0)
+    bin_position = frequency / (sample_rate / n_segment)  # finite: round() won't raise
+    k = round(bin_position)
+    if not 1 <= k <= n_bins or abs(bin_position - k) > 1e-9:
+        raise ValueError("signal_frequency_hz must sit on a spectrum bin")
+    floor = np.abs(np.arange(1, n_bins + 1) - k) > 1
+    if not floor.any():
+        raise ValueError(
+            "signal_frequency_hz must leave a noise-floor bin beyond its neighbours"
+        )
+    depths = check_range("modulation depth", [abs(depth) for _, depth in arms])
+    peak = float(depths.max()) * n_segment / 2.0  # (depth N / 2)**2 / N per segment
+    name = "modulation depth's power on the signal bin, summed over the PSD segments"
+    check_range(name, peak * peak / n_segment * (n_samples // n_segment))
+    spectra = _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate)
+    return [float(s.psd[k - 1]) / float(s.psd[floor].mean()) for s in spectra]
+
+
 def add_signal_modulation(
     series: TimeSeries, frequency: float, depth: float
 ) -> TimeSeries:
@@ -462,8 +488,8 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     Raises
     ------
     ValueError
-        If ``sample_rate / resolution_bandwidth`` is not finite, or rounds to
-        fewer than 8 samples per segment or to more than the series holds.
+        If ``sample_rate / resolution_bandwidth`` is not finite or rounds to
+        under 8 samples or past the series, or if the summed power overflows.
     """
     n_samples = series.samples.size
     n_segment = _psd_segment(series.sample_rate, resolution_bandwidth, n_samples)
@@ -482,7 +508,8 @@ class _WelchSum:
     """
 
     def __init__(self, n_segment: int, max_segments: int, k: int | None = None):
-        self.n_segment, self.n_runs, self.k = n_segment, 0, k
+        self.n_segment, self.max_segments, self.n_runs = n_segment, max_segments, 0
+        self.k = k
         rows = min(max_segments, max(1, _BLOCK_BYTES // (8 * n_segment)))
         self.power = np.zeros((rows + 1, n_segment // 2 + 1))
         self.on_bin = np.empty(0 if k is None else max_segments, complex)
@@ -498,6 +525,9 @@ class _WelchSum:
                 self.on_bin[first : first + len(spectra)] = spectra[:, self.k]
             block = self.power[1 : len(spectra) + 1]
             np.abs(spectra, out=block)
+            top = float(block.max())  # bounds each bin's sum over every segment
+            power = top * top / self.n_segment * self.max_segments
+            check_range("PSD power summed over the segments", power)
             np.square(block, out=block)
             block /= self.n_segment
             self.power[0] = np.add.reduce(self.power[: len(spectra) + 1], axis=0)

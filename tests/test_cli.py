@@ -572,7 +572,7 @@ def test_fit_loss_runs_without_scipy(tmp_path, fresh_python):
     assert (out_dir / "fit-loss.csv").stat().st_size > 0
 
 
-def test_no_default_run_starts_a_thread(tmp_path, fresh_python):
+def test_no_default_run_leaves_a_thread_behind(tmp_path, fresh_python):
     # A fresh interpreter runs every default experiment in turn: none imports
     # concurrent.futures or leaves a second Python thread behind.
     configs = []

@@ -123,7 +123,7 @@ def test_every_traced_call_runs_on_the_main_thread(tmp_path, monkeypatch):
         payload["parameters"] = REQUIRED.get(name, {})
         (tmp_path / name).mkdir()
         assert _run(tmp_path / name, payload) == 0
-    assert {"_tone_spectra", "bhd_series", "welch_psd", "write_csv"} <= set(called)
+    assert {"_tone_snrs", "bhd_series", "welch_psd", "write_csv"} <= set(called)
 
 
 # Modest sizes, large enough that the per-unit cost dominates fixed costs.

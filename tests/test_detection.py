@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqzlab.detection as detection
+from sqzlab.cli import EXPERIMENTS
 from sqzlab.detection import (
     DetectorParams,
     LightSource,
@@ -39,6 +40,7 @@ from sqzlab.gaussian import (
     squeeze,
     vacuum,
 )
+from test_cli_runs import DERIVED_FAILURES, _failing_config
 
 R_10DB = np.log(10.0) / 2.0
 WAVELENGTH = 1.064e-6
@@ -349,6 +351,32 @@ def test_psd_segment_bounds():
         welch_psd(series, 0.5)  # segment longer than the series
     with pytest.raises(ValueError, match=r"samples per PSD segment .* must be finite"):
         welch_psd(series, 5e-324)  # 100 / 5e-324 overflows to inf
+
+
+# Finite series whose |rFFT|**2 leaves the float range: at 3082.5 dB read at
+# 30 degrees the largest sample is 2.7e154.  welch_psd checks its sums before
+# the square, so numpy never warns.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda: bhd_series(
+            squeeze(vacuum(), SqueezeSetting.from_db(3082.5, np.deg2rad(30.0))),
+            lo_phase=0.0,
+            signal_to_lo_power_ratio=0.005,
+            detector=DetectorParams(),
+            n_samples=65536,
+            seed=1,
+            sample_rate=65536.0,
+        ),
+        lambda: TimeSeries(65536.0, np.eye(1, 4096)[0] * 1e160),
+    ],
+    ids=["bhd-3082-db-at-30-deg", "one-spike"],
+)
+def test_a_psd_whose_summed_power_overflows_fails_by_name(series):
+    with pytest.raises(ValueError) as error:
+        welch_psd(series(), 16.0)
+    assert str(error.value) == "PSD power summed over the segments must be finite"
 
 
 def test_time_series_validation():
@@ -782,3 +810,33 @@ def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs()
     for seed in seeds:
         for got, want in zip(results[seed], expected[seed], strict=True):
             assert got.psd.tobytes() == want.psd.tobytes()
+
+
+SNR_FAILURES = {
+    key: case for key, case in DERIVED_FAILURES.items() if key.startswith("snr-")
+}
+
+
+# The signal-bin rules live in detection: each of the runner's rejections is
+# raised by _tone_snrs itself, from the config's numbers, before any draw.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, params, message", list(SNR_FAILURES.values()), ids=list(SNR_FAILURES)
+)
+def test_the_signal_bin_rules_fail_by_name_before_any_draw(name, params, message):
+    config = {key: param.default for key, param in EXPERIMENTS[name].params.items()}
+    config.update(_failing_config(name, params)["parameters"])
+    depth = config["modulation_depth"]
+    # The runner's three arms; their variances enter no rule.
+    arms = [(0.5, depth), (1.0, depth), (1.0, depth * 2.0**0.5)]
+    with mock.patch.object(detection, "_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError) as error:
+            detection._tone_snrs(
+                arms,
+                config["n_samples"],
+                config["sample_rate_hz"],
+                config["resolution_bandwidth_hz"],
+                config["signal_frequency_hz"],
+                seed=1,
+            )
+    assert str(error.value) == message

@@ -99,8 +99,7 @@ class IfoConfig:
     sql_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        positive = ("arm_power", "mirror_mass", "arm_length", "wavelength", "sql_scale")
-        for name in positive:
+        for name in ("arm_power", "mirror_mass", "arm_length", "wavelength", "sql_scale"):
             check_range(name, getattr(self, name), gt=0.0)
         check_range("arm_length**2", self.arm_length * self.arm_length)  # **2 raises
         check_range("detection_efficiency", self.detection_efficiency, gt=0.0, le=1.0)
@@ -131,6 +130,18 @@ class BudgetCurve:
             check_range(name, arr, gt=0.0)
 
 
+def _kappa(config: IfoConfig, omega_sq):
+    """:func:`kappa` at ``omega_sq`` = Omega^2, unchecked and broadcasting."""
+    coupling = 8.0 * config.arm_power * (2.0 * np.pi * LIGHT_SPEED / config.wavelength)
+    return coupling / (config.mirror_mass * LIGHT_SPEED**2 * omega_sq)
+
+
+def _sql(config: IfoConfig, omega_sq):
+    """:func:`standard_quantum_limit` at ``omega_sq`` = Omega^2, unchecked."""
+    scale = config.sql_scale * 8.0 * HBAR
+    return scale / (config.mirror_mass * omega_sq * config.arm_length**2)
+
+
 def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
     """Radiation-pressure coupling strength at a sideband frequency (Hz).
 
@@ -139,34 +150,19 @@ def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
     Scaling power and mass together leaves it unchanged.
     """
     f = check_range("frequency", frequency, gt=0.0)
-    omega0 = 2.0 * np.pi * LIGHT_SPEED / config.wavelength
-    out = (
-        8.0
-        * config.arm_power
-        * omega0
-        / (config.mirror_mass * LIGHT_SPEED**2 * (2.0 * np.pi * f) ** 2)
-    )
+    out = _kappa(config, (2.0 * np.pi * f) ** 2)
     return out if np.ndim(out) else float(out)
 
 
 def crossover_frequency(config: IfoConfig) -> float:
     """Frequency where ``kappa = 1``: the shot / radiation-pressure crossing."""
-    omega0 = 2.0 * np.pi * LIGHT_SPEED / config.wavelength
-    return float(
-        np.sqrt(8.0 * config.arm_power * omega0 / (config.mirror_mass * LIGHT_SPEED**2))
-        / (2.0 * np.pi)
-    )
+    return float(np.sqrt(_kappa(config, 1.0)) / (2.0 * np.pi))
 
 
 def standard_quantum_limit(config: IfoConfig, frequency) -> np.ndarray | float:
     """Free-mass strain-PSD envelope, scaled by ``sql_scale``."""
     f = check_range("frequency", frequency, gt=0.0)
-    out = (
-        config.sql_scale
-        * 8.0
-        * HBAR
-        / (config.mirror_mass * (2.0 * np.pi * f) ** 2 * config.arm_length**2)
-    )
+    out = _sql(config, (2.0 * np.pi * f) ** 2)
     return out if np.ndim(out) else float(out)
 
 
@@ -207,10 +203,10 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
     check_range("number of frequencies", f.size, ge=1)
     check_range("frequencies", f, gt=0.0)
 
-    state = squeeze(vacuum(), config.injected_squeeze)
-    state = apply_loss(state, config.injection_loss)
+    state = apply_loss(squeeze(vacuum(), config.injected_squeeze), config.injection_loss)
 
-    k = kappa(config, f)
+    omega_sq = (2.0 * np.pi * f) ** 2
+    k = _kappa(config, omega_sq)
     readout_angle = 0.5 * np.pi + np.arctan(k)
     if config.matched_rotation:
         # Idealized frequency-dependent injection: the minor axis of the
@@ -230,15 +226,14 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
         for angle in (readout_angle, 0.5 * np.pi, 0.0)
     )
 
-    half_sql = 0.5 * standard_quantum_limit(config, f)
-    curve = BudgetCurve(
+    half_sql = 0.5 * _sql(config, omega_sq)
+    return BudgetCurve(
         frequencies=f,
         shot=half_sql / k * e_shot,
         rpn=half_sql * k * e_rpn,
         total=half_sql * (1.0 / k + k) * e_total,
         sql=2.0 * half_sql,
     )
-    return curve
 
 
 def snr_equivalent_power_gain(improvement_db: float) -> float:
@@ -247,7 +242,6 @@ def snr_equivalent_power_gain(improvement_db: float) -> float:
     A squeezing improvement of x dB raises a shot-noise-limited SNR exactly
     like multiplying the carrier power by ``10**(x / 10)``.
     """
-    bound = _MAX_SQUEEZE_DB
-    check_range("improvement_db", improvement_db, ge=-bound, le=bound)
+    check_range("improvement_db", improvement_db, ge=-_MAX_SQUEEZE_DB, le=_MAX_SQUEEZE_DB)
     return variance_from_db(improvement_db)
 

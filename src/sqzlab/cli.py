@@ -692,6 +692,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outcome = EXPERIMENTS[name].run(params, seed)
     # Only a run that passed validation leaves a directory behind.
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Written last, a manifest never stands beside data it does not describe.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     data_name = f"{name}.{output_format}"
     header = {"experiment": name, "seed": seed, "version": __version__}
     if output_format == "csv":

@@ -223,15 +223,16 @@ def sample_photon_record(
 
     A state at exact shot noise in the amplitude quadrature gives Poisson
     counts of the carrier mean.  Any other amplitude variance v uses the
-    bright-beam Gaussian approximation (mean n, variance v * n), which is
-    only accepted for mean counts of at least 100.  The window shape is
+    bright-beam Gaussian approximation (mean n, variance v * n, less the 1/12
+    that rounding to whole counts adds), accepted for n >= 100, v * n >= 1
+    and n of at least 8 standard deviations.  The window shape is
     bookkeeping metadata and does not change the statistics.
 
     Raises
     ------
     ValueError
         If the window is not much shorter than the coherence time, or if a
-        non-Poissonian state is sampled with too few photons per window.
+        non-Poissonian state is sampled outside that bright-beam regime.
     """
     check_range(
         "window duration",
@@ -252,8 +253,13 @@ def sample_photon_record(
             n_bar,
             ge=_GAUSSIAN_REGIME_MIN_COUNT,
         )
-        draws = rng.normal(n_bar, np.sqrt(v_amp * n_bar), size=windowing.n_windows)
-        counts = np.rint(np.clip(draws, 0.0, None)).astype(np.int64)
+        variance = v_amp * n_bar
+        check_range("count variance per window of non-Poissonian light", variance, ge=1.0)
+        sigmas = n_bar / math.sqrt(variance)
+        check_range("non-Poissonian mean count in standard deviations", sigmas, ge=8.0)
+        # rint adds 1/12 count**2 (Sheppard 1898), which the draw leaves out.
+        draws = rng.normal(n_bar, math.sqrt(variance - 1 / 12), size=windowing.n_windows)
+        counts = np.rint(draws).astype(np.int64)
     return PhotonRecord(windowing, _Owned(counts), float(counts.mean()), seed)
 
 

@@ -405,3 +405,32 @@ def test_snr_gain_beyond_the_float_range_is_rejected_by_name(improvement_db):
 )
 def test_snr_equivalent_power_gain_exact(improvement_db, expected):
     assert snr_equivalent_power_gain(improvement_db) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    arm_power=ARM_POWERS,
+    mirror_mass=MIRROR_MASSES,
+    arm_length=st.floats(1.0, 1e5),
+    wavelength=st.floats(1e-7, 1e-5),
+    sql_scale=st.floats(1e-3, 1e3),
+)
+def test_the_budget_and_the_crossover_use_the_public_envelopes_bit_for_bit(
+    arm_power, mirror_mass, arm_length, wavelength, sql_scale
+):
+    config = _config(
+        arm_power=arm_power,
+        mirror_mass=mirror_mass,
+        arm_length=arm_length,
+        wavelength=wavelength,
+        sql_scale=sql_scale,
+    )
+    f = _grid(config)
+    sql = standard_quantum_limit(config, f)
+    assert quantum_noise_budget(config, f).sql.tobytes() == sql.tobytes()
+    # kappa falls as 1 / Omega^2, so it is 1 at Omega = sqrt(kappa(Omega = 1)),
+    # and f = 1 / (2 pi) puts Omega at exactly 1.0.
+    one_rad_per_s = 1 / (2 * np.pi)
+    assert 2.0 * np.pi * one_rad_per_s == 1.0
+    root = np.sqrt(kappa(config, one_rad_per_s))
+    assert crossover_frequency(config) == float(root / (2 * np.pi))

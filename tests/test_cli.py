@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import sqzlab.cli as cli
 from sqzlab.cli import EXPERIMENTS, build_parser, main
 
 
@@ -61,6 +62,30 @@ def test_opo_csv_run(tmp_path):
     assert manifest["outputs"] == ["opo-spectrum.csv"]
     assert manifest["parameters"]["frequency_points"] == 4
     assert manifest["parameters"]["escape_efficiency"] == 0.914
+
+
+def test_a_run_interrupted_before_its_manifest_leaves_no_stale_manifest(
+    tmp_path, monkeypatch
+):
+    # The second run stops between its data rename and its manifest write,
+    # as a SIGINT there would: the gain-63 manifest must not stand beside
+    # gain-10 data.
+    out = str(tmp_path / "out")
+    payload = {"experiment": "opo-spectrum", "output_format": "json"}
+    assert _run(tmp_path, payload, "--out", out) == 0
+    write_json = cli.write_json
+
+    def write_all_but_the_manifest(path, data):
+        if path.name == "manifest.json":
+            raise KeyboardInterrupt
+        write_json(path, data)
+
+    monkeypatch.setattr(cli, "write_json", write_all_but_the_manifest)
+    with pytest.raises(KeyboardInterrupt):
+        _run(tmp_path, payload, "--out", out, "--set", "parameters.gain=10")
+    data = json.loads((tmp_path / "out" / "opo-spectrum.json").read_text())
+    assert data["parameters"]["gain"] == 10
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["opo-spectrum.json"]
 
 
 def test_stochastic_rerun_is_byte_identical(tmp_path):

@@ -118,6 +118,38 @@ def test_dim_beam_rejects_gaussian_branch():
         sample_photon_record(state, _source(power=POWER_1000 / 100), _windowing(100), 1)
 
 
+def test_rounding_leaves_the_squeezed_fano_factor_unbiased():
+    # rint adds 1/12 count**2 to each window (Sheppard 1898).  Drawn at the
+    # full variance v n, these 20 seeds read a mean Fano factor of 1.084 v.
+    state = squeeze(vacuum(), SqueezeSetting.from_db(20.0))
+    v = quadrature_variance(state, 0.0)
+    source = _source(power=POWER_1000 * 0.1005)  # 100.5 photons per window
+    fanos = [
+        fano_factor(sample_photon_record(state, source, _windowing(100_000), seed))
+        for seed in range(20)
+    ]
+    standard_error = np.std(fanos, ddof=1) / np.sqrt(len(fanos))
+    assert abs(np.mean(fanos) - v) < 3 * standard_error
+
+
+@pytest.mark.parametrize(
+    "db, angle, message",
+    [
+        # v n = 0.1, below the 1/12 that rounding to whole counts adds.
+        (30.0, 0.0, "count variance per window of non-Poissonian light"),
+        # Anti-squeezed, the count's standard deviation equals its mean, 100.
+        (20.0, np.pi / 2, "non-Poissonian mean count in standard deviations"),
+    ],
+    ids=["variance-below-1", "mean-within-8-sd"],
+)
+def test_non_poissonian_light_outside_the_bright_beam_regime_is_rejected_by_name(
+    db, angle, message
+):
+    state = squeeze(vacuum(), SqueezeSetting.from_db(db, angle))
+    with pytest.raises(ValueError, match=f"^{message} must be finite and >= "):
+        sample_photon_record(state, _source(power=POWER_1000 / 10), _windowing(100), 1)
+
+
 @pytest.mark.parametrize("state", [vacuum(), squeeze(vacuum(), SqueezeSetting(R_10DB))])
 def test_counts_beyond_int64_are_rejected_by_name(state):
     # 1 MW at 1064 nm puts 5.4e20 photons into a 0.1 ms window.

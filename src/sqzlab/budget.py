@@ -29,7 +29,7 @@ meaningful outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -37,8 +37,10 @@ from .gaussian import (
     HBAR,
     LIGHT_SPEED,
     _MAX_SQUEEZE_DB,
+    _MAX_SQUEEZE_R,
     SqueezeSetting,
     _frozen_array,
+    _Record,
     apply_loss,
     check_range,
     quadrature_variance,
@@ -60,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FilterCavityParams:
+class FilterCavityParams(_Record):
     """Detuned rotation cavity on the squeezed-light injection path.
 
     ``half_linewidth`` and ``detuning`` are in Hz; the detuning may take
@@ -76,8 +77,7 @@ class FilterCavityParams:
         check_range("detuning", self.detuning)
 
 
-@dataclass(frozen=True)
-class IfoConfig:
+class IfoConfig(_Record):
     """Interferometer and injection parameters for the noise budget.
 
     ``injected_squeeze`` with r = 0 means a plain vacuum dark port.  Exactly
@@ -108,10 +108,19 @@ class IfoConfig:
             raise ValueError(
                 "choose either a filter cavity or matched_rotation, not both"
             )
+        # kappa at Omega = 1 rad/s (the crossover's), the SQL's prefactor from
+        # logarithms, so no partial product overflows, and a nonzero L**2.
+        coupling = "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2)"
+        check_range(coupling, _kappa(self, 1.0), gt=0.0)
+        check_range("arm_length**2", self.arm_length * self.arm_length, gt=0.0)
+        ln_sql = sum(math.log(x) for x in (self.sql_scale, 8.0 * HBAR)) - sum(
+            math.log(x) for x in (self.mirror_mass, self.arm_length, self.arm_length)
+        )
+        sql = math.exp(ln_sql) if ln_sql <= 2.0 * _MAX_SQUEEZE_R else math.inf
+        check_range("sql_scale 8 hbar / (mirror_mass arm_length**2)", sql, gt=0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class BudgetCurve:
+class BudgetCurve(_Record, eq=False):
     """Noise budget sampled on a frequency grid (strain-referred PSDs)."""
 
     frequencies: np.ndarray

@@ -24,8 +24,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -72,7 +70,7 @@ from .detection import (
     sample_photon_record,
     welch_psd,
 )
-from .gaussian import SqueezeSetting, check_range, db_from_variance, squeeze, vacuum
+from .gaussian import SqueezeSetting, _Record, check_range, db_from_variance, squeeze, vacuum
 from .io import write_csv, write_json
 from .opo import OpoParams, opo_spectrum, parametric_gain, pump_ratio_from_gain
 
@@ -103,8 +101,9 @@ class ConfigError(Exception):
     """Raised for config-file or override problems (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(_Record):
+    """One experiment parameter: its kind, default, help and bytes per unit."""
+
     kind: str
     default: Any = _REQUIRED
     help: str = ""
@@ -113,16 +112,18 @@ class Param:
     bytes_each: int = 0
 
 
-@dataclass(frozen=True)
-class ExperimentOutcome:
+class ExperimentOutcome(_Record):
+    """What a runner returns: metadata, the table and an optional result."""
+
     metadata: dict
     columns: list
     rows: np.ndarray | list
     result: dict | None = None
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(_Record):
+    """A runnable experiment: summary, seeding, parameters and runner."""
+
     summary: str
     stochastic: bool
     params: dict[str, Param]
@@ -217,6 +218,7 @@ def _run_decohere(params: dict, seed: int | None) -> ExperimentOutcome:
 
 
 def _load_bundled_measurements() -> dict:
+    from importlib import resources  # with its tempfile chain, only for this read
     text = resources.files("sqzlab").joinpath(_BUNDLED_DATASET).read_text("utf-8")
     return json.loads(text)
 

@@ -12,12 +12,11 @@ added loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .gaussian import _MAX_SQUEEZE_DB, _lossy, check_range, variance_from_db
+from .gaussian import _MAX_SQUEEZE_DB, _lossy, _Record, check_range, variance_from_db
 from .opo import OpoParams, SqueezeSpectrumPoint, opo_spectrum, pump_ratio_from_gain
 
 __all__ = [
@@ -43,8 +42,7 @@ _GRID_LOSS_POINTS = 41
 _GRID_PHASE_POINTS = 26
 
 
-@dataclass(frozen=True)
-class PhaseNoise:
+class PhaseNoise(_Record):
     """Zero-mean Gaussian jitter of the measured quadrature angle.
 
     ``sigma`` is the RMS angle in radians, >= 0, with a finite square.
@@ -65,8 +63,7 @@ class PhaseNoise:
         return float(np.rad2deg(self.sigma))
 
 
-@dataclass(frozen=True)
-class LossBudget:
+class LossBudget(_Record):
     """Labelled chain of efficiencies between source and detector output."""
 
     entries: tuple[tuple[str, float], ...]
@@ -79,8 +76,7 @@ class LossBudget:
         object.__setattr__(self, "entries", tuple(normalized))
 
 
-@dataclass(frozen=True)
-class SqueezeMeasurement:
+class SqueezeMeasurement(_Record):
     """One point of a loss sweep: variances in dB at a known added loss.
 
     Each reading is bounded by the representable squeeze, 10 log10(max float)
@@ -97,8 +93,7 @@ class SqueezeMeasurement:
         check_range("antisqueeze_db", self.antisqueeze_db, ge=0.0, le=_MAX_SQUEEZE_DB)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Record):
     """Outcome of :func:`fit_loss_phase`.
 
     ``converged`` reports the optimizer verdict; a False value is returned

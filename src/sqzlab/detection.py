@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .gaussian import (
     GaussianState,
     _frozen_array,
     _Owned,
+    _Record,
     apply_loss,
     check_range,
     quadrature_variance,
@@ -75,8 +75,7 @@ _MIN_PSD_SEGMENT = 8
 _BLOCK_BYTES = 1 << 19
 
 
-@dataclass(frozen=True)
-class LightSource:
+class LightSource(_Record):
     """Carrier beam: wavelength (m), optical power (W), coherence time (s).
 
     Power may be zero (blocked beam); wavelength and coherence time must be
@@ -93,8 +92,7 @@ class LightSource:
         check_range("coherence_time", self.coherence_time, gt=0.0)
 
 
-@dataclass(frozen=True)
-class MeasurementWindowing:
+class MeasurementWindowing(_Record):
     """Counting-window layout for direct detection."""
 
     duration: float
@@ -109,8 +107,7 @@ class MeasurementWindowing:
             raise ValueError("n_windows must be a positive integer")
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonRecord:
+class PhotonRecord(_Record, eq=False):
     """Photon counts per window plus the sampling context."""
 
     windowing: MeasurementWindowing
@@ -128,8 +125,7 @@ class PhotonRecord:
         object.__setattr__(self, "mean", float(self.mean))
 
 
-@dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(_Record):
     """Photodiode and interference imperfections.
 
     ``visibility`` is the fringe visibility against the reference beam and
@@ -152,8 +148,7 @@ class DetectorParams:
         check_range("balance_asymmetry", self.balance_asymmetry, ge=0.0, le=0.5)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(_Record, eq=False):
     """Evenly sampled photocurrent fluctuations in shot-noise units."""
 
     sample_rate: float
@@ -169,8 +164,7 @@ class TimeSeries:
         check_range("lo_phase", self.lo_phase)
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseSpectrum:
+class NoiseSpectrum(_Record, eq=False):
     """One-sided PSD relative to shot noise (unit-variance white reads 1.0)."""
 
     frequencies: np.ndarray

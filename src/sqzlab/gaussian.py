@@ -20,8 +20,9 @@ states safe to share across threads.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,8 +125,75 @@ def _frozen_array(obj, field: str, dtype=float, shape=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class GaussianState:
+class _Record:
+    """Base of the frozen records: dataclasses that share one set of methods.
+
+    ``class R(_Record)`` acts as ``@dataclass(frozen=True)`` and ``class
+    R(_Record, eq=False)`` as ``@dataclass(frozen=True, eq=False)``, but
+    ``dataclasses`` compiles no method for R.
+    """
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        fields = dataclasses.fields(cls)
+        cls._names = names = tuple(f.name for f in fields)
+        if "__init__" in vars(cls):
+            return
+        kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        defaults = [empty if f.default is dataclasses.MISSING else f.default for f in fields]
+        parameters = [
+            inspect.Parameter(f.name, kind, default=default, annotation=f.type)
+            for f, default in zip(fields, defaults)
+        ]
+        cls.__signature__ = signature = inspect.Signature(parameters, return_annotation=None)
+        n, required, setattr_ = len(names), defaults.count(empty), object.__setattr__
+        tails = [tuple(defaults[k:]) for k in range(n + 1)]  # defaults after k args
+        post_init = getattr(cls, "__post_init__", lambda self: None)
+
+        def __init__(self, *args, **kwargs):
+            # The call's own kwargs dict becomes the instance dict.  Every
+            # field in order by keyword, or a run of leading fields by
+            # position (an index loop: zip's tuples cost more), skips bind.
+            if kwargs or not required <= len(args) <= n:
+                if args or tuple(kwargs) != names:
+                    bound = signature.bind(*args, **kwargs)
+                    bound.apply_defaults()
+                    kwargs = bound.arguments
+            else:
+                i = 0
+                for value in args + tails[len(args)]:
+                    kwargs[names[i]] = value
+                    i += 1
+            setattr_(self, "__dict__", kwargs)
+            post_init(self)
+
+        cls.__init__ = __init__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GaussianState(_Record, eq=False):
     """Mean vector and principal noise axes of one optical mode.
 
     Parameters
@@ -197,8 +265,7 @@ def _principal_axes(p: float, u: float, q: float, det: float):
     return det / major, major, 0.5 * math.atan2(-2.0 * q, u - p)
 
 
-@dataclass(frozen=True)
-class SqueezeSetting:
+class SqueezeSetting(_Record):
     """Squeeze magnitude and orientation.
 
     ``r`` is the dimensionless squeeze parameter (variance reduction

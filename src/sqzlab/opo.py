@@ -13,11 +13,9 @@ frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gaussian import GaussianState, _from_axes, check_range
+from .gaussian import GaussianState, _from_axes, _Record, check_range
 
 __all__ = [
     "OpoParams",
@@ -31,8 +29,7 @@ __all__ = [
 _PRODUCT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OpoParams:
+class OpoParams(_Record):
     """Below-threshold cavity description.
 
     Attributes
@@ -56,8 +53,7 @@ class OpoParams:
         check_range("half_linewidth", self.half_linewidth, gt=0.0)
 
 
-@dataclass(frozen=True)
-class SqueezeSpectrumPoint:
+class SqueezeSpectrumPoint(_Record):
     """Squeezed and anti-squeezed variances at a sideband frequency.
 
     The fields are floats for one frequency, or equal-shape arrays for an

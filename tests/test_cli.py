@@ -3,7 +3,9 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqzlab.cli as cli
@@ -632,6 +634,36 @@ def test_a_cold_cli_import_loads_no_thread_machinery(fresh_python):
         "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])\n"
     )
     assert json.loads(fresh_python("-c", script).stdout) == []
+
+
+def test_a_cold_cli_import_compiles_no_generated_method(fresh_python):
+    # dataclasses builds each generated method by compiling source named
+    # "<string>"; the records share _Record's methods, so none is built.
+    # The standard modules the CLI needs are imported before the hook.
+    script = (
+        "import argparse, dataclasses, json, pathlib, sys, threading\n"
+        "import numpy\n"
+        "compiled = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and args[1] == '<string>':\n"
+        "        compiled.append(str(args[0])[:60])\n"
+        "sys.addaudithook(hook)\n"
+        "import sqzlab.cli\n"
+        "print(json.dumps(compiled))\n"
+    )
+    assert json.loads(fresh_python("-c", script).stdout) == []
+
+
+def test_a_cold_cli_import_leaves_importlib_resources_to_fit_loss(fresh_python):
+    # Without site, nothing else imports importlib.resources (and tempfile
+    # with it); only fit-loss's read of its bundled sweep needs it.
+    site_packages = str(Path(np.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.append({site_packages!r})\n"
+        "import sqzlab.cli\n"
+        "print([m for m in ('importlib.resources', 'tempfile') if m in sys.modules])\n"
+    )
+    assert json.loads(fresh_python("-S", "-c", script).stdout) == []
 
 
 def test_import_sqzlab_leaves_numpy_to_first_use(fresh_python):

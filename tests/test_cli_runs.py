@@ -329,6 +329,9 @@ BHD_VARIANCE_ERROR = (
     "(squeeze_db at squeeze_angle_deg and lo_phase_deg + dark_noise_variance + "
     "(2 balance_asymmetry)**2 lo_noise_variance) must be finite"
 )
+KAPPA_ERROR = (
+    "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2) must be finite and > 0"
+)
 # id -> (experiment, parameters, message): configs whose runs once divided by
 # zero, overflowed a float, exited 3 with numpy's words or with none of the
 # parameter's, or wrote an infinite fit residual or nan or off-bin SNRs,
@@ -406,6 +409,32 @@ DERIVED_FAILURES = {
         "noise-budget",
         {"arm_length_m": 1e300},
         "arm_length**2 must be finite",
+    ),
+    # Each exited 3 naming an output (shot) or 4 with numpy's overflow.
+    "noise-budget-mirror-mass-5e-324": (
+        "noise-budget",
+        {"mirror_mass_kg": 5e-324},
+        KAPPA_ERROR,
+    ),
+    "noise-budget-arm-power-1e308": (
+        "noise-budget",
+        {"arm_power_w": 1e308},
+        KAPPA_ERROR,
+    ),
+    "noise-budget-wavelength-5e-324": (
+        "noise-budget",
+        {"wavelength_m": 5e-324},
+        KAPPA_ERROR,
+    ),
+    "noise-budget-sql-prefactor": (
+        "noise-budget",
+        {"mirror_mass_kg": 1e-300, "sql_scale": 1e300},
+        "sql_scale 8 hbar / (mirror_mass arm_length**2) must be finite and > 0",
+    ),
+    "noise-budget-arm-length-squared-underflow": (
+        "noise-budget",
+        {"arm_length_m": 1e-170},
+        "arm_length**2 must be finite and > 0",
     ),
     "photon-record-coherent-counts": ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
     "photon-record-squeezed-counts": (

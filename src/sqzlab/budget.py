@@ -29,15 +29,12 @@ meaningful outputs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .gaussian import (
     HBAR,
     LIGHT_SPEED,
     _MAX_SQUEEZE_DB,
-    _MAX_SQUEEZE_R,
     SqueezeSetting,
     _frozen_array,
     _Record,
@@ -108,16 +105,6 @@ class IfoConfig(_Record):
             raise ValueError(
                 "choose either a filter cavity or matched_rotation, not both"
             )
-        # kappa at Omega = 1 rad/s (the crossover's), the SQL's prefactor from
-        # logarithms, so no partial product overflows, and a nonzero L**2.
-        coupling = "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2)"
-        check_range(coupling, _kappa(self, 1.0), gt=0.0)
-        check_range("arm_length**2", self.arm_length * self.arm_length, gt=0.0)
-        ln_sql = sum(math.log(x) for x in (self.sql_scale, 8.0 * HBAR)) - sum(
-            math.log(x) for x in (self.mirror_mass, self.arm_length, self.arm_length)
-        )
-        sql = math.exp(ln_sql) if ln_sql <= 2.0 * _MAX_SQUEEZE_R else math.inf
-        check_range("sql_scale 8 hbar / (mirror_mass arm_length**2)", sql, gt=0.0)
 
 
 class BudgetCurve(_Record, eq=False):
@@ -214,8 +201,15 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
 
     state = apply_loss(squeeze(vacuum(), config.injected_squeeze), config.injection_loss)
 
+    # Where kappa or the SQL leaves the float range on the grid, so do the
+    # outputs: name their inputs instead of numpy's overflow or an output.
     omega_sq = (2.0 * np.pi * f) ** 2
-    k = _kappa(config, omega_sq)
+    with np.errstate(all="ignore"):
+        k, sql = _kappa(config, omega_sq), _sql(config, omega_sq)
+    check_range(
+        "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2 Omega**2)", k, gt=0.0
+    )
+    check_range("sql_scale 8 hbar / (mirror_mass Omega**2 arm_length**2)", sql, gt=0.0)
     readout_angle = 0.5 * np.pi + np.arctan(k)
     if config.matched_rotation:
         # Idealized frequency-dependent injection: the minor axis of the
@@ -235,7 +229,7 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
         for angle in (readout_angle, 0.5 * np.pi, 0.0)
     )
 
-    half_sql = 0.5 * _sql(config, omega_sq)
+    half_sql = 0.5 * sql
     return BudgetCurve(
         frequencies=f,
         shot=half_sql / k * e_shot,

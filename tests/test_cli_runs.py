@@ -330,7 +330,11 @@ BHD_VARIANCE_ERROR = (
     "(2 balance_asymmetry)**2 lo_noise_variance) must be finite"
 )
 KAPPA_ERROR = (
-    "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2) must be finite and > 0"
+    "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2 Omega**2) must be finite "
+    "and > 0"
+)
+SQL_ERROR = (
+    "sql_scale 8 hbar / (mirror_mass Omega**2 arm_length**2) must be finite and > 0"
 )
 # id -> (experiment, parameters, message): configs whose runs once divided by
 # zero, overflowed a float, exited 3 with numpy's words or with none of the
@@ -410,7 +414,8 @@ DERIVED_FAILURES = {
         {"arm_length_m": 1e300},
         "arm_length**2 must be finite",
     ),
-    # Each exited 3 naming an output (shot) or 4 with numpy's overflow.
+    # Each exited 3 naming an output (shot), three of them after numpy's
+    # overflow or divide-by-zero warning.
     "noise-budget-mirror-mass-5e-324": (
         "noise-budget",
         {"mirror_mass_kg": 5e-324},
@@ -426,15 +431,15 @@ DERIVED_FAILURES = {
         {"wavelength_m": 5e-324},
         KAPPA_ERROR,
     ),
-    "noise-budget-sql-prefactor": (
+    "noise-budget-sql-overflow": (
         "noise-budget",
         {"mirror_mass_kg": 1e-300, "sql_scale": 1e300},
-        "sql_scale 8 hbar / (mirror_mass arm_length**2) must be finite and > 0",
+        SQL_ERROR,
     ),
     "noise-budget-arm-length-squared-underflow": (
         "noise-budget",
         {"arm_length_m": 1e-170},
-        "arm_length**2 must be finite and > 0",
+        SQL_ERROR,
     ),
     "photon-record-coherent-counts": ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
     "photon-record-squeezed-counts": (
@@ -613,6 +618,31 @@ def test_an_opo_spectrum_far_outside_its_linewidth_reads_shot_noise(tmp_path, pa
     assert _run(tmp_path, payload) == 0
     rows = json.loads((tmp_path / "out" / "opo-spectrum.json").read_text())["rows"]
     assert [row[1:] for row in rows] == [[1.0, 1.0, 0.0, 0.0]] * 5
+
+
+# kappa at 1 rad/s overflows in the first (the crossover reads inf) and the
+# SQL's prefactor sql_scale 8 hbar / (mirror_mass arm_length**2) in the
+# second, but on the grid, Omega**2 >= 4 pi**2 frequency_start_hz**2, every
+# column is finite: only a value on the grid may fail a run.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "params",
+    [
+        {
+            "mirror_mass_kg": 1.58e-305,
+            "sql_scale": 1e-250,
+            "frequency_start_hz": 1e5,
+            "frequency_stop_hz": 1e6,
+        },
+        {"arm_power_w": 1e4, "arm_length_m": 1e-20, "sql_scale": 1e304},
+    ],
+    ids=["kappa-at-1-rad-s-overflows", "sql-prefactor-overflows"],
+)
+def test_a_noise_budget_finite_on_its_grid_runs(tmp_path, params):
+    payload = {"experiment": "noise-budget", "parameters": params, "output_format": "json"}
+    assert _run(tmp_path, payload) == 0
+    rows = json.loads((tmp_path / "out" / "noise-budget.json").read_text())["rows"]
+    assert len(rows) == 120 and all(0.0 < x < math.inf for row in rows for x in row)
 
 
 # Every seeded run builds one generator, detection._rng (numpy's SFC64), from

@@ -29,6 +29,8 @@ meaningful outputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gaussian import (
@@ -126,10 +128,10 @@ class BudgetCurve(_Record, eq=False):
             check_range(name, arr, gt=0.0)
 
 
-def _kappa(config: IfoConfig, omega_sq):
-    """:func:`kappa` at ``omega_sq`` = Omega^2, unchecked and broadcasting."""
+def _kappa_terms(config: IfoConfig, omega_sq):
+    """:func:`kappa` at ``omega_sq`` = Omega^2 as (numerator, denominator), unchecked."""
     coupling = 8.0 * config.arm_power * (2.0 * np.pi * LIGHT_SPEED / config.wavelength)
-    return coupling / (config.mirror_mass * LIGHT_SPEED**2 * omega_sq)
+    return coupling, config.mirror_mass * LIGHT_SPEED**2 * omega_sq
 
 
 def _sql(config: IfoConfig, omega_sq):
@@ -146,13 +148,17 @@ def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
     Scaling power and mass together leaves it unchanged.
     """
     f = check_range("frequency", frequency, gt=0.0)
-    out = _kappa(config, (2.0 * np.pi * f) ** 2)
+    coupling, inertia = _kappa_terms(config, (2.0 * np.pi * f) ** 2)
+    out = coupling / inertia
     return out if np.ndim(out) else float(out)
 
 
 def crossover_frequency(config: IfoConfig) -> float:
     """Frequency where ``kappa = 1``: the shot / radiation-pressure crossing."""
-    return float(np.sqrt(_kappa(config, 1.0)) / (2.0 * np.pi))
+    # sqrt(kappa at 1 rad/s) by mantissa and even exponent: kappa can overflow.
+    (m, i), (n, j) = (math.frexp(term) for term in _kappa_terms(config, 1.0))
+    root = math.ldexp(math.sqrt(math.ldexp(m, (i - j) % 2) / n), (i - j) // 2)
+    return root / (2.0 * math.pi)
 
 
 def standard_quantum_limit(config: IfoConfig, frequency) -> np.ndarray | float:
@@ -203,9 +209,9 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
 
     # Where kappa or the SQL leaves the float range on the grid, so do the
     # outputs: name their inputs instead of numpy's overflow or an output.
-    omega_sq = (2.0 * np.pi * f) ** 2
     with np.errstate(all="ignore"):
-        k, sql = _kappa(config, omega_sq), _sql(config, omega_sq)
+        omega_sq = (2.0 * np.pi * f) ** 2
+        k, sql = np.divide(*_kappa_terms(config, omega_sq)), _sql(config, omega_sq)
     check_range(
         "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2 Omega**2)", k, gt=0.0
     )

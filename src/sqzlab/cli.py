@@ -567,6 +567,17 @@ EXPERIMENTS: dict[str, Experiment] = {
 # ---------------------------------------------------------------------------
 
 
+def _json_dict(pairs: list) -> dict:
+    if len(obj := dict(pairs)) < len(pairs):  # a key comes twice: name the first
+        key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ConfigError(f"duplicate key {key!r}")
+    return obj
+
+
+def _json_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")  # to --set, a bare word
+
+
 def _load_config(path_text: str) -> dict:
     path = Path(path_text)
     try:
@@ -574,12 +585,12 @@ def _load_config(path_text: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        config = json.loads(text, object_pairs_hook=_json_dict, parse_constant=_json_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer with too many digits for int()
+    except (ValueError, ConfigError) as exc:  # too many digits, NaN, a key twice
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -591,8 +602,8 @@ def _apply_override(config: dict, assignment: str) -> None:
     if not sep or not key:
         raise ConfigError(f"override must look like key=value, got {assignment!r}")
     try:
-        value = json.loads(raw)
-    except ValueError:  # not JSON, or an integer with too many digits
+        value = json.loads(raw, object_pairs_hook=_json_dict, parse_constant=_json_constant)
+    except ValueError:  # not JSON (NaN too), or an integer with too many digits
         value = raw
     node = config
     parts = key.split(".")

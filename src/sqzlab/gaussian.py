@@ -138,39 +138,36 @@ class _Record:
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
         dataclasses.dataclass(cls, init=False, repr=False, eq=False)
-        fields = dataclasses.fields(cls)
-        cls._names = names = tuple(f.name for f in fields)
-        if "__init__" in vars(cls):
-            return
-        kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        fields, empty = dataclasses.fields(cls), inspect.Parameter.empty
         defaults = [empty if f.default is dataclasses.MISSING else f.default for f in fields]
-        parameters = [
-            inspect.Parameter(f.name, kind, default=default, annotation=f.type)
-            for f, default in zip(fields, defaults)
-        ]
-        cls.__signature__ = signature = inspect.Signature(parameters, return_annotation=None)
-        n, required, setattr_ = len(names), defaults.count(empty), object.__setattr__
-        tails = [tuple(defaults[k:]) for k in range(n + 1)]  # defaults after k args
-        post_init = getattr(cls, "__post_init__", lambda self: None)
+        cls._names = names = tuple(f.name for f in fields)
+        cls._defaults = dict(zip(names, defaults))  # empty where a field has none
+        if "__init__" not in vars(cls):  # GaussianState keeps its (mean, cov)
+            kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+            parameters = [
+                inspect.Parameter(f.name, kind, default=default, annotation=f.type)
+                for f, default in zip(fields, defaults)
+            ]
+            cls.__signature__ = inspect.Signature(parameters, return_annotation=None)
 
-        def __init__(self, *args, **kwargs):
-            # The call's own kwargs dict becomes the instance dict.  Every
-            # field in order by keyword, or a run of leading fields by
-            # position (an index loop: zip's tuples cost more), skips bind.
-            if kwargs or not required <= len(args) <= n:
-                if args or tuple(kwargs) != names:
-                    bound = signature.bind(*args, **kwargs)
-                    bound.apply_defaults()
-                    kwargs = bound.arguments
-            else:
-                i = 0
-                for value in args + tails[len(args)]:
-                    kwargs[names[i]] = value
-                    i += 1
-            setattr_(self, "__dict__", kwargs)
-            post_init(self)
+    def __init__(self, *args, **kwargs):
+        # One walk over the fields: by position, then by keyword, then default.
+        cls, n = type(self), len(args)
+        names, defaults = cls._names, cls._defaults
+        if n > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments, got {n}")
+        values = dict(zip(names, args))
+        for name in names[n:]:
+            values[name] = value = kwargs.pop(name, defaults[name])
+            if value is inspect.Parameter.empty:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:  # a keyword that names no field, or one given by position
+            raise TypeError(f"{cls.__qualname__}() got unexpected arguments {[*kwargs]}")
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
 
-        cls.__init__ = __init__
+    def __post_init__(self) -> None:
+        """Check and normalize the fields: nothing, unless a record says so."""
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
@@ -232,7 +229,16 @@ class GaussianState(_Record, eq=False):
             raise ValueError(
                 "covariance determinant below the Heisenberg bound det >= 1"
             )
-        vars(self).update(vars(_from_axes(mean, *_principal_axes(p, u, q, det))))
+        super().__init__(mean, _principal_axes(p, u, q, det))
+
+    def __post_init__(self) -> None:
+        check_range("state mean", _frozen_array(self, "mean", shape=(2,)))
+        minor, major, theta = self.axes
+        check_range("state covariance", (minor, major), gt=0.0)
+        if minor > major:
+            minor, major, theta = major, minor, theta + 0.5 * np.pi
+        theta = float(theta) % np.pi if minor < major else 0.0
+        object.__setattr__(self, "axes", (float(minor), float(major), theta))
 
     @property
     def cov(self) -> np.ndarray:
@@ -247,13 +253,7 @@ class GaussianState(_Record, eq=False):
 def _from_axes(mean, minor, major, theta) -> GaussianState:
     """State with variance ``minor`` at ``theta``, checked only to be finite, > 0."""
     state = object.__new__(GaussianState)
-    object.__setattr__(state, "mean", mean)
-    check_range("state mean", _frozen_array(state, "mean", shape=(2,)))
-    check_range("state covariance", (minor, major), gt=0.0)
-    if minor > major:
-        minor, major, theta = major, minor, theta + 0.5 * np.pi
-    theta = float(theta) % np.pi if minor < major else 0.0
-    object.__setattr__(state, "axes", (float(minor), float(major), theta))
+    _Record.__init__(state, mean, (minor, major, theta))
     return state
 
 

@@ -434,3 +434,21 @@ def test_the_budget_and_the_crossover_use_the_public_envelopes_bit_for_bit(
     assert 2.0 * np.pi * one_rad_per_s == 1.0
     root = np.sqrt(kappa(config, one_rad_per_s))
     assert crossover_frequency(config) == float(root / (2 * np.pi))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_crossover_equals_the_root_of_kappa_wherever_kappa_is_a_normal_float():
+    # The crossover divides and roots the terms of kappa by mantissa and
+    # exponent; scaling by a power of two commutes with a correctly rounded
+    # quotient and root, so it is today's sqrt(kappa(1 rad/s)) / (2 pi).
+    rng = np.random.default_rng(19)
+    one_rad_per_s = 1 / (2 * np.pi)
+    checked = 0
+    for arm_power, mirror_mass, wavelength in (10.0 ** rng.uniform(-300, 300, (2000, 3))).tolist():
+        config = _config(arm_power=arm_power, mirror_mass=mirror_mass, wavelength=wavelength)
+        at_one = kappa(config, one_rad_per_s)
+        if np.finfo(float).tiny <= at_one < np.inf:
+            root = np.sqrt(at_one) / (2 * np.pi)
+            assert crossover_frequency(config) == float(root)
+            checked += 1
+    assert checked > 1000

@@ -392,6 +392,26 @@ def test_noise_budget_run_and_crossover_metadata(tmp_path):
     assert "# crossover_frequency_hz = 9.989503380970636" in text
 
 
+def test_noise_budget_writes_a_finite_crossover_where_kappa_at_1_rad_s_overflows(tmp_path):
+    import mpmath
+
+    # kappa at 1 rad/s, about 1e310, leaves the float range; its root does not.
+    params = {"mirror_mass_kg": 1.58e-305, "sql_scale": 1e-250}
+    grid = {"frequency_start_hz": 1e5, "frequency_stop_hz": 1e6}
+    out_dir = tmp_path / "out"
+    payload = {"experiment": "noise-budget", "parameters": {**params, **grid}}
+    assert _run(tmp_path, payload, "--out", str(out_dir)) == 0
+    line = (out_dir / "noise-budget.csv").read_text().splitlines()
+    [written] = [x for x in line if x.startswith("# crossover_frequency_hz = ")]
+    crossover = float(written.split(" = ")[1])
+    with mpmath.workdps(50):
+        c, two_pi = mpmath.mpf(299792458.0), 2 * mpmath.pi
+        at_one = 8 * mpmath.mpf(1e6) * two_pi * c / mpmath.mpf(1.064e-6)
+        exact = mpmath.sqrt(at_one / (mpmath.mpf(1.58e-305) * c**2)) / two_pi
+        assert abs(mpmath.mpf(crossover) - exact) <= 2 * np.spacing(crossover)
+    assert crossover == 1.5894444360058544e154
+
+
 UNKNOWN_EXPERIMENT = "config error: unknown experiment {}; choose from " + str(
     sorted(EXPERIMENTS)
 )
@@ -465,6 +485,19 @@ REJECTED_CONFIGS = {
         "validation error: signal_to_lo_power_ratio must be finite and >= 0 "
         "and < 0.01",
     ),
+    # An override's value is strict JSON too, or else a bare string.
+    "override-duplicate-key": (
+        {"experiment": "decohere"},
+        ["--set", 'parameters={"gain": 10, "gain": 20}'],
+        2,
+        "config error: duplicate key 'gain'",
+    ),
+    "override-nan-is-a-string": (
+        {"experiment": "decohere"},
+        ["--set", "parameters.gain=NaN"],
+        2,
+        "config error: decohere: parameter 'gain' must be a number, got 'NaN'",
+    ),
     # A name that is not a string exited 4: a list or an object is unhashable.
     "experiment-list": (
         {"experiment": ["x"]},
@@ -512,6 +545,52 @@ def test_a_rejected_config_prints_one_line_and_writes_nothing(
     assert _run(tmp_path, payload, *extra, "--out", str(out_dir)) == code
     assert capsys.readouterr().err == line + "\n"
     assert not out_dir.exists()
+
+
+# id -> (config text, the end of the one stderr line).  Each parsed before:
+# a key's last value won, and NaN and Infinity failed the model's range check
+# with exit 3.
+STRICT_JSON_FAILURES = {
+    "duplicate-top-level-key": (
+        '{"experiment": "opo-spectrum", "experiment": "decohere"}',
+        "duplicate key 'experiment'",
+    ),
+    "duplicate-parameter": (
+        '{"experiment": "decohere", "parameters": {"gain": 10, "gain": 20}}',
+        "duplicate key 'gain'",
+    ),
+    "nan": (
+        '{"experiment": "decohere", "parameters": {"gain": NaN}}',
+        "NaN is not a JSON number",
+    ),
+    "infinity": (
+        '{"experiment": "opo-spectrum", "parameters": {"escape_efficiency": Infinity}}',
+        "Infinity is not a JSON number",
+    ),
+    "minus-infinity": (
+        '{"experiment": "decohere", "parameters": {"added_losses": [0.0, -Infinity]}}',
+        "-Infinity is not a JSON number",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message", list(STRICT_JSON_FAILURES.values()), ids=list(STRICT_JSON_FAILURES)
+)
+def test_a_config_that_is_not_strict_json_exits_2_by_name(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {config}: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_an_override_of_nan_is_a_bare_string(tmp_path, monkeypatch):
+    # It read as the float nan, and the run exited 2: output_path not a string.
+    monkeypatch.chdir(tmp_path)
+    assert _run(tmp_path, {"experiment": "decohere"}, "--set", "output_path=NaN") == 0
+    assert (tmp_path / "NaN" / "manifest.json").exists()
 
 
 def test_snr_equivalence_rejects_off_bin_signal(tmp_path, capsys):

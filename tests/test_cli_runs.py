@@ -441,6 +441,13 @@ DERIVED_FAILURES = {
         {"arm_length_m": 1e-170},
         SQL_ERROR,
     ),
+    # Omega**2 overflowed outside numpy's errstate: a warning, then exit 3,
+    # or exit 4 under -W error::RuntimeWarning.
+    "noise-budget-omega-squared": (
+        "noise-budget",
+        {"frequency_stop_hz": 1e300},
+        KAPPA_ERROR,
+    ),
     "photon-record-coherent-counts": ("photon-record", {"power_w": 1e6}, COUNT_ERROR),
     "photon-record-squeezed-counts": (
         "photon-record",

@@ -129,9 +129,17 @@ class BudgetCurve(_Record, eq=False):
 
 
 def _kappa_terms(config: IfoConfig, omega_sq):
-    """:func:`kappa` at ``omega_sq`` = Omega^2 as (numerator, denominator), unchecked."""
-    coupling = 8.0 * config.arm_power * (2.0 * np.pi * LIGHT_SPEED / config.wavelength)
-    return coupling, config.mirror_mass * LIGHT_SPEED**2 * omega_sq
+    """:func:`kappa`'s numerator and denominator factors at ``omega_sq`` = Omega^2."""
+    coupling = (8.0, config.arm_power, 2.0 * np.pi * LIGHT_SPEED / config.wavelength)
+    return coupling, (config.mirror_mass, LIGHT_SPEED**2, omega_sq)
+
+
+def _kappa_scaled(config: IfoConfig, omega_sq):
+    """:func:`kappa` as ``(q, e)``, kappa = ``q 2**e``, from its factors'
+    mantissas and exponents: no product leaves the float range."""
+    factors = _kappa_terms(config, omega_sq)
+    (m, i), (n, j) = (np.frexp(np.broadcast_arrays(*term)) for term in factors)
+    return m.prod(0) / n.prod(0), i.sum(0) - j.sum(0)
 
 
 def _sql(config: IfoConfig, omega_sq):
@@ -148,17 +156,15 @@ def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
     Scaling power and mass together leaves it unchanged.
     """
     f = check_range("frequency", frequency, gt=0.0)
-    coupling, inertia = _kappa_terms(config, (2.0 * np.pi * f) ** 2)
-    out = coupling / inertia
+    with np.errstate(over="ignore"):  # kappa beyond the float range reads inf
+        out = np.ldexp(*_kappa_scaled(config, (2.0 * np.pi * f) ** 2))
     return out if np.ndim(out) else float(out)
 
 
 def crossover_frequency(config: IfoConfig) -> float:
     """Frequency where ``kappa = 1``: the shot / radiation-pressure crossing."""
-    # sqrt(kappa at 1 rad/s) by mantissa and even exponent: kappa can overflow.
-    (m, i), (n, j) = (math.frexp(term) for term in _kappa_terms(config, 1.0))
-    root = math.ldexp(math.sqrt(math.ldexp(m, (i - j) % 2) / n), (i - j) // 2)
-    return root / (2.0 * math.pi)
+    q, e = _kappa_scaled(config, 1.0)  # kappa at 1 rad/s can overflow; its root cannot
+    return float(np.ldexp(np.sqrt(np.ldexp(q, e % 2)), e // 2) / (2.0 * np.pi))
 
 
 def standard_quantum_limit(config: IfoConfig, frequency) -> np.ndarray | float:
@@ -211,7 +217,8 @@ def quantum_noise_budget(config: IfoConfig, frequencies) -> BudgetCurve:
     # outputs: name their inputs instead of numpy's overflow or an output.
     with np.errstate(all="ignore"):
         omega_sq = (2.0 * np.pi * f) ** 2
-        k, sql = np.divide(*_kappa_terms(config, omega_sq)), _sql(config, omega_sq)
+        k = np.divide(*map(math.prod, _kappa_terms(config, omega_sq)))
+        sql = _sql(config, omega_sq)
     check_range(
         "8 arm_power (2 pi c / wavelength) / (mirror_mass c**2 Omega**2)", k, gt=0.0
     )

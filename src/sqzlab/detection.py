@@ -73,6 +73,9 @@ _MIN_PSD_SEGMENT = 8
 # least one).  None makes a temporary as long as the series, welch_psd stays
 # under 1 MiB whenever one segment fits a block, and a block fits a 2 MiB L2.
 _BLOCK_BYTES = 1 << 19
+# Samples per block of a seeded white series (one _BLOCK_BYTES); block i is
+# SFC64 on child i of the seed's SeedSequence.  It fixes every sampled byte.
+_STREAM_BLOCK = 1 << 16
 
 
 class LightSource(_Record):
@@ -207,6 +210,41 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seed))
 
 
+def _white_block(out, seed, i) -> None:
+    """Fill ``out`` with the start of block ``i`` of ``seed``'s unit white series."""
+    _rng(np.random.SeedSequence(seed, spawn_key=(i,))).standard_normal(out=out)
+
+
+def _white(n_samples: int, seed, sigma) -> np.ndarray:
+    """``sigma`` times ``seed``'s unit white series of ``n_samples``.  This
+    thread draws and scales the even blocks, one worker the odd ones; they
+    meet only at the join.  An error in either stops the other before its
+    next block and is raised here.  A one-block series starts no worker."""
+    out = np.empty(n_samples)
+    blocks = [out[s : s + _STREAM_BLOCK] for s in range(0, n_samples, _STREAM_BLOCK)]
+    failed = []
+
+    def draw(first):
+        try:
+            for i in range(first, len(blocks), 2):
+                if failed:
+                    return
+                _white_block(blocks[i], seed, i)
+                blocks[i] *= sigma  # in cache, right after the draw
+        except BaseException as error:
+            failed.append(error)
+
+    worker = threading.Thread(target=draw, args=(1,)) if len(blocks) > 1 else None
+    if worker:
+        worker.start()
+    draw(0)
+    if worker:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
 def sample_photon_record(
     state: GaussianState,
     source: LightSource,
@@ -289,8 +327,7 @@ def single_pd_series(
         ge=_BRIGHT_CARRIER_MIN_PHOTONS,
     )
     variance = _detected_variance(state, 0.0, detector.quantum_efficiency, detector)
-    samples = _rng(seed).standard_normal(n_samples)
-    samples *= np.sqrt(variance)
+    samples = _white(n_samples, seed, np.sqrt(variance))
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=0.0)
 
 
@@ -317,7 +354,7 @@ def bhd_series(
     current; a splitter asymmetry ``eps`` lets an amplitude fraction
     ``2 * eps`` of it leak through, so ``lo_noise_variance`` contributes
     ``(2 * eps)**2`` times itself to the output variance.  The leak is white
-    and independent of the quantum noise, so the series is one draw at the sum.
+    and independent of the quantum noise, so the series is one :func:`_white` at the sum.
 
     Raises
     ------
@@ -329,8 +366,7 @@ def bhd_series(
     variance = _bhd_noise(
         signal_state, lo_phase, signal_to_lo_power_ratio, detector, lo_noise_variance
     )
-    samples = _rng(seed).standard_normal(n_samples)
-    samples *= np.sqrt(variance)
+    samples = _white(n_samples, seed, np.sqrt(variance))
     return TimeSeries(sample_rate, _Owned(samples), lo_phase=float(lo_phase))
 
 
@@ -352,22 +388,21 @@ def _bhd_noise(state, lo_phase, ratio, detector, lo_noise_variance) -> float:
 
 def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
     """Per ``(variance, depth)`` arm, the :func:`welch_psd` of ``sqrt(variance)
-    * z + depth * sin(2 pi k m / N)``, N = ``n_segment``, for one unit white
-    draw ``z`` from ``_rng(seed)`` that every arm shares.
+    * z + depth * sin(2 pi k m / N)``, N = ``n_segment``, for ``seed``'s unit
+    white series ``z`` (:func:`_white_block`), which every arm shares.
 
     With no window, a segment's rFFT of the tone is ``-i depth N / 2`` on bin
     ``k`` and 0 elsewhere.  So an arm's PSD is ``variance`` times the draw's,
     but on bin ``k`` the mean over segments of ``|sqrt(variance) F - i depth N
-    / 2|**2 / N``, ``F`` being the draw's rFFT there.  Two buffers of whole
-    segments stream the draw: a worker thread adds one to the Welch sum while
+    / 2|**2 / N``, ``F`` being the draw's rFFT there.  Two buffers stream the
+    draw a block at a time: a worker thread adds one to the Welch sum while
     this thread draws the other, in order, so the bytes are a serial run's.
     """
-    rng = _rng(seed)
     welch = _WelchSum(n_segment, n_samples // n_segment, k)
     whole = n_samples - n_samples % n_segment
-    size = n_segment * max(1, _BLOCK_BYTES // 8 // n_segment)
-    buffers = np.empty((2, size))
-    parts = [buffers[i % 2, : whole - s] for i, s in enumerate(range(0, whole, size))]
+    buffers = np.empty((2, min(whole, _STREAM_BLOCK)))
+    starts = range(0, whole, _STREAM_BLOCK)
+    parts = [buffers[i % 2, : whole - s] for i, s in enumerate(starts)]
     turn, failed = threading.Barrier(2), []
 
     def add_each_drawn():
@@ -382,8 +417,8 @@ def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
     worker = threading.Thread(target=add_each_drawn)
     worker.start()
     try:
-        for part in parts:
-            rng.standard_normal(out=part)
+        for i, part in enumerate(parts):
+            _white_block(part, seed, i)
             turn.wait()  # the worker has added the part before and takes this one
     except threading.BrokenBarrierError:
         pass  # the worker failed, and its error is raised below
@@ -409,7 +444,8 @@ def _tone_snrs(arms, n_samples, sample_rate, resolution_bandwidth, frequency, se
     of its :func:`_tone_spectra` PSD, once ``detection``'s signal-bin rules hold:
     bin ``k`` is one :func:`welch_psd` keeps (not DC, not Nyquist), a floor bin
     lies beyond its two neighbours, and the largest depth's power on bin ``k``,
-    summed over the segments, is finite.  Each fails by name before any draw."""
+    summed over the segments, is finite.  Each fails by name before any draw;
+    an SNR beyond the float range fails by name after it."""
     n_segment = _psd_segment(sample_rate, resolution_bandwidth, n_samples)
     n_bins = (n_segment + 1) // 2 - 1  # welch_psd keeps bins 1 to n_bins
     check_range("signal_frequency_hz", frequency, gt=0.0, lt=sample_rate / 2.0)
@@ -427,7 +463,9 @@ def _tone_snrs(arms, n_samples, sample_rate, resolution_bandwidth, frequency, se
     name = "modulation depth's power on the signal bin, summed over the PSD segments"
     check_range(name, peak * peak / n_segment * (n_samples // n_segment))
     spectra = _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate)
-    return [float(s.psd[k - 1]) / float(s.psd[floor].mean()) for s in spectra]
+    snrs = [float(s.psd[k - 1]) / float(s.psd[floor].mean()) for s in spectra]
+    name = "SNR on the signal bin (modulation depth**2 samples per PSD segment / 4 over"
+    return check_range(name + " the homodyne variance at squeeze_db)", snrs).tolist()
 
 
 def add_signal_modulation(
@@ -499,7 +537,7 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
 
 
 class _WelchSum:
-    """The running sum of :func:`welch_psd`, fed whole segments in order.
+    """The running sum of :func:`welch_psd`, fed the series in order.
 
     Row 0 of ``power`` carries it, so each reduce adds the segments in their
     order: the mean is ``spectra.mean(axis=0)`` bit for bit however they
@@ -513,9 +551,24 @@ class _WelchSum:
         rows = min(max_segments, max(1, _BLOCK_BYTES // (8 * n_segment)))
         self.power = np.zeros((rows + 1, n_segment // 2 + 1))
         self.on_bin = np.empty(0 if k is None else max_segments, complex)
+        self.carry, self.filled = np.empty(n_segment), 0
 
     def add(self, samples: np.ndarray) -> None:
-        """Add the segments of ``samples``, whose length is a multiple of one."""
+        """Add the next ``samples`` of the series: a segment they leave
+        part-filled waits in ``carry`` until a later call fills it."""
+        if self.filled:
+            take = min(samples.size, self.n_segment - self.filled)
+            self.carry[self.filled : self.filled + take] = samples[:take]
+            self.filled, samples = self.filled + take, samples[take:]
+            if self.filled < self.n_segment:
+                return
+            self._add_whole(self.carry)
+        whole = samples.size - samples.size % self.n_segment
+        self._add_whole(samples[:whole])
+        self.filled = samples.size - whole
+        self.carry[: self.filled] = samples[whole:]
+
+    def _add_whole(self, samples: np.ndarray) -> None:
         segments = samples.reshape(-1, self.n_segment)
         block_rows = self.power.shape[0] - 1
         for start in range(0, len(segments), block_rows):

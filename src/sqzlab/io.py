@@ -3,7 +3,8 @@
 Floats are rendered with ``repr``, the shortest round-trip form, so a rerun
 with the same seed produces byte-identical files.  CSV files carry their
 run metadata as leading ``#`` comment lines followed by one header row.
-JSON files are ``json.dumps(payload, indent=2)`` byte for byte.
+JSON files are ``json.dumps(payload, indent=2)`` byte for byte, and strict:
+a non-finite number raises ValueError, where ``json`` would write ``NaN``.
 
 A non-empty 2-D integer array goes through a digit kernel, which builds
 the decimal digits of the whole array in numpy, one digit per pass, in
@@ -140,10 +141,10 @@ def write_json(path: Path, payload: Mapping[str, Any]) -> None:
         if table is not None:
             # Strings hold no raw newline and nested keys sit deeper, so
             # only the top-level entry starts a line with this text.
-            skeleton = json.dumps({**payload, "rows": None}, indent=2)
+            skeleton = json.dumps({**payload, "rows": None}, indent=2, allow_nan=False)
             head, _, tail = skeleton.partition(_JSON_ROWS_KEY + "null")
             parts = (head, _JSON_ROWS_KEY, "[\n", table, "\n  ]", tail, "\n")
             _write_atomic(path, "".join(parts))
             return
         payload = {**payload, "rows": rows.tolist()}
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")

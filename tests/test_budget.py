@@ -452,3 +452,18 @@ def test_the_crossover_equals_the_root_of_kappa_wherever_kappa_is_a_normal_float
             assert crossover_frequency(config) == float(root)
             checked += 1
     assert checked > 1000
+
+
+def test_the_crossover_is_finite_where_kappas_numerator_overflows():
+    import mpmath
+
+    # 8 arm_power (2 pi c / wavelength) leaves the float range; kappa at
+    # 1 rad/s, about 3.9e305, and its root do not.
+    config = IfoConfig(1e308, 40.0, 4000.0, 1.064e-6)
+    crossover = crossover_frequency(config)
+    assert kappa(config, 1 / (2 * np.pi)) == pytest.approx(3.94e305, rel=1e-3)
+    with mpmath.workdps(50):
+        c, two_pi = mpmath.mpf(299792458.0), 2 * mpmath.pi
+        at_one = 8 * mpmath.mpf(1e308) * two_pi * c / mpmath.mpf(1.064e-6)
+        exact = mpmath.sqrt(at_one / (40 * c**2)) / two_pi
+        assert abs(mpmath.mpf(crossover) - exact) <= 2 * np.spacing(crossover)

@@ -195,14 +195,28 @@ def test_a_default_photon_record_run_peaks_at_79_bytes_per_window(tmp_path):
     assert peak <= 79 * n_windows
 
 
-def _whole_array_snrs(params, seed):
-    """The three SNRs from whole arrays: one unit draw, every segment's rFFT at
-    once, and each arm's PSD as its variance times the unit PSD, but on bin k
-    the mean of |sqrt(variance) F_k - i depth N / 2|**2 / N."""
+def white_blocks(seed, n, block=2**16):
+    """The block-stream reference: ``n`` samples of ``seed``'s unit white
+    series, whose block i of ``block`` samples is SFC64's standard_normal on
+    ``SeedSequence(seed, spawn_key=(i,))``, child i of the seed."""
+    parts = [
+        np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,)))
+        ).standard_normal(min(block, n - start))
+        for i, start in enumerate(range(0, n, block))
+    ]
+    return np.concatenate(parts)
+
+
+def _whole_array_snrs(params, seed, block=2**16):
+    """The three SNRs from whole arrays: one unit draw in blocks of ``block``,
+    every segment's rFFT at once, and each arm's PSD as its variance times the
+    unit PSD, but on bin k the mean of |sqrt(variance) F_k - i depth N / 2|**2
+    / N."""
     fs, n = params["sample_rate_hz"], params["n_samples"]
     n_segment = round(fs / params["resolution_bandwidth_hz"])
     k = round(params["signal_frequency_hz"] / (fs / n_segment))
-    z = detection._rng(seed).standard_normal(n)
+    z = white_blocks(seed, n, block)
     spectra = np.fft.rfft(z[: n - n % n_segment].reshape(-1, n_segment), axis=1)
     unit = (np.abs(spectra) ** 2 / n_segment).mean(axis=0)[1 : (n_segment + 1) // 2]
     visibility = params["visibility"]
@@ -222,9 +236,9 @@ def _whole_array_snrs(params, seed):
     return snrs
 
 
-# Samples per block: the buffer holds as many whole segments as fit one, and
-# at least one; the default's.
-DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
+# Samples per block of the unit draw, and so per buffer of the streamed run;
+# the default's.
+DEFAULT_BLOCK = detection._STREAM_BLOCK
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,9 +283,10 @@ DEFAULT_BLOCK = detection._BLOCK_BYTES // 8
 def test_whole_arms_are_a_serial_run_bit_for_bit(
     block, n_segment, runs, tail, bin_index, db, depth, seed
 ):
-    # The streamed run against the whole-array reference.  Blocks of 8 to
-    # 1,000 samples give one buffer or many, segments shorter or longer than a
-    # block, and a partial last buffer.
+    # The streamed run against the whole-array reference, both drawn in
+    # blocks of ``block`` samples.  Blocks of 8 to 1,000 samples give one
+    # buffer or many, segments shorter or longer than a block, segments that
+    # span two or more blocks, and a partial last buffer.
     fs = 65536.0
     n_samples = n_segment * runs + tail % n_segment
     k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)
@@ -286,10 +301,13 @@ def test_whole_arms_are_a_serial_run_bit_for_bit(
         visibility=0.95,
     )
     _, params, seed, _, _ = _validate_config(payload)
-    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
+    with (
+        mock.patch.object(detection, "_BLOCK_BYTES", 8 * block),
+        mock.patch.object(detection, "_STREAM_BLOCK", block),
+    ):
         result = cli._run_snr_equivalence(params, seed).result
     keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
-    assert [result[key] for key in keys] == _whole_array_snrs(params, seed)
+    assert [result[key] for key in keys] == _whole_array_snrs(params, seed, block)
 
 
 def _snr_result(seed, **parameters):
@@ -499,6 +517,21 @@ def test_a_derived_quantity_out_of_range_exits_3_by_name(
     _assert_exits_3(tmp_path, capsys, name, params, message)
 
 
+# At 3082.5 dB the squeezed arm's SNR leaves the float range: the JSON run
+# exited 0 and wrote Infinity six times, for snr_squeezed and both ratios.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_snr_beyond_the_float_range_exits_3_by_name(tmp_path, capsys):
+    parameters = {"squeeze_db": 3082.5, "n_samples": 65536}
+    payload = {"experiment": "snr-equivalence", "seed": 11, "parameters": parameters}
+    assert _run(tmp_path, {**payload, "output_format": "json"}) == 3
+    message = (
+        "SNR on the signal bin (modulation depth**2 samples per PSD segment / 4 over "
+        "the homodyne variance at squeeze_db) must be finite"
+    )
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _failing_config(name, params):
     """The config of a run that :func:`_assert_exits_3` expects to fail."""
     # The segment bound in SEGMENT_ERROR is n_samples.
@@ -586,13 +619,18 @@ def test_a_cold_rejected_run_prints_one_line_and_writes_nothing(
 # anti-squeezed variance reaches the measured quadrature: at 3,030 dB, about
 # 2.5e302, 1024 segments of 128 samples times it stays finite (at 3082.5 dB
 # see REJECTED_CONFIGS).  photon-record at 3082.5 dB is outside its
-# bright-beam regime (see DERIVED_FAILURES).
+# bright-beam regime (see DERIVED_FAILURES).  snr-equivalence's squeezed SNR
+# there is about depth**2 (4096 / 4) / 5.6e-309: at depth 0.01 it is 1.8e307,
+# and at the default 0.5 it leaves the float range and the run exits 3.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "name, params",
     [
         ("bhd-psd", {"squeeze_db": 3082.5, "n_samples": 65536}),
-        ("snr-equivalence", {"squeeze_db": 3082.5, "n_samples": 65536}),
+        (
+            "snr-equivalence",
+            {"squeeze_db": 3082.5, "n_samples": 65536, "modulation_depth": 0.01},
+        ),
         ("bhd-psd", {"squeeze_db": 1545.0, "squeeze_angle_deg": 30.0}),
         (
             "bhd-psd",
@@ -652,8 +690,10 @@ def test_a_noise_budget_finite_on_its_grid_runs(tmp_path, params):
     assert len(rows) == 120 and all(0.0 < x < math.inf for row in rows for x in row)
 
 
-# Every seeded run builds one generator, detection._rng (numpy's SFC64), from
-# its seed: the LO leak is part of bhd-psd's one draw.
+# Every seeded run builds its generators with detection._rng (numpy's SFC64):
+# photon-record one, from its seed; bhd-psd and snr-equivalence one per block
+# of their white series, from child i of the seed for block i, each child
+# once.  The LO leak is part of bhd-psd's one series.
 @pytest.mark.parametrize(
     "name, params",
     [
@@ -672,7 +712,15 @@ def test_no_seeded_run_calls_numpys_default_rng(tmp_path, monkeypatch, name, par
     monkeypatch.setattr(detection, "_rng", lambda seed: seeds.append(seed) or rng(seed))
     parameters = {**REQUIRED.get(name, {}), **params}
     assert _run(tmp_path, {"experiment": name, "seed": 1, "parameters": parameters}) == 0
-    assert seeds == [1]
+    if name == "photon-record":
+        assert seeds == [1]
+        return
+    # The default sizes are whole PSD segments, so every sample is drawn.
+    n_samples = EXPERIMENTS[name].params["n_samples"].default
+    n_blocks = -(-n_samples // detection._STREAM_BLOCK)
+    assert all(isinstance(seed, np.random.SeedSequence) for seed in seeds)
+    assert all(seed.entropy == 1 and seed.n_children_spawned == 0 for seed in seeds)
+    assert sorted(seed.spawn_key for seed in seeds) == [(i,) for i in range(n_blocks)]
 
 
 # Boundary floats, and values just inside the bounds the models state:

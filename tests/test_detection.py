@@ -40,7 +40,7 @@ from sqzlab.gaussian import (
     squeeze,
     vacuum,
 )
-from test_cli_runs import DERIVED_FAILURES, _failing_config
+from test_cli_runs import DERIVED_FAILURES, _failing_config, white_blocks
 
 R_10DB = np.log(10.0) / 2.0
 WAVELENGTH = 1.064e-6
@@ -183,6 +183,7 @@ def test_single_pd_variance():
 
 # Pinned draws: 6 dB at 0.3 rad through efficiency 0.9 with dark noise and a
 # visibility a single photodiode ignores, over an odd length; and vacuum.
+# Each is block 0 of the seed's white series, from child 0 of the seed.
 @pytest.mark.parametrize(
     "db, detector, seed, digest",
     [
@@ -190,13 +191,13 @@ def test_single_pd_variance():
             6.0,
             DetectorParams(0.9, 0.05, 0.7),
             5,
-            "329e8c036d9ab3968ebf7c7fb9b9ec6a4357ce912981cd22c33cc25b704ab8a7",
+            "1d7c8b75c313702f1468225fd6ff9de4eff2af839ae1a4dd59d64a8cccc38de7",
         ),
         (
             0.0,
             DetectorParams(),
             6,
-            "76e6d483564911216f796ad5090c732e89a11edc48de924ce3ca3348aaabf2a5",
+            "c845d29048629fc589a22926f63168d98b277bdeddb5645762527f1433a0e8ba",
         ),
     ],
     ids=["6db-lossy-dark", "vacuum"],
@@ -554,10 +555,24 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
 )
 # At the real block size: a tail past the last segment in a partial fifth
 # buffer; exactly one buffer; a segment longer than a block, one to a buffer,
-# then a tail buffer.
+# then a tail buffer; 16-sample segments; 1,000-sample segments, which do not
+# divide a block, so a segment spans each boundary; 2**17-sample segments,
+# each spanning two blocks.
 @example(
     block=BLOCK // 8, n_segment=4096, n_runs=73, tail=977, bin_index=511, db=3.0,
     depth=0.5, seed=13,
+)
+@example(
+    block=BLOCK // 8, n_segment=16, n_runs=8200, tail=5, bin_index=3, db=3.0,
+    depth=0.5, seed=21,
+)
+@example(
+    block=BLOCK // 8, n_segment=1000, n_runs=300, tail=999, bin_index=77, db=6.0,
+    depth=0.5, seed=22,
+)
+@example(
+    block=BLOCK // 8, n_segment=2**17, n_runs=3, tail=4097, bin_index=40000, db=10.0,
+    depth=1.0, seed=23,
 )
 @example(
     block=BLOCK // 8, n_segment=4096, n_runs=16, tail=0, bin_index=512, db=3.0,
@@ -570,27 +585,40 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
 def test_tone_spectrum_is_welch_psd_of_the_toned_series_bit_for_bit(
     block, n_segment, n_runs, tail, bin_index, db, depth, seed
 ):
-    # Blocks of 8 to 1,000 samples give one buffer or many, segments shorter
-    # or longer than a block, and a partial last buffer.  The reference is the
-    # Welch PSD of the toned series as its segments' rFFT sees it, from whole
-    # arrays: off bin k each arm's variance times welch_psd of the shared draw,
-    # and on bin k the mean of |sqrt(variance) F_k - i depth N / 2|**2 / N.
+    # The draw's blocks, and so the buffers, of 8 to 1,000 samples give one
+    # buffer or many, segments shorter or longer than a block or spanning
+    # two, and a partial last buffer.
     fs = 65536.0
     size = n_segment * n_runs + tail % n_segment
     k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)
     arms = [(10.0 ** (-db / 10.0), depth), (1.0, depth), (1.0, depth * 2**0.5)]
-    with mock.patch.object(detection, "_BLOCK_BYTES", 8 * block):
+    with (
+        mock.patch.object(detection, "_BLOCK_BYTES", 8 * block),
+        mock.patch.object(detection, "_STREAM_BLOCK", block),
+    ):
         spectra = detection._tone_spectra(arms, size, n_segment, k, seed, fs)
-    z = detection._rng(seed).standard_normal(size)
+    expected = _tone_reference(arms, white_blocks(seed, size, block), n_segment, k, fs)
+    for spectrum, want in zip(spectra, expected, strict=True):
+        assert spectrum.psd.tobytes() == want.psd.tobytes()
+        assert spectrum.frequencies.tobytes() == want.frequencies.tobytes()
+        assert spectrum.resolution_bandwidth == want.resolution_bandwidth
+
+
+def _tone_reference(arms, z, n_segment, k, fs):
+    """The Welch PSD of each toned arm as its segments' rFFT sees it, from
+    whole arrays: off bin k the arm's variance times welch_psd of the shared
+    unit draw ``z``, and on bin k the mean of |sqrt(variance) F_k - i depth N /
+    2|**2 / N."""
+    size = z.size
     unit = welch_psd(TimeSeries(fs, z), fs / n_segment)
     on_bin = np.fft.rfft(z[: size - size % n_segment].reshape(-1, n_segment))[:, k]
-    for spectrum, (variance, arm_depth) in zip(spectra, arms, strict=True):
-        phasor = np.sqrt(variance) * on_bin - 1j * (arm_depth * n_segment / 2.0)
+    spectra = []
+    for variance, depth in arms:
+        phasor = np.sqrt(variance) * on_bin - 1j * (depth * n_segment / 2.0)
         psd = variance * unit.psd
         psd[k - 1] = np.mean(np.abs(phasor) ** 2 / n_segment)
-        assert spectrum.psd.tobytes() == psd.tobytes()
-        assert spectrum.frequencies.tobytes() == unit.frequencies.tobytes()
-        assert spectrum.resolution_bandwidth == unit.resolution_bandwidth
+        spectra.append(NoiseSpectrum(unit.frequencies, psd, unit.resolution_bandwidth))
+    return spectra
 
 
 @settings(max_examples=60, deadline=None)
@@ -633,7 +661,7 @@ def test_a_tone_spectrum_is_the_welch_psd_of_its_toned_series(
     variance = 10.0 ** (-db / 10.0)
     arm = [(variance, depth)]
     (spectrum,) = detection._tone_spectra(arm, size, n_segment, k, seed, fs)
-    z = detection._rng(seed).standard_normal(size)
+    z = white_blocks(seed, size)
     series = TimeSeries(fs, np.sqrt(variance) * z)
     toned = add_signal_modulation(series, k * fs / n_segment, depth)
     expected = welch_psd(toned, fs / n_segment)
@@ -692,10 +720,23 @@ def test_series_variance_is_within_4_ulp_of_the_exact_variance(
     lo_noise=st.sampled_from([0.0, 4.0, 1.0e-12, 1.0e6]),
     seed=st.integers(0, 2**32 - 1),
 )
-# One sample; an odd size with an LO leak; the largest size, odd and even.
+# One sample; a block less one, one block and a block and one; an odd size
+# with an LO leak; the largest size, odd and even.
 @example(
     size=1, db=3.0, angle=0.0, efficiency=1.0, visibility=1.0, dark=0.0, eps=0.0,
     lo_noise=0.0, seed=0,
+)
+@example(
+    size=2**16 - 1, db=6.0, angle=0.1, efficiency=0.8, visibility=0.9, dark=0.0,
+    eps=0.1, lo_noise=4.0, seed=4,
+)
+@example(
+    size=2**16, db=6.0, angle=0.1, efficiency=0.8, visibility=0.9, dark=0.25,
+    eps=0.0, lo_noise=0.0, seed=5,
+)
+@example(
+    size=2**16 + 1, db=20.0, angle=0.0, efficiency=1.0, visibility=1.0, dark=0.0,
+    eps=0.0, lo_noise=0.0, seed=6,
 )
 @example(
     size=300001, db=10.0, angle=0.3, efficiency=0.9, visibility=0.99, dark=0.25,
@@ -712,8 +753,10 @@ def test_series_variance_is_within_4_ulp_of_the_exact_variance(
 def test_the_detected_draw_is_rng_normal_bit_for_bit(
     size, db, angle, efficiency, visibility, dark, eps, lo_noise, seed
 ):
-    # Each series is one draw at its summed variance; the LO leak is part of
-    # the homodyne variance, not a second stream.
+    # Each series is the seed's unit white series in blocks of 2**16 samples,
+    # block i from child i of the seed, times the sigma of its summed
+    # variance; the LO leak is part of the homodyne variance, not a second
+    # stream.
     state = squeeze(vacuum(), SqueezeSetting.from_db(db, 0.2))
     detector = DetectorParams(efficiency, dark, visibility, eps)
     homodyne = efficiency * (visibility * visibility)
@@ -728,8 +771,9 @@ def test_the_detected_draw_is_rng_normal_bit_for_bit(
             quadrature_variance(apply_loss(state, 1.0 - efficiency), 0.0) + dark,
         ),
     ]
+    unit = white_blocks(seed, size, 2**16)
     for series, variance in draws:
-        expected = detection._rng(seed).normal(0.0, np.sqrt(variance), size)
+        expected = unit * np.sqrt(variance)
         assert series.samples.tobytes() == expected.tobytes()
 
 
@@ -793,6 +837,7 @@ def test_a_failed_tone_run_raises_its_error_and_joins_its_worker(failing, error)
 
     with (
         mock.patch.object(detection, "_BLOCK_BYTES", 8 * 32),
+        mock.patch.object(detection, "_STREAM_BLOCK", 32),
         mock.patch.object(detection._WelchSum, "add", add),
         mock.patch.object(detection, "_rng", counted_rng),
     ):
@@ -809,13 +854,15 @@ def test_a_failed_tone_run_raises_its_error_and_joins_its_worker(failing, error)
 
 def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs():
     # Four callers at once, each with its worker, while the interpreter
-    # switches threads every microsecond.  Each run hands 65 small buffers
-    # to its worker; drawing into a buffer before its last add returned
-    # would change the spectrum.  With one buffer nothing overlaps.
+    # switches threads every microsecond.  Each run hands 65 blocks of 32
+    # samples to its worker; drawing into a buffer before its last add
+    # returned would change the spectrum.  The reference takes the same
+    # blocks as one buffer, from whole arrays, with no thread.
     seeds, results, errors = range(20), {}, []
+    arms = [(0.5, 1.0), (1.0, 0.0)]
 
     def run(seed):
-        return detection._tone_spectra([(0.5, 1.0), (1.0, 0.0)], 2085, 16, 3, seed, 1.0)
+        return detection._tone_spectra(arms, 2085, 16, 3, seed, 1.0)
 
     def caller(part):
         try:
@@ -824,14 +871,20 @@ def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs()
         except BaseException as error:
             errors.append(error)
 
-    expected = {seed: run(seed) for seed in seeds}
+    expected = {
+        seed: _tone_reference(arms, white_blocks(seed, 2085, 32), 16, 3, 1.0)
+        for seed in seeds
+    }
     interval = sys.getswitchinterval()
     callers = [
         threading.Thread(target=caller, args=(i,), daemon=True) for i in range(4)
     ]
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(detection, "_BLOCK_BYTES", 8 * 32):
+        with (
+            mock.patch.object(detection, "_BLOCK_BYTES", 8 * 32),
+            mock.patch.object(detection, "_STREAM_BLOCK", 32),
+        ):
             for thread in callers:
                 thread.start()
             for thread in callers:
@@ -842,6 +895,121 @@ def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs()
     for seed in seeds:
         for got, want in zip(results[seed], expected[seed], strict=True):
             assert got.psd.tobytes() == want.psd.tobytes()
+
+
+def _bhd(n_samples, seed):
+    return bhd_series(vacuum(), 0.0, 0.005, DetectorParams(), n_samples, seed).samples
+
+
+def test_block_i_of_a_series_is_child_i_of_its_seed():
+    samples = _bhd(3 * 2**16, 7)
+    child = np.random.SeedSequence(7).spawn(3)[2]
+    block = np.random.Generator(np.random.SFC64(child)).standard_normal(2**16)
+    assert samples[2 * 2**16 :].tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+def test_no_two_blocks_share_a_stream(seed):
+    # The lag-0 correlation of 2**16 independent samples has a standard
+    # deviation of 1/256.  A reused child, or blocks from SeedSequence(seed +
+    # i), would correlate fully with another block of this seed or of seed + 1.
+    # One stream cut in blocks passes too: this guards against a regression.
+    blocks = np.concatenate([_bhd(2**21, seed), _bhd(2**21, seed + 1)])
+    blocks = blocks.reshape(64, 2**16)
+    blocks -= blocks.mean(axis=1, keepdims=True)
+    blocks /= np.sqrt(np.square(blocks).sum(axis=1, keepdims=True))
+    correlation = blocks @ blocks.T
+    np.fill_diagonal(correlation, 0.0)
+    assert np.abs(correlation).max() <= 6 / 256
+
+
+def _failing_block(block, error, calls):
+    """``detection._rng``, noting the block and the thread of each call in
+    ``calls``; the call for ``block`` raises ``error``."""
+    rng = detection._rng
+
+    def failing(seed):
+        (i,) = seed.spawn_key
+        calls.append((i, threading.current_thread()))
+        if i == block:
+            raise error
+        return rng(seed)
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "block, error",
+    [
+        (5, RuntimeError("block 5")),
+        (4, RuntimeError("block 4")),
+        (5, KeyboardInterrupt()),
+        (4, KeyboardInterrupt()),
+    ],
+    ids=["worker-raises", "caller-raises", "worker-interrupted", "caller-interrupted"],
+)
+def test_a_failed_white_draw_raises_its_error_and_joins_its_worker(block, error):
+    # Blocks of 32 samples: the calling thread draws the even ones, the worker
+    # the odd ones.  The error reaches the caller unchanged, the other thread
+    # draws at most the block it was drawing and one it had begun, and the
+    # worker is joined.  The call runs on a helper thread, where a
+    # KeyboardInterrupt is raised like any other exception.
+    calls = []
+    with (
+        mock.patch.object(detection, "_STREAM_BLOCK", 32),
+        mock.patch.object(detection, "_rng", _failing_block(block, error, calls)),
+    ):
+        raised = _raised_off_the_main_thread(lambda: _bhd(32 * 64, 3))
+    assert len(raised) == 1 and raised[0] is error
+    # One thread draws the even blocks and another the odd ones.  The worker
+    # may fail before the caller's first block, which then draws none.
+    threads = {}
+    for i, thread in calls:
+        assert threads.setdefault(i % 2, thread) is thread
+    assert len(set(threads.values())) == len(threads)
+    failed_at = calls.index((block, threads[block % 2]))
+    assert sum(i % 2 != block % 2 for i, _ in calls[failed_at:]) <= 2
+
+
+def test_a_one_block_series_starts_no_thread():
+    start = mock.Mock(side_effect=AssertionError("started a thread"))
+    with mock.patch.object(threading.Thread, "start", start):
+        assert _bhd(2**16, 1).tobytes() == white_blocks(1, 2**16).tobytes()
+        samples = single_pd_series(vacuum(), _source(), DetectorParams(), 2**16, 2)
+        assert samples.samples.tobytes() == white_blocks(2, 2**16).tobytes()
+    assert start.call_count == 0
+
+
+def test_white_draws_on_eight_threads_under_fast_switching_equal_the_block_reference():
+    # Four callers at once, each with its worker, while the interpreter
+    # switches threads every microsecond; each series is 40 blocks of 64
+    # samples and a partial block.
+    seeds, results, errors = range(20), {}, []
+
+    def caller(part):
+        try:
+            for seed in seeds[part::4]:
+                results[seed] = _bhd(64 * 40 + 17, seed)
+        except BaseException as error:
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    callers = [
+        threading.Thread(target=caller, args=(i,), daemon=True) for i in range(4)
+    ]
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(detection, "_STREAM_BLOCK", 64):
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers) and errors == []
+    for seed in seeds:
+        expected = white_blocks(seed, 64 * 40 + 17, 64)
+        assert results[seed].tobytes() == expected.tobytes()
 
 
 SNR_FAILURES = {

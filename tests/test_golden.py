@@ -10,6 +10,10 @@ cases exercise the broadcasting model paths away from the defaults.
 The sampled cases (``photon-record``, ``bhd-psd`` and ``snr-equivalence``)
 draw from numpy's SFC64 generator, seeded through ``SeedSequence``
 (``detection._rng``), so their hashes pin that stream for each seed too.
+``photon-record`` draws one stream from its seed.  ``bhd-psd`` and
+``snr-equivalence`` draw their white series in blocks of 2**16 samples:
+block i is ``standard_normal`` on ``SeedSequence(seed, spawn_key=(i,))``,
+child i of the seed, so their hashes pin that block layout as well.
 
 Bit identity holds for a fixed numpy build; a numpy upgrade that changes a
 ufunc's last bit shows up here first.  sqzlab makes no BLAS call, so the
@@ -136,19 +140,19 @@ GOLDEN = {
         "2ef89c1b36f09540551fb4c87bbf86f39bf25613addb7343aa4594301e27f3d4",
     ),
     ("bhd-psd", "csv"): (
-        "31e1f6900acb43ab185314ed4af864d4576f8b3710391bbf780821b1a19b77d6",
+        "d536915f30de363b4eb4c14a55a36d61a65f5cdd7303acebe4d33de56951a127",
         "6ab05d7483cea42854d66c6448a8105df85e0299ce1c2c8477bd8dfb69d3f632",
     ),
     ("bhd-psd", "json"): (
-        "53e03a2497684a5dbae97a96c8cc6896abbce8996a53ac80c91fc750e24a1e1b",
+        "5541d502c6ded6871ded84c932f8754a302c69861835abc4e7255ca135fc50a8",
         "e094a56acc00dcc967d477c8ede14a5acafacdbf02028e3dc50e3fa69a7fde68",
     ),
     ("snr-equivalence", "csv"): (
-        "2a270edd8e033c10b28d2597d53ddc784e500e76ccfa9634c65d676ac5e4bbe6",
+        "e5d079e588dbf19b3cf7d6175aa0fdb38e4f2b3d42ef16f8aaa8189df68a94ec",
         "e2aa727d0319eba4d8e48e153ed952ad55316ee47a49d315bda7894b94e5a0f0",
     ),
     ("snr-equivalence", "json"): (
-        "34a923b1ed0e79ce91a7589273bf516c53fa86d3b27c71aa0b48e40fc7a43faf",
+        "76a9da8c23ae181d3ed033da9cb4517026e85adba617d9eff759a577b44ed321",
         "b94b5fb6339c46372baf02a222136dd2f2b8496b101bdf357a04a21cf1b600cf",
     ),
     ("noise-budget", "csv"): (
@@ -216,27 +220,27 @@ GOLDEN = {
         "ce0b933a6d339e18d28bc0d2a423247f864d78adc4459633c432347955c78d2e",
     ),
     ("bhd-psd-lo-leak-tail", "csv"): (
-        "5f845ccf7770b83f2b4c79245a675f88c693c8dec23d38c2a39b235b5902ff16",
+        "9364adecfc61b9f53d2721783a492534c94fec543f9d9ed982cdf36b42567a52",
         "7549ed86121a84f573f505edc209db75d899c23a126f757a04a1a2974c1fa51e",
     ),
     ("bhd-psd-lo-leak-tail", "json"): (
-        "d51007643ffff1e137624f6da5515b8ed78bb8934889be1dc5fbac5b8b196b51",
+        "44e3bebce53c6bb4d5d3be312d1920eaa52a6cd0e4347b07221cc557c9c7eaa7",
         "82137aea75e9d32384b05f09fb547adccec34fffb4788c20c1dde7295e0478d7",
     ),
     ("bhd-psd-long-segment", "csv"): (
-        "77851c9437cf48af5b01a8b5a75545229e6264867f047bbfd893e5d025fb849a",
+        "56e427e669c8201ef0c8f3864a83a4d353fea98bae0b756527282faa33f3d8fb",
         "26ce6fac36e73ab70f801c29da21b97abfb954821404b9d70bf244ac0366dc69",
     ),
     ("bhd-psd-long-segment", "json"): (
-        "b378905f385e3bd3ece3832bff7060c3c553047cc25917d700ccff93be10c705",
+        "79e203a38de5720bacc861016f45ea4d903a157340e000ab8a9eea38907f8344",
         "52b78079b9f302f9ba37fad5a9e830b8bdc4dfa60479f6c50bbdd1e250b8582a",
     ),
     ("snr-equivalence-tail", "csv"): (
-        "04c7ee353dcbd7549c1d7e3d0d85a6710db5fae63c5ee9ecca01b27870def263",
+        "7740297081b54b88c329e26c7b006c611cc8d61d2fec44c8d68c4838b374ce84",
         "24e1cca1f9230df0dce5bcf4dc289ecdbe37b3ddf32a64911b3d0a8510c8fae5",
     ),
     ("snr-equivalence-tail", "json"): (
-        "228ab8284a76576b84e2d95cdf902cab1c1fdf1d1b74544824eb14f84eabab11",
+        "17d9235eb0ea3642e62c725d0e5e6045d52bafdef91b9e0b54ba58d813b67ecd",
         "5c1feeec3056f18a24ad62403f55753c51ff627dc48bc1605b7af17a6f4bc0ea",
     ),
 }
@@ -265,11 +269,19 @@ def output_hashes(directory, case: str, output_format: str) -> tuple[str, str]:
     )
 
 
+def _not_json(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_output_bytes_are_pinned(tmp_path, case, output_format):
     assert main(run_args(tmp_path, case, output_format)) == 0
     assert output_hashes(tmp_path, case, output_format) == GOLDEN[case, output_format]
+    # Every JSON file a golden run writes, its manifest included, is strict
+    # JSON: no NaN, Infinity or -Infinity token.
+    for path in (tmp_path / "out").glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_not_json)
 
 
 def test_default_bytes_on_the_cold_path(tmp_path, fresh_python):
@@ -302,10 +314,6 @@ def test_default_bytes_on_the_cold_path(tmp_path, fresh_python):
     for case, output_format, directory in runs:
         hashes = output_hashes(directory, case, output_format)
         assert hashes == GOLDEN[case, output_format], (case, output_format)
-
-
-def _not_json(token):
-    raise AssertionError(f"{token} is not JSON")
 
 
 @pytest.mark.parametrize("case", list(CASES))

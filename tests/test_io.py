@@ -141,12 +141,21 @@ def _json_shapes():
 
 
 def _check_json(directory, payload, rows):
-    """``write_json`` with array rows writes what ``json.dumps`` writes for
-    the same rows as lists."""
+    """``write_json`` with array rows writes what strict ``json.dumps`` writes
+    for the same rows as lists; where that raises on a non-finite number,
+    ``write_json`` raises the same ValueError and writes nothing."""
     path = directory / "table.json"
+    path.unlink(missing_ok=True)
+    try:
+        table = {**payload, "rows": rows.tolist()}
+        reference = json.dumps(table, indent=2, allow_nan=False)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=str(error)):
+            write_json(path, {**payload, "rows": rows})
+        assert not path.exists()
+        return
     write_json(path, {**payload, "rows": rows})
-    reference = json.dumps({**payload, "rows": rows.tolist()}, indent=2) + "\n"
-    assert path.read_bytes() == reference.encode("utf-8")
+    assert path.read_bytes() == (reference + "\n").encode("utf-8")
 
 
 @settings(max_examples=250, deadline=None)

@@ -156,8 +156,9 @@ def kappa(config: IfoConfig, frequency) -> np.ndarray | float:
     Scaling power and mass together leaves it unchanged.
     """
     f = check_range("frequency", frequency, gt=0.0)
-    with np.errstate(over="ignore"):  # kappa beyond the float range reads inf
-        out = np.ldexp(*_kappa_scaled(config, (2.0 * np.pi * f) ** 2))
+    with np.errstate(over="ignore"):  # Omega^2 or kappa past the float range: inf
+        omega_sq = np.square(2.0 * np.pi * np.asarray(f, float))
+        out = np.ldexp(*_kappa_scaled(config, omega_sq))
     return out if np.ndim(out) else float(out)
 
 
@@ -170,7 +171,8 @@ def crossover_frequency(config: IfoConfig) -> float:
 def standard_quantum_limit(config: IfoConfig, frequency) -> np.ndarray | float:
     """Free-mass strain-PSD envelope, scaled by ``sql_scale``."""
     f = check_range("frequency", frequency, gt=0.0)
-    out = _sql(config, (2.0 * np.pi * f) ** 2)
+    with np.errstate(over="ignore"):  # Omega^2 past the float range: inf, the SQL 0
+        out = _sql(config, np.square(2.0 * np.pi * np.asarray(f, float)))
     return out if np.ndim(out) else float(out)
 
 

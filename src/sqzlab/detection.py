@@ -7,11 +7,14 @@ direct detection, a local-oscillator phase and power ratio for balanced
 homodyne detection.  All sampling is driven by an explicit integer seed and
 is reproducible bit for bit; identical seeds give identical records no
 matter how the caller schedules the work, or in how many pieces a series is
-drawn and averaged.
+drawn and averaged.  That holds by definition: a white series is a run of
+independent blocks, and the Welch mean is a sum of per-block partial sums
+added in block order, whichever thread formed each.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
@@ -67,14 +70,12 @@ _MAX_SIGNAL_TO_LO_RATIO = 0.01
 
 _POISSON_VARIANCE_TOL = 1e-9
 _MIN_PSD_SEGMENT = 8
-# welch_psd's segments are transformed and _series_variance's squared
-# deviations summed this many bytes at a time; each of _tone_spectra's two
-# buffers, drawn and added in turn, holds as many whole segments as fit (at
-# least one).  None makes a temporary as long as the series, welch_psd stays
-# under 1 MiB whenever one segment fits a block, and a block fits a 2 MiB L2.
+# _series_variance sums its squared deviations this many bytes at a time, so
+# it makes no temporary as long as the series, and a block fits a 2 MiB L2.
 _BLOCK_BYTES = 1 << 19
 # Samples per block of a seeded white series (one _BLOCK_BYTES); block i is
-# SFC64 on child i of the seed's SeedSequence.  It fixes every sampled byte.
+# SFC64 on child i of the seed's SeedSequence.  It fixes every sampled byte,
+# and the Welch mean's partial sums (_welch_mean) go by these blocks.
 _STREAM_BLOCK = 1 << 16
 
 
@@ -215,33 +216,43 @@ def _white_block(out, seed, i) -> None:
     _rng(np.random.SeedSequence(seed, spawn_key=(i,))).standard_normal(out=out)
 
 
-def _white(n_samples: int, seed, sigma) -> np.ndarray:
-    """``sigma`` times ``seed``'s unit white series of ``n_samples``.  This
-    thread draws and scales the even blocks, one worker the odd ones; they
+def _on_two_threads(n_items: int, work) -> None:
+    """Call ``work(i, lane)`` for each ``i`` below ``n_items``: lane 0, this
+    thread, takes the even items and lane 1, one worker, the odd ones; they
     meet only at the join.  An error in either stops the other before its
-    next block and is raised here.  A one-block series starts no worker."""
-    out = np.empty(n_samples)
-    blocks = [out[s : s + _STREAM_BLOCK] for s in range(0, n_samples, _STREAM_BLOCK)]
+    next item and is raised here unchanged.  One item starts no thread."""
     failed = []
 
-    def draw(first):
+    def run(lane):
         try:
-            for i in range(first, len(blocks), 2):
+            for i in range(lane, n_items, 2):
                 if failed:
                     return
-                _white_block(blocks[i], seed, i)
-                blocks[i] *= sigma  # in cache, right after the draw
+                work(i, lane)
         except BaseException as error:
             failed.append(error)
 
-    worker = threading.Thread(target=draw, args=(1,)) if len(blocks) > 1 else None
+    worker = threading.Thread(target=run, args=(1,)) if n_items > 1 else None
     if worker:
         worker.start()
-    draw(0)
+    run(0)
     if worker:
         worker.join()
     if failed:
         raise failed[0]
+
+
+def _white(n_samples: int, seed, sigma) -> np.ndarray:
+    """``sigma`` times ``seed``'s unit white series of ``n_samples``, its
+    blocks drawn and scaled in cache on :func:`_on_two_threads`."""
+    out = np.empty(n_samples)
+
+    def draw(i, lane):
+        block = out[i * _STREAM_BLOCK : (i + 1) * _STREAM_BLOCK]
+        _white_block(block, seed, i)
+        block *= sigma  # in cache, right after the draw
+
+    _on_two_threads(-(-n_samples // _STREAM_BLOCK), draw)
     return out
 
 
@@ -394,45 +405,26 @@ def _tone_spectra(arms, n_samples, n_segment, k, seed, sample_rate):
     With no window, a segment's rFFT of the tone is ``-i depth N / 2`` on bin
     ``k`` and 0 elsewhere.  So an arm's PSD is ``variance`` times the draw's,
     but on bin ``k`` the mean over segments of ``|sqrt(variance) F - i depth N
-    / 2|**2 / N``, ``F`` being the draw's rFFT there.  Two buffers stream the
-    draw a block at a time: a worker thread adds one to the Welch sum while
-    this thread draws the other, in order, so the bytes are a serial run's.
+    / 2|**2 / N``, ``F`` being the draw's rFFT there.  Each thread of
+    :func:`_welch_mean` draws a unit's samples into its own buffer: the block
+    its first segment starts in, from the block's start, and the head of each
+    block its segments run into.  No series as long as the draw is held.
     """
-    welch = _WelchSum(n_segment, n_samples // n_segment, k)
-    whole = n_samples - n_samples % n_segment
-    buffers = np.empty((2, min(whole, _STREAM_BLOCK)))
-    starts = range(0, whole, _STREAM_BLOCK)
-    parts = [buffers[i % 2, : whole - s] for i, s in enumerate(starts)]
-    turn, failed = threading.Barrier(2), []
+    n_runs = n_samples // n_segment
+    buffers = np.empty((2, min(n_runs * n_segment, _STREAM_BLOCK + n_segment - 1)))
 
-    def add_each_drawn():
-        try:
-            for part in parts:
-                turn.wait()
-                welch.add(part)
-        except BaseException as error:
-            failed.append(error)
-            turn.abort()
+    def draw(first, stop, lane):
+        start = first * n_segment // _STREAM_BLOCK * _STREAM_BLOCK
+        end = stop * n_segment
+        for s in range(start, end, _STREAM_BLOCK):
+            head = buffers[lane, s - start : min(s + _STREAM_BLOCK, end) - start]
+            _white_block(head, seed, s // _STREAM_BLOCK)
+        return buffers[lane, first * n_segment - start : end - start]
 
-    worker = threading.Thread(target=add_each_drawn)
-    worker.start()
-    try:
-        for i, part in enumerate(parts):
-            _white_block(part, seed, i)
-            turn.wait()  # the worker has added the part before and takes this one
-    except threading.BrokenBarrierError:
-        pass  # the worker failed, and its error is raised below
-    except BaseException:
-        turn.abort()
-        raise
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    unit = welch.spectrum(sample_rate)
+    unit, on_bin = _welch_mean(n_segment, n_runs, draw, sample_rate, k)
     spectra = []
     for variance, depth in arms:
-        phasor = np.sqrt(variance) * welch.on_bin - 1j * (depth * n_segment / 2.0)
+        phasor = np.sqrt(variance) * on_bin - 1j * (depth * n_segment / 2.0)
         psd = variance * unit.psd
         psd[k - 1] = np.mean(np.square(np.abs(phasor)) / n_segment)
         spectra.append(NoiseSpectrum(unit.frequencies, psd, unit.resolution_bandwidth))
@@ -490,17 +482,21 @@ def add_signal_modulation(
 def _series_variance(samples: np.ndarray) -> float:
     """The two-pass variance, without a temporary as long as the series.
 
-    numpy sums each block's squared deviations from ``samples.mean()`` in the
-    scratch, and ``math.fsum`` adds the block sums exactly, so the result is
-    within a few ulp of the exact variance of the samples.
+    numpy sums each block's squared deviations from ``samples.mean()`` in a
+    scratch of its thread (:func:`_on_two_threads`), and ``math.fsum`` adds
+    the block sums exactly, so the result is within a few ulp of the exact
+    variance of the samples, and its bytes do not depend on the threads.
     """
-    mean = samples.mean()
-    scratch = np.empty(min(samples.size, _BLOCK_BYTES // 8))
-    sums = []
-    for start in range(0, samples.size, scratch.size):
-        part = scratch[: samples.size - start]
-        np.subtract(samples[start : start + scratch.size], mean, out=part)
-        sums.append(np.add.reduce(np.square(part, out=part)))
+    mean, size = samples.mean(), _BLOCK_BYTES // 8
+    scratch = np.empty((2, min(samples.size, size)))
+    sums = [0.0] * -(-samples.size // size)
+
+    def add(i, lane):
+        block = samples[i * size : (i + 1) * size]
+        part = np.subtract(block, mean, out=scratch[lane, : block.size])
+        sums[i] = np.add.reduce(np.square(part, out=part))
+
+    _on_two_threads(len(sums), add)
     return math.fsum(sums) / samples.size
 
 
@@ -518,10 +514,13 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
     The series is cut into non-overlapping segments of
     ``sample_rate / resolution_bandwidth`` samples; per segment and bin the
     squared rFFT magnitude over the segment length estimates the variance
-    contribution, and segments are averaged in order, a block of about
-    512 KiB of segments at a time.  DC and Nyquist bins are dropped.  For a
-    white unit-variance input every returned bin averages to 1.0, and the
-    mean over bins estimates the total sample variance (Parseval consistency).
+    contribution.  The mean is defined by per-block partial sums: the
+    periodograms of the segments that start in one stream block of 2**16
+    samples are added in segment order, the block sums in block order, and
+    the total is divided by the segment count (:func:`_welch_mean`).  DC and
+    Nyquist bins are dropped.  For a white unit-variance input every returned
+    bin averages to 1.0, and the mean over bins estimates the total sample
+    variance (Parseval consistency).
 
     Raises
     ------
@@ -529,66 +528,51 @@ def welch_psd(series: TimeSeries, resolution_bandwidth: float) -> NoiseSpectrum:
         If ``sample_rate / resolution_bandwidth`` is not finite or rounds to
         under 8 samples or past the series, or if the summed power overflows.
     """
-    n_samples = series.samples.size
-    n_segment = _psd_segment(series.sample_rate, resolution_bandwidth, n_samples)
-    welch = _WelchSum(n_segment, n_samples // n_segment)
-    welch.add(series.samples[: n_samples - n_samples % n_segment])
-    return welch.spectrum(series.sample_rate)
+    samples = series.samples
+    n_segment = _psd_segment(series.sample_rate, resolution_bandwidth, samples.size)
+
+    def cut(first, stop, lane):
+        return samples[first * n_segment : stop * n_segment]
+
+    n_runs = samples.size // n_segment
+    return _welch_mean(n_segment, n_runs, cut, series.sample_rate)[0]
 
 
-class _WelchSum:
-    """The running sum of :func:`welch_psd`, fed the series in order.
+def _welch_mean(n_segment, n_runs, samples, sample_rate, k=None):
+    """The Welch mean of ``n_runs`` segments of ``n_segment`` samples, and
+    each segment's rFFT value on bin ``k`` (if given), by segment index.
 
-    Row 0 of ``power`` carries it, so each reduce adds the segments in their
-    order: the mean is ``spectra.mean(axis=0)`` bit for bit however they
-    arrive, without every segment's spectrum held at once.  Given a bin
-    ``k``, ``on_bin`` keeps each segment's complex rFFT value there.
+    A unit is the run of segments that start in one stream block.
+    ``samples(first, stop, lane)`` hands over segments ``first`` to ``stop``
+    end to end; each non-empty unit's periodograms ``|rFFT|**2 / N`` are
+    added in segment order, alternate units on :func:`_on_two_threads`.  The
+    unit sums are added in block order and divided by ``n_runs``, so the
+    bytes do not depend on the threads, their schedule, or whether the
+    series is whole or drawn a unit at a time.
     """
+    starts = range(0, n_runs * n_segment, _STREAM_BLOCK)
+    firsts = {-(-start // n_segment) for start in starts}  # each block's first segment
+    units = list(itertools.pairwise(sorted(firsts | {n_runs})))
+    n_bins = n_segment // 2 + 1
+    sums = np.empty((len(units), n_bins))
+    on_bin = np.empty(0 if k is None else n_runs, complex)
+    power = np.empty((2, max(stop - first for first, stop in units), n_bins))
 
-    def __init__(self, n_segment: int, max_segments: int, k: int | None = None):
-        self.n_segment, self.max_segments, self.n_runs = n_segment, max_segments, 0
-        self.k = k
-        rows = min(max_segments, max(1, _BLOCK_BYTES // (8 * n_segment)))
-        self.power = np.zeros((rows + 1, n_segment // 2 + 1))
-        self.on_bin = np.empty(0 if k is None else max_segments, complex)
-        self.carry, self.filled = np.empty(n_segment), 0
+    def add(u, lane):
+        first, stop = units[u]
+        segments = samples(first, stop, lane).reshape(-1, n_segment)
+        spectra = np.fft.rfft(segments, axis=1)
+        if k is not None:
+            on_bin[first:stop] = spectra[:, k]
+        part = np.abs(spectra, out=power[lane, : stop - first])
+        top = float(part.max())  # bounds each bin's sum over every segment
+        check_range("PSD power summed over the segments", top * top / n_segment * n_runs)
+        np.square(part, out=part)
+        part /= n_segment
+        np.add.reduce(part, axis=0, out=sums[u])  # row by row, in segment order
 
-    def add(self, samples: np.ndarray) -> None:
-        """Add the next ``samples`` of the series: a segment they leave
-        part-filled waits in ``carry`` until a later call fills it."""
-        if self.filled:
-            take = min(samples.size, self.n_segment - self.filled)
-            self.carry[self.filled : self.filled + take] = samples[:take]
-            self.filled, samples = self.filled + take, samples[take:]
-            if self.filled < self.n_segment:
-                return
-            self._add_whole(self.carry)
-        whole = samples.size - samples.size % self.n_segment
-        self._add_whole(samples[:whole])
-        self.filled = samples.size - whole
-        self.carry[: self.filled] = samples[whole:]
-
-    def _add_whole(self, samples: np.ndarray) -> None:
-        segments = samples.reshape(-1, self.n_segment)
-        block_rows = self.power.shape[0] - 1
-        for start in range(0, len(segments), block_rows):
-            spectra = np.fft.rfft(segments[start : start + block_rows], axis=1)
-            if self.k is not None:
-                first = self.n_runs + start
-                self.on_bin[first : first + len(spectra)] = spectra[:, self.k]
-            block = self.power[1 : len(spectra) + 1]
-            np.abs(spectra, out=block)
-            top = float(block.max())  # bounds each bin's sum over every segment
-            power = top * top / self.n_segment * self.max_segments
-            check_range("PSD power summed over the segments", power)
-            np.square(block, out=block)
-            block /= self.n_segment
-            self.power[0] = np.add.reduce(self.power[: len(spectra) + 1], axis=0)
-        self.n_runs += len(segments)
-
-    def spectrum(self, sample_rate: float) -> NoiseSpectrum:
-        """The mean of the segments added so far, DC and Nyquist dropped."""
-        n_bins = (self.n_segment + 1) // 2
-        psd = self.power[0, 1:n_bins] / self.n_runs
-        actual_rbw = sample_rate / self.n_segment
-        return NoiseSpectrum(actual_rbw * np.arange(1, n_bins), psd, actual_rbw)
+    _on_two_threads(len(units), add)
+    kept = (n_segment + 1) // 2
+    psd = np.add.reduce(sums, axis=0)[1:kept] / n_runs  # the units in block order
+    rbw = sample_rate / n_segment
+    return NoiseSpectrum(rbw * np.arange(1, kept), psd, rbw), on_bin

@@ -54,6 +54,17 @@ def test_kappa_scalar_and_array_agree():
     assert array[0] == pytest.approx(kappa(config, float(FREQS[0])), rel=1e-14)
 
 
+# (2 pi f)**2 overflows at f = 1e200: as a Python float it raised
+# OverflowError, and as an array it warned before reading inf.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("envelope", [kappa, standard_quantum_limit])
+def test_an_overflowing_omega_squared_gives_the_limit_unwarned(envelope):
+    config = _config()
+    assert envelope(config, 1e200) == 0.0
+    far = envelope(config, np.array([1.0, 1e200]))
+    assert far[0] == envelope(config, 1.0) > 0.0 and far[1] == 0.0
+
+
 def test_kappa_scales_with_power_and_mass():
     config = _config()
     doubled = _config(arm_power=2.0e6)

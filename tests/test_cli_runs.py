@@ -208,17 +208,33 @@ def white_blocks(seed, n, block=2**16):
     return np.concatenate(parts)
 
 
+def per_block_mean(periodograms, n_segment, block=2**16):
+    """The Welch mean by its definition, in Python loops: the periodograms of
+    the segments that start in one block of ``block`` samples added in
+    segment order, then those sums in block order, over the segment count."""
+    groups = {}
+    for j, periodogram in enumerate(periodograms):
+        start_block = j * n_segment // block
+        group = groups.get(start_block)
+        groups[start_block] = periodogram if group is None else group + periodogram
+    total = None
+    for start_block in sorted(groups):
+        total = groups[start_block] if total is None else total + groups[start_block]
+    return total / len(periodograms)
+
+
 def _whole_array_snrs(params, seed, block=2**16):
     """The three SNRs from whole arrays: one unit draw in blocks of ``block``,
     every segment's rFFT at once, and each arm's PSD as its variance times the
-    unit PSD, but on bin k the mean of |sqrt(variance) F_k - i depth N / 2|**2
-    / N."""
+    unit PSD (:func:`per_block_mean`), but on bin k the mean of
+    |sqrt(variance) F_k - i depth N / 2|**2 / N."""
     fs, n = params["sample_rate_hz"], params["n_samples"]
     n_segment = round(fs / params["resolution_bandwidth_hz"])
     k = round(params["signal_frequency_hz"] / (fs / n_segment))
     z = white_blocks(seed, n, block)
     spectra = np.fft.rfft(z[: n - n % n_segment].reshape(-1, n_segment), axis=1)
-    unit = (np.abs(spectra) ** 2 / n_segment).mean(axis=0)[1 : (n_segment + 1) // 2]
+    unit = per_block_mean(np.abs(spectra) ** 2 / n_segment, n_segment, block)
+    unit = unit[1 : (n_segment + 1) // 2]
     visibility = params["visibility"]
     efficiency = params["quantum_efficiency"] * (visibility * visibility)
     squeezed = squeeze(vacuum(), SqueezeSetting.from_db(params["squeeze_db"]))
@@ -236,8 +252,8 @@ def _whole_array_snrs(params, seed, block=2**16):
     return snrs
 
 
-# Samples per block of the unit draw, and so per buffer of the streamed run;
-# the default's.
+# Samples per block of the unit draw, and so per unit of the Welch sum; the
+# default's.
 DEFAULT_BLOCK = detection._STREAM_BLOCK
 
 
@@ -253,9 +269,9 @@ DEFAULT_BLOCK = detection._STREAM_BLOCK
     seed=st.integers(0, 2**32 - 1),
 )
 # At the default block: a tail past the last segment in a partial fifth
-# buffer; exactly one buffer; the default run's 16 buffers; a segment longer
-# than a block (resolution 0.25 Hz), one to a buffer, then a tail buffer.
-# Bins 511 and 32767 are coprime to the segment.
+# block; exactly one block; the default run's 16 blocks; a segment longer
+# than a block (resolution 0.25 Hz), one starting in every fourth block, then
+# a tail.  Bins 511 and 32767 are coprime to the segment.
 @example(
     block=DEFAULT_BLOCK, n_segment=4096, runs=73, tail=977, bin_index=512, db=3.0103,
     depth=0.5, seed=13,
@@ -283,10 +299,10 @@ DEFAULT_BLOCK = detection._STREAM_BLOCK
 def test_whole_arms_are_a_serial_run_bit_for_bit(
     block, n_segment, runs, tail, bin_index, db, depth, seed
 ):
-    # The streamed run against the whole-array reference, both drawn in
-    # blocks of ``block`` samples.  Blocks of 8 to 1,000 samples give one
-    # buffer or many, segments shorter or longer than a block, segments that
-    # span two or more blocks, and a partial last buffer.
+    # The streamed run against the whole-array reference, both drawn and
+    # their Welch sums split in blocks of ``block`` samples.  Blocks of 8 to
+    # 1,000 samples give one unit or many, segments shorter or longer than a
+    # block, segments that span two or more blocks, and a partial last block.
     fs = 65536.0
     n_samples = n_segment * runs + tail % n_segment
     k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)
@@ -301,10 +317,7 @@ def test_whole_arms_are_a_serial_run_bit_for_bit(
         visibility=0.95,
     )
     _, params, seed, _, _ = _validate_config(payload)
-    with (
-        mock.patch.object(detection, "_BLOCK_BYTES", 8 * block),
-        mock.patch.object(detection, "_STREAM_BLOCK", block),
-    ):
+    with mock.patch.object(detection, "_STREAM_BLOCK", block):
         result = cli._run_snr_equivalence(params, seed).result
     keys = ["snr_squeezed", "snr_coherent_equal_power", "snr_coherent_double_power"]
     assert [result[key] for key in keys] == _whole_array_snrs(params, seed, block)

@@ -4,7 +4,6 @@ import hashlib
 import math
 import sys
 import threading
-import types
 from fractions import Fraction
 from unittest import mock
 
@@ -40,7 +39,7 @@ from sqzlab.gaussian import (
     squeeze,
     vacuum,
 )
-from test_cli_runs import DERIVED_FAILURES, _failing_config, white_blocks
+from test_cli_runs import DERIVED_FAILURES, _failing_config, per_block_mean, white_blocks
 
 R_10DB = np.log(10.0) / 2.0
 WAVELENGTH = 1.064e-6
@@ -506,15 +505,14 @@ def test_a_library_owned_array_is_frozen_in_place():
     assert not samples.flags.writeable
 
 
-def _mean_periodogram(samples, n_segment):
-    """Every segment's periodogram at once, then their mean: the reference."""
+def _periodograms(samples, n_segment):
+    """Every whole segment's periodogram |rFFT|**2 / N, from one rFFT."""
     n_runs = samples.size // n_segment
     segments = samples[: n_runs * n_segment].reshape(n_runs, n_segment)
-    spectra = np.abs(np.fft.rfft(segments, axis=1)) ** 2 / n_segment
-    return spectra.mean(axis=0)[1 : (n_segment + 1) // 2]
+    return np.abs(np.fft.rfft(segments, axis=1)) ** 2 / n_segment
 
 
-BLOCK = detection._BLOCK_BYTES
+BLOCK = detection._STREAM_BLOCK
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,29 +520,30 @@ BLOCK = detection._BLOCK_BYTES
     n_segment=st.integers(8, 300),
     n_runs=st.integers(1, 40),
     tail=st.integers(0, 299),
-    block_bytes=st.sampled_from([1, 8 * 20, 8 * 100, 8 * 1000, BLOCK]),
+    block=st.sampled_from([1, 20, 100, 1000, BLOCK]),
     seed=st.integers(0, 2**32 - 1),
 )
-# At the real block size: one segment; an odd segment length with a count
-# (70) that is not a multiple of the block (31 segments); a segment larger
-# than one block.
-@example(n_segment=4096, n_runs=1, tail=17, block_bytes=BLOCK, seed=0)
-@example(n_segment=4097, n_runs=70, tail=0, block_bytes=BLOCK, seed=1)
-@example(n_segment=BLOCK // 8 + 1, n_runs=3, tail=5, block_bytes=BLOCK, seed=2)
+# At the real block size: one segment; an odd segment length, 70 of them,
+# spanning two blocks; a segment larger than one block.
+@example(n_segment=4096, n_runs=1, tail=17, block=BLOCK, seed=0)
+@example(n_segment=4097, n_runs=70, tail=0, block=BLOCK, seed=1)
+@example(n_segment=BLOCK + 1, n_runs=3, tail=5, block=BLOCK, seed=2)
 def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
-    n_segment, n_runs, tail, block_bytes, seed
+    n_segment, n_runs, tail, block, seed
 ):
+    # Blocks of 1 to 1,000 samples give one unit or many, units of one
+    # segment, and blocks in which no segment starts.
     size = n_segment * n_runs + tail % n_segment
     samples = np.random.default_rng(seed).normal(size=size)
-    with mock.patch.object(detection, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(detection, "_STREAM_BLOCK", block):
         spectrum = welch_psd(TimeSeries(float(n_segment), samples), 1.0)
-    expected = _mean_periodogram(samples, n_segment)
-    assert spectrum.psd.tobytes() == expected.tobytes()
+    expected = per_block_mean(_periodograms(samples, n_segment), n_segment, block)
+    assert spectrum.psd.tobytes() == expected[1 : (n_segment + 1) // 2].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    block=st.sampled_from([8, 24, 100, 1000, BLOCK // 8]),
+    block=st.sampled_from([8, 24, 100, 1000, BLOCK]),
     n_segment=st.integers(8, 300),
     n_runs=st.integers(1, 30),
     tail=st.integers(0, 299),
@@ -554,70 +553,73 @@ def test_blocked_psd_is_the_mean_periodogram_bit_for_bit(
     seed=st.integers(0, 2**32 - 1),
 )
 # At the real block size: a tail past the last segment in a partial fifth
-# buffer; exactly one buffer; a segment longer than a block, one to a buffer,
-# then a tail buffer; 16-sample segments; 1,000-sample segments, which do not
-# divide a block, so a segment spans each boundary; 2**17-sample segments,
-# each spanning two blocks.
+# block; 16-sample segments, 4,096 to a block; 1,000-sample segments, which
+# do not divide a block, so a segment spans each boundary; 2**17-sample
+# segments, each spanning two blocks; exactly one block; 2**18-sample
+# segments, which start in every fourth block only, then a tail.
 @example(
-    block=BLOCK // 8, n_segment=4096, n_runs=73, tail=977, bin_index=511, db=3.0,
+    block=BLOCK, n_segment=4096, n_runs=73, tail=977, bin_index=511, db=3.0,
     depth=0.5, seed=13,
 )
 @example(
-    block=BLOCK // 8, n_segment=16, n_runs=8200, tail=5, bin_index=3, db=3.0,
+    block=BLOCK, n_segment=16, n_runs=8200, tail=5, bin_index=3, db=3.0,
     depth=0.5, seed=21,
 )
 @example(
-    block=BLOCK // 8, n_segment=1000, n_runs=300, tail=999, bin_index=77, db=6.0,
+    block=BLOCK, n_segment=1000, n_runs=300, tail=999, bin_index=77, db=6.0,
     depth=0.5, seed=22,
 )
 @example(
-    block=BLOCK // 8, n_segment=2**17, n_runs=3, tail=4097, bin_index=40000, db=10.0,
+    block=BLOCK, n_segment=2**17, n_runs=3, tail=4097, bin_index=40000, db=10.0,
     depth=1.0, seed=23,
 )
 @example(
-    block=BLOCK // 8, n_segment=4096, n_runs=16, tail=0, bin_index=512, db=3.0,
+    block=BLOCK, n_segment=4096, n_runs=16, tail=0, bin_index=512, db=3.0,
     depth=0.5, seed=1,
 )
 @example(
-    block=BLOCK // 8, n_segment=2**18, n_runs=2, tail=75000, bin_index=32767,
+    block=BLOCK, n_segment=2**18, n_runs=2, tail=75000, bin_index=32767,
     db=10.0, depth=1.0, seed=3,
 )
 def test_tone_spectrum_is_welch_psd_of_the_toned_series_bit_for_bit(
     block, n_segment, n_runs, tail, bin_index, db, depth, seed
 ):
-    # The draw's blocks, and so the buffers, of 8 to 1,000 samples give one
-    # buffer or many, segments shorter or longer than a block or spanning
-    # two, and a partial last buffer.
+    # The draw's blocks, and so the units, of 8 to 1,000 samples give one
+    # unit or many, segments shorter or longer than a block or spanning two,
+    # and a partial last block.  Off bin k the unit arm is welch_psd of the
+    # whole draw, split in the same blocks.
     fs = 65536.0
     size = n_segment * n_runs + tail % n_segment
     k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)
     arms = [(10.0 ** (-db / 10.0), depth), (1.0, depth), (1.0, depth * 2**0.5)]
-    with (
-        mock.patch.object(detection, "_BLOCK_BYTES", 8 * block),
-        mock.patch.object(detection, "_STREAM_BLOCK", block),
-    ):
+    z = white_blocks(seed, size, block)
+    with mock.patch.object(detection, "_STREAM_BLOCK", block):
         spectra = detection._tone_spectra(arms, size, n_segment, k, seed, fs)
-    expected = _tone_reference(arms, white_blocks(seed, size, block), n_segment, k, fs)
+        whole = welch_psd(TimeSeries(fs, z), fs / n_segment)
+    expected = _tone_reference(arms, z, n_segment, k, fs, block)
     for spectrum, want in zip(spectra, expected, strict=True):
         assert spectrum.psd.tobytes() == want.psd.tobytes()
         assert spectrum.frequencies.tobytes() == want.frequencies.tobytes()
         assert spectrum.resolution_bandwidth == want.resolution_bandwidth
+    off_bin = np.delete(spectra[1].psd, k - 1)
+    assert off_bin.tobytes() == np.delete(whole.psd, k - 1).tobytes()
 
 
-def _tone_reference(arms, z, n_segment, k, fs):
+def _tone_reference(arms, z, n_segment, k, fs, block):
     """The Welch PSD of each toned arm as its segments' rFFT sees it, from
-    whole arrays: off bin k the arm's variance times welch_psd of the shared
-    unit draw ``z``, and on bin k the mean of |sqrt(variance) F_k - i depth N /
-    2|**2 / N."""
-    size = z.size
-    unit = welch_psd(TimeSeries(fs, z), fs / n_segment)
+    whole arrays: off bin k the arm's variance times the per-block mean
+    periodogram of the shared unit draw ``z`` (:func:`per_block_mean`), and
+    on bin k the mean of |sqrt(variance) F_k - i depth N / 2|**2 / N."""
+    size, kept = z.size, (n_segment + 1) // 2
     on_bin = np.fft.rfft(z[: size - size % n_segment].reshape(-1, n_segment))[:, k]
+    unit = per_block_mean(_periodograms(z, n_segment), n_segment, block)[1:kept]
+    rbw = fs / n_segment
     spectra = []
     for variance, depth in arms:
         phasor = np.sqrt(variance) * on_bin - 1j * (depth * n_segment / 2.0)
-        psd = variance * unit.psd
+        psd = variance * unit
         psd[k - 1] = np.mean(np.abs(phasor) ** 2 / n_segment)
-        spectra.append(NoiseSpectrum(unit.frequencies, psd, unit.resolution_bandwidth))
+        spectra.append(NoiseSpectrum(rbw * np.arange(1, kept), psd, rbw))
     return spectra
 
 
@@ -777,19 +779,6 @@ def test_the_detected_draw_is_rng_normal_bit_for_bit(
         assert series.samples.tobytes() == expected.tobytes()
 
 
-def _counted(function, calls, fail_on, error):
-    """``function``, noting the thread of each call in ``calls``; call number
-    ``fail_on`` raises ``error`` instead."""
-
-    def counted(*args, **kwargs):
-        calls.append(threading.current_thread())
-        if len(calls) == fail_on:
-            raise error
-        return function(*args, **kwargs)
-
-    return counted
-
-
 def _raised_off_the_main_thread(call):
     """What ``call()`` raised, from a helper thread joined with a timeout, so
     that a deadlock fails the test instead of hanging it.  Every thread the
@@ -810,54 +799,68 @@ def _raised_off_the_main_thread(call):
     return raised
 
 
+def _loud_block(block, calls):
+    """``detection._white_block``, noting the block and the thread of each
+    call in ``calls``; block ``block`` reads 1e160 times its draw."""
+    white_block = detection._white_block
+
+    def loud(out, seed, i):
+        calls.append((i, threading.current_thread()))
+        white_block(out, seed, i)
+        if i == block:
+            out *= 1e160
+
+    return loud
+
+
 @pytest.mark.parametrize(
-    "failing, error",
+    "failing, block, error",
     [
-        ("add", RuntimeError("the third add")),
-        ("draw", RuntimeError("the third draw")),
-        ("draw", KeyboardInterrupt()),
+        ("add", 3, ValueError("PSD power summed over the segments must be finite")),
+        ("draw", 2, RuntimeError("block 2")),
+        ("draw", 4, KeyboardInterrupt()),
     ],
     ids=["add-raises-on-the-worker", "draw-raises", "draw-interrupted"],
 )
-def test_a_failed_tone_run_raises_its_error_and_joins_its_worker(failing, error):
-    # Six buffers of two segments each; the third add or the third draw
-    # raises.  The error reaches the caller unchanged, the other thread stops
-    # within two buffers, and the worker is joined.  The call runs on a helper
+def test_a_failed_tone_run_raises_its_error_and_joins_its_worker(failing, block, error):
+    # Six blocks of 32 samples, one unit of two segments each: the calling
+    # thread draws and adds the even units, the worker the odd ones.  Adding
+    # unit 3 to the Welch sum overflows on the worker, or the draw of block 2
+    # or 4 raises on the calling thread.  The error reaches the caller
+    # unchanged, the failing thread makes no further draw, the other stops
+    # within two units, and the worker is joined.  The call runs on a helper
     # thread, where a KeyboardInterrupt is raised like any other exception.
-    adds, draws, rng = [], [], detection._rng
-    add = _counted(detection._WelchSum.add, adds, 3 if failing == "add" else 0, error)
-    fail_draw = 3 if failing == "draw" else 0
-
-    def counted_rng(seed):
-        draw = _counted(rng(seed).standard_normal, draws, fail_draw, error)
-        return types.SimpleNamespace(standard_normal=draw)
+    calls = []
+    if failing == "add":
+        patch = mock.patch.object(detection, "_white_block", _loud_block(block, calls))
+    else:
+        patch = mock.patch.object(detection, "_rng", _failing_block(block, error, calls))
 
     def run():
         detection._tone_spectra([(1.0, 0.5)], 192, 16, 3, 1, 1.0)
 
-    with (
-        mock.patch.object(detection, "_BLOCK_BYTES", 8 * 32),
-        mock.patch.object(detection, "_STREAM_BLOCK", 32),
-        mock.patch.object(detection._WelchSum, "add", add),
-        mock.patch.object(detection, "_rng", counted_rng),
-    ):
+    with mock.patch.object(detection, "_STREAM_BLOCK", 32), patch:
         raised = _raised_off_the_main_thread(run)
-    assert len(raised) == 1 and raised[0] is error
-    if failing == "add":
-        # The fifth draw waits for the failed third add, so the draws stop by 4.
-        assert len(adds) == 3 and 3 <= len(draws) <= 4
+    assert len(raised) == 1
+    if failing == "add":  # raised by the overflow check itself
+        assert type(raised[0]) is ValueError and str(raised[0]) == str(error)
     else:
-        # The third draw waited for the first add; the second may be added or not.
-        assert len(draws) == 3 and 1 <= len(adds) <= 2
-    assert len(set(adds)) == 1 and set(adds).isdisjoint(draws)
+        assert raised[0] is error
+    threads = {}
+    for i, thread in calls:
+        assert threads.setdefault(i % 2, thread) is thread
+    assert len(set(threads.values())) == len(threads)
+    failed_at = calls.index((block, threads[block % 2]))
+    assert sum(i % 2 != block % 2 for i, _ in calls[failed_at:]) <= 2
+    assert sum(i % 2 == block % 2 for i, _ in calls[failed_at:]) == 1
 
 
 def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs():
     # Four callers at once, each with its worker, while the interpreter
-    # switches threads every microsecond.  Each run hands 65 blocks of 32
-    # samples to its worker; drawing into a buffer before its last add
-    # returned would change the spectrum.  The reference takes the same
-    # blocks as one buffer, from whole arrays, with no thread.
+    # switches threads every microsecond.  Each run splits 65 blocks of 32
+    # samples between its two threads, each of which draws into and sums
+    # from its own buffers.  The reference takes the same blocks from whole
+    # arrays, with no thread.
     seeds, results, errors = range(20), {}, []
     arms = [(0.5, 1.0), (1.0, 0.0)]
 
@@ -872,7 +875,7 @@ def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs()
             errors.append(error)
 
     expected = {
-        seed: _tone_reference(arms, white_blocks(seed, 2085, 32), 16, 3, 1.0)
+        seed: _tone_reference(arms, white_blocks(seed, 2085, 32), 16, 3, 1.0, 32)
         for seed in seeds
     }
     interval = sys.getswitchinterval()
@@ -881,10 +884,7 @@ def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs()
     ]
     sys.setswitchinterval(1e-6)
     try:
-        with (
-            mock.patch.object(detection, "_BLOCK_BYTES", 8 * 32),
-            mock.patch.object(detection, "_STREAM_BLOCK", 32),
-        ):
+        with mock.patch.object(detection, "_STREAM_BLOCK", 32):
             for thread in callers:
                 thread.start()
             for thread in callers:
@@ -895,6 +895,81 @@ def test_tone_runs_on_eight_threads_under_fast_switching_equal_one_buffer_runs()
     for seed in seeds:
         for got, want in zip(results[seed], expected[seed], strict=True):
             assert got.psd.tobytes() == want.psd.tobytes()
+
+
+def test_a_one_unit_welch_or_tone_run_starts_no_thread():
+    # 4,096 samples in one segment, and 2**16 + 17 in 16 segments that all
+    # start in block 0: one unit each.
+    start = mock.Mock(side_effect=AssertionError("started a thread"))
+    samples = white_blocks(5, 2**16 + 17)
+    with mock.patch.object(threading.Thread, "start", start):
+        for size, n_segment in [(4096, 4096), (2**16 + 17, 4096)]:
+            welch_psd(TimeSeries(1.0, samples[:size]), 1.0 / n_segment)
+            detection._tone_spectra([(1.0, 0.5)], size, n_segment, 3, 5, 1.0)
+        detection._series_variance(samples[: 2**16])
+    assert start.call_count == 0
+
+
+def _serial(n_items, work):
+    """``detection._on_two_threads`` on the calling thread alone, in order."""
+    for i in range(n_items):
+        work(i, i % 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_segment=st.sampled_from([8, 1000, 4096, 2**17, 2**18]),
+    extra=st.integers(0, 2**19),
+    bin_index=st.integers(1, 2**17),
+    seed=st.integers(0, 2**32 - 1),
+)
+# One-block runs, with a tail and without; segments longer than a block, two
+# of them and a tail; 1,000-sample segments, which span each block boundary.
+@example(n_segment=4096, extra=17, bin_index=5, seed=0)
+@example(n_segment=8, extra=2**16 - 9, bin_index=3, seed=1)
+@example(n_segment=2**18, extra=2**18 + 75000, bin_index=32767, seed=2)
+@example(n_segment=1000, extra=300_999, bin_index=77, seed=3)
+def test_whole_streamed_serial_and_concurrent_welch_means_are_equal(
+    n_segment, extra, bin_index, seed
+):
+    # welch_psd of the whole draw, _tone_spectra's streamed draw, each with
+    # its units run in order on one thread, and four callers of both at once
+    # while the interpreter switches threads every microsecond: one set of
+    # bytes.  Off bin k the unit arm of the streamed draw is welch_psd.
+    fs, size = 65536.0, n_segment + extra
+    k = 1 + (bin_index - 1) % ((n_segment + 1) // 2 - 1)
+    series = TimeSeries(fs, white_blocks(seed, size))
+
+    def both():
+        whole = welch_psd(series, fs / n_segment).psd
+        (streamed,) = detection._tone_spectra([(1.0, 0.0)], size, n_segment, k, seed, fs)
+        return whole.tobytes(), streamed.psd.tobytes()
+
+    whole, streamed = both()
+    streamed_off_bin = np.delete(np.frombuffer(streamed), k - 1)
+    assert streamed_off_bin.tobytes() == np.delete(np.frombuffer(whole), k - 1).tobytes()
+    with mock.patch.object(detection, "_on_two_threads", _serial):
+        assert both() == (whole, streamed)
+    results, errors = [], []
+
+    def caller():
+        try:
+            results.append(both())
+        except BaseException as error:
+            errors.append(error)
+
+    callers = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers) and errors == []
+    assert results == [(whole, streamed)] * 4
 
 
 def _bhd(n_samples, seed):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqzlab.gaussian import (
@@ -171,6 +171,23 @@ def test_mean_photon_number_squeezed_vacuum():
     # sinh^2(r) photons; r for 10 dB gives exactly 8.1 / 4
     state = squeeze(vacuum(), SqueezeSetting(R_10DB))
     assert mean_photon_number(state) == pytest.approx(2.025, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_r=st.floats(-10.0, 1.0))
+@example(log_r=-8.0)  # r = 1e-8, where minor + major - 2 cancelled to 0.0
+@example(log_r=-10.0)
+@example(log_r=1.0)
+def test_mean_photon_number_is_within_1_ulp_of_its_stored_axes(log_r):
+    # The oracle is (minor + major - 2) / 4 at 50 digits, from the axes the
+    # state stores: r from 1e-10 to 10.
+    import mpmath
+
+    state = squeeze(vacuum(), SqueezeSetting(10.0**log_r))
+    with mpmath.workdps(50):
+        exact = (mpmath.mpf(state.axes[0]) + mpmath.mpf(state.axes[1]) - 2) / 4
+        error = abs(mpmath.mpf(mean_photon_number(state)) - exact)
+        assert error <= mpmath.mpf(math.ulp(float(exact)))
 
 
 def test_db_rejects_nonpositive():

@@ -96,7 +96,7 @@ CASES = {
         {"lo_noise_variance": 4.0, "balance_asymmetry": 0.25, "n_samples": 300001},
         11,
     ),
-    # One PSD segment of 2 MiB, longer than welch_psd's 512 KiB block.
+    # One PSD segment of 2 MiB, longer than a 512 KiB stream block.
     "bhd-psd-long-segment": (
         "bhd-psd",
         {"resolution_bandwidth_hz": 1.0, "n_samples": 524288},
@@ -140,11 +140,11 @@ GOLDEN = {
         "2ef89c1b36f09540551fb4c87bbf86f39bf25613addb7343aa4594301e27f3d4",
     ),
     ("bhd-psd", "csv"): (
-        "d536915f30de363b4eb4c14a55a36d61a65f5cdd7303acebe4d33de56951a127",
+        "c53dcfa0f617115248b81542f6302a1275df0165004225fff5bd88958778a800",
         "6ab05d7483cea42854d66c6448a8105df85e0299ce1c2c8477bd8dfb69d3f632",
     ),
     ("bhd-psd", "json"): (
-        "5541d502c6ded6871ded84c932f8754a302c69861835abc4e7255ca135fc50a8",
+        "a2b4212b4db0208b52ced4dbd9584fb1d2a021219c20d6073a7165a521491e78",
         "e094a56acc00dcc967d477c8ede14a5acafacdbf02028e3dc50e3fa69a7fde68",
     ),
     ("snr-equivalence", "csv"): (
@@ -220,11 +220,11 @@ GOLDEN = {
         "ce0b933a6d339e18d28bc0d2a423247f864d78adc4459633c432347955c78d2e",
     ),
     ("bhd-psd-lo-leak-tail", "csv"): (
-        "9364adecfc61b9f53d2721783a492534c94fec543f9d9ed982cdf36b42567a52",
+        "d36f606bf7d90d01d656ced62a89851de4edeb3e8d46e518b67de1bb38867cb1",
         "7549ed86121a84f573f505edc209db75d899c23a126f757a04a1a2974c1fa51e",
     ),
     ("bhd-psd-lo-leak-tail", "json"): (
-        "44e3bebce53c6bb4d5d3be312d1920eaa52a6cd0e4347b07221cc557c9c7eaa7",
+        "7d2bf58fb0beedc6a3879d76fd7eb7006f475a887b2d214452ee8682c0a87f64",
         "82137aea75e9d32384b05f09fb547adccec34fffb4788c20c1dde7295e0478d7",
     ),
     ("bhd-psd-long-segment", "csv"): (
